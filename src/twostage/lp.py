@@ -1,7 +1,10 @@
-"""Dense two-phase primal simplex with dual extraction.
+"""Two-phase primal simplex on a dense tableau, with dual extraction.
 
 Small LPs only (hundreds of variables); everything the rounding algorithms
-need fits comfortably.  Minimization form with row senses '<=', '>=', '=='
+need fits comfortably.  The tableau is stored dense, but each pivot updates
+only the rows whose pivot-column entry is nonzero: the relaxations are
+sparse, and skipping a zero factor leaves every other row's arithmetic
+unchanged.  Minimization form with row senses '<=', '>=', '=='
 and per-variable lower bounds (default 0, shifted out internally).
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
@@ -24,6 +27,7 @@ FEAS_TOL = 1e-7
 DUALITY_TOL = 1e-6
 
 Sense = Literal["<=", ">=", "=="]
+_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,6 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.rhs.size
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -104,14 +105,17 @@ class DualSolution:
 class _Tableau:
     body: np.ndarray          # (m, n_cols + 1), last column is the rhs
     basis: list[int]
-    allowed: np.ndarray       # columns eligible to enter
+    n_enter: int              # columns [0, n_enter) are eligible to enter
 
     def pivot(self, row: int, col: int, obj: np.ndarray) -> None:
-        self.body[row] /= self.body[row, col]
-        factors = self.body[:, col].copy()
-        factors[row] = 0.0
-        self.body -= np.outer(factors, self.body[row])
-        obj -= obj[col] * self.body[row]
+        body = self.body
+        body[row] /= body[row, col]
+        pivot_row = body[row]
+        # Rows with a zero entry in the pivot column would only subtract zeros.
+        hit = body[:, col].nonzero()[0]
+        hit = hit[hit != row]
+        body[hit] -= body[hit, col, None] * pivot_row
+        obj -= obj[col] * pivot_row
         self.basis[row] = col
 
 
@@ -120,7 +124,7 @@ def _run_simplex(tab: _Tableau, obj: np.ndarray, max_iter: int) -> Literal["opti
     degenerate_streak = 0
     bland = False
     for _ in range(max_iter):
-        reduced = np.where(tab.allowed, obj[:-1], np.inf)
+        reduced = obj[:tab.n_enter]
         if bland:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
@@ -132,14 +136,14 @@ def _run_simplex(tab: _Tableau, obj: np.ndarray, max_iter: int) -> Literal["opti
                 return "optimal"
         column = tab.body[:, col]
         rhs = tab.body[:, -1]
-        eligible = column > PIVOT_TOL
-        if not eligible.any():
+        eligible = (column > PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
             return "unbounded"
-        ratios = np.where(eligible, rhs / np.where(eligible, column, 1.0), np.inf)
+        ratios = rhs[eligible] / column[eligible]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        ties = eligible[ratios <= best + PIVOT_TOL]
         # Smallest basis index among ties keeps Bland's guarantee intact.
-        row = int(min(ties, key=lambda r: tab.basis[r]))
+        row = int(ties[0]) if ties.size == 1 else int(min(ties, key=lambda r: tab.basis[r]))
         if best <= PIVOT_TOL:
             degenerate_streak += 1
             if degenerate_streak > 2 * (m + tab.body.shape[1]):
@@ -162,16 +166,10 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     rhs = lp.rhs - lp.rows @ lb
 
     # Normalize to nonnegative rhs, remembering sign flips for dual recovery.
-    rows = lp.rows.copy()
-    senses = list(lp.senses)
-    flips = np.ones(m)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] *= -1.0
-            rhs = rhs.copy()
-            rhs[i] *= -1.0
-            flips[i] = -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "==": "=="}[senses[i]]
+    flips = np.where(rhs < 0, -1.0, 1.0)
+    rows = lp.rows * flips[:, None]
+    rhs *= flips
+    senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(lp.senses, flips)]
 
     slack_cols = [i for i, s in enumerate(senses) if s == "<="]
     surplus_cols = [i for i, s in enumerate(senses) if s == ">="]
@@ -203,9 +201,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     for i in range(m):
         basis[i] = art_col_of[i] if i in art_col_of else slack_col_of[i]
 
-    allowed = np.zeros(n_cols, dtype=bool)
-    allowed[:n_ext] = True
-    tab = _Tableau(body=body, basis=basis, allowed=allowed)
+    tab = _Tableau(body=body, basis=basis, n_enter=n_ext)
     max_iter = 2000 + 40 * (m + n_cols)
 
     def reduced_row(costs: np.ndarray) -> np.ndarray:
@@ -236,9 +232,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
         drop: list[int] = []
         for r in range(m):
             if tab.basis[r] in art_set:
-                options = np.flatnonzero(
-                    (np.abs(tab.body[r, :n_ext]) > FEAS_TOL) & tab.allowed[:n_ext]
-                )
+                options = np.flatnonzero(np.abs(tab.body[r, :n_ext]) > FEAS_TOL)
                 if options.size:
                     tab.pivot(r, int(options[0]), obj1)
                 else:
@@ -247,7 +241,6 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
         if drop:
             tab.body = tab.body[kept]
             tab.basis = [tab.basis[r] for r in kept]
-        tab.allowed[n_ext:] = False
     else:
         kept = []
 

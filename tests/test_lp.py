@@ -1,13 +1,18 @@
 """Simplex engine checked against hand vertices and scipy's solver.
 
 The scipy comparison is the independent route: both solvers see the same
-random feasible bounded programs and must land on the same optimum.
+random feasible bounded programs and must land on the same optimum.  The
+sparse-row pivot is checked against the dense rank-one update it replaced,
+which this file keeps as the reference: the output must be byte-equal.
 """
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import twostage.lp
+from twostage.generators import generate_instance
 from twostage.lp import DUALITY_TOL, LinearProgram, solve_lp
+from twostage.lp_builders import build_relaxation
 
 
 def test_one_variable_floor():
@@ -149,3 +154,96 @@ def test_shape_mismatch_rejected():
         LinearProgram([1.0, 2.0], [[1.0]], (">=",), [1.0])
     with pytest.raises(ValueError):
         LinearProgram([1.0], [[1.0]], (">=", "<="), [1.0])
+
+
+def record_pivots(monkeypatch):
+    """Log (row, col) of every pivot solve_lp makes."""
+    pivots = []
+    pivot = twostage.lp._Tableau.pivot
+
+    def logged(self, row, col, obj):
+        pivots.append((row, col))
+        pivot(self, row, col, obj)
+
+    monkeypatch.setattr(twostage.lp._Tableau, "pivot", logged)
+    return pivots
+
+
+def test_bland_switch_breaks_beales_cycle(monkeypatch):
+    # Beale's LP cycles with period 6 under the Dantzig rule; the optimum is
+    # reached only once the degenerate streak exceeds 2 * (m + tableau
+    # columns) = 22 and the entering rule switches to Bland's.
+    pivots = record_pivots(monkeypatch)
+    lp = LinearProgram(
+        [-0.75, 20.0, -0.5, 6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        ("<=", "<=", "<="),
+        [0.0, 0.0, 1.0],
+    )
+    sol, dual = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(-1.25)
+    assert sol.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert dual.objective_value == pytest.approx(-1.25)
+    assert len(pivots) == 25
+    cycle = pivots[:6]
+    assert pivots[:23] == (cycle * 4)[:23]
+    assert pivots[23] != cycle[23 % 6]
+
+
+def test_redundant_equality_rows_are_dropped_with_zero_dual(monkeypatch):
+    pivots = record_pivots(monkeypatch)
+    lp = LinearProgram(
+        [1.0, 3.0],
+        [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
+        ("==", "==", "=="),
+        [2.0, 2.0, 4.0],
+    )
+    sol, dual = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.values == pytest.approx([2.0, 0.0])
+    assert len(pivots) == 1
+    # Only the first row keeps a basic variable; the two copies are dropped.
+    assert list(dual.values) == [pytest.approx(1.0), 0.0, 0.0]
+    assert dual.objective_value == pytest.approx(2.0)
+
+
+def dense_pivot(self, row, col, obj):
+    """Reference pivot: the full m x (n+1) rank-one update."""
+    self.body[row] /= self.body[row, col]
+    factors = self.body[:, col].copy()
+    factors[row] = 0.0
+    self.body -= np.outer(factors, self.body[row])
+    obj -= obj[col] * self.body[row]
+    self.basis[row] = col
+
+
+def solution_bytes(lp):
+    sol, dual = solve_lp(lp)
+    values = None if sol.values is None else sol.values.tobytes()
+    duals = None if dual is None else (dual.values.tobytes(), dual.objective_value)
+    return sol.status, values, np.float64(sol.objective_value).tobytes(), duals
+
+
+def differential_corpus():
+    for seed in range(3):
+        yield build_relaxation(generate_instance(
+            "set_cover", seed=seed, n_elements=6, n_sets=7, scenarios=3))
+        yield build_relaxation(generate_instance(
+            "vertex_cover", seed=seed, n_vertices=6, n_edges=9, scenarios=3))
+        yield build_relaxation(generate_instance(
+            "ufl", seed=seed, n_facilities=4, n_clients=5, scenarios=3))
+        yield build_relaxation(generate_instance(
+            "steiner", seed=seed, n_vertices=6, n_edges=8, scenarios=3))
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        yield random_feasible_lp(rng, max_vars=12, max_rows=16)
+
+
+def test_sparse_row_pivot_is_bit_identical_to_dense_update(monkeypatch):
+    corpus = list(differential_corpus())
+    sparse = [solution_bytes(lp) for lp in corpus]
+    monkeypatch.setattr(twostage.lp._Tableau, "pivot", dense_pivot)
+    dense = [solution_bytes(lp) for lp in corpus]
+    assert all(s[0] == "optimal" for s in sparse)
+    assert sparse == dense
