@@ -45,7 +45,7 @@ from .lp_builders import (
     solve_cover_lp,
     solve_ufl_lp,
 )
-from .oracle import OracleResult, RatioCheck, best_completion, brute_force_optimal, verify_ratio
+from .oracle import OracleResult, best_completion, brute_force_optimal
 from .cover import (
     HalfMassReport,
     RecoursePlan,

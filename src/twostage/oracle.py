@@ -5,7 +5,14 @@ feasible item set X, exercise the part of X that was reserved (always
 cheaper than re-buying it), pay recourse price on the rest.  So the oracle
 scans reservation bitmasks in increasing first-stage cost, computes each
 scenario's best X with precomputed subset-mass tables, and stops as soon as
-the first-stage cost alone exceeds the incumbent.
+the first-stage cost alone reaches the incumbent.
+
+The tables and feasible-set lists are built as whole arrays, and the scan
+takes the sorted masks in blocks (8 rows, doubling, capped so that a block
+times the widest scenario's candidate count stays within BLOCK_ENTRIES).
+Every float is computed by the same operations in the same order as a scan
+of one mask at a time, and the stopping point is recovered from the running
+incumbent, so the cost, solution and node count equal that scan's exactly.
 
 Intended for cross-checking the approximation algorithms; refuses instances
 with more than MAX_ITEMS items or MAX_SCENARIOS scenarios.
@@ -30,14 +37,13 @@ __all__ = [
     "OracleResult",
     "brute_force_optimal",
     "best_completion",
-    "verify_ratio",
-    "RatioCheck",
     "MAX_ITEMS",
     "MAX_SCENARIOS",
 ]
 
 MAX_ITEMS = 16
 MAX_SCENARIOS = 6
+BLOCK_ENTRIES = 1 << 15  # cap on block rows x candidate sets per scenario
 
 
 @dataclass(frozen=True)
@@ -45,17 +51,6 @@ class OracleResult:
     optimal_cost: float
     optimal_solution: TwoStageSolution
     nodes_explored: int
-
-
-@dataclass(frozen=True)
-class RatioCheck:
-    """Outcome of comparing an algorithm's cost against bound * optimum.
-
-    ``slack`` is how much headroom was left (negative on failure).
-    """
-
-    passed: bool
-    slack: float
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -67,14 +62,22 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _lowest_bit_fold(op, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill table[mask] = op(table[mask ^ low], rows[bit of low]) for mask > 0.
+
+    low is the lowest set bit.  Bits are taken highest first, so the entry a
+    mask reads was written in an earlier pass.
+    """
+    n = len(rows)
+    for k in range(n - 1, -1, -1):
+        rest = np.arange(1 << (n - k - 1), dtype=np.int64) << (k + 1)
+        table[rest | (1 << k)] = op(table[rest], rows[k])
+    return table
+
+
 def _mass_table(weights: np.ndarray) -> np.ndarray:
     """table[mask] = sum of weights over the bits of mask, for all masks."""
-    n = weights.size
-    table = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
-    return table
+    return _lowest_bit_fold(np.add, np.zeros(1 << weights.size), weights)
 
 
 @dataclass
@@ -84,10 +87,11 @@ class _ScenarioTable:
     base: np.ndarray        # cost of X at full recourse price (plus service)
     save_table: np.ndarray  # discount earned by the reserved part of X
 
-    def best(self, f0_mask: int) -> tuple[float, int]:
-        vals = self.base - self.save_table[self.masks & f0_mask]
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), int(self.masks[idx])
+    def best(self, f0_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cheapest completion value and its bought set, per reservation mask."""
+        vals = self.base - self.save_table[self.masks & f0_masks[:, None]]
+        idx = vals.argmin(axis=1)
+        return vals[np.arange(idx.size), idx], self.masks[idx]
 
 
 @dataclass
@@ -98,47 +102,41 @@ class _Prep:
 
 
 def _covering_feasible_masks(inst, clients: frozenset[int], n: int) -> np.ndarray:
-    elem_masks = []
+    x = np.arange(1 << n, dtype=np.int64)
+    ok = np.ones(x.size, dtype=bool)
     for e in sorted(clients):
         cm = 0
         for s in inst.covering_items(e):
             cm |= 1 << s
         if cm == 0:
             raise InstanceError(f"element {e} is uncoverable")
-        elem_masks.append(cm)
-    return np.array(
-        [x for x in range(1 << n) if all(x & cm for cm in elem_masks)], dtype=np.int64
-    )
+        ok &= (x & cm) != 0
+    return x[ok]
 
 
 def _connecting_feasible_masks(inst: SteinerInstance, clients: frozenset[int]) -> np.ndarray:
     g = inst.graph
-    n_e = g.n_edges
-    terminals = [t for t in clients if t != g.root]
-    if not terminals:
-        return np.arange(1 << n_e, dtype=np.int64)
-    out = []
-    for x in range(1 << n_e):
-        parent = list(range(g.n_vertices))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        m = x
-        while m:
-            low = m & -m
-            u, v = g.edges[low.bit_length() - 1]
-            parent[find(u)] = find(v)
-            m ^= low
-        r = find(g.root)
-        if all(find(t) == r for t in terminals):
-            out.append(x)
-    if not out:
+    x = np.arange(1 << g.n_edges, dtype=np.int64)
+    need = 0
+    for t in clients:
+        if t != g.root:
+            need |= 1 << t
+    if not need:
+        return x
+    # reach[x]: vertex bitmask of the root's component under the edges of x
+    present = [(x >> e) & 1 == 1 for e in range(g.n_edges)]
+    reach = np.full(x.size, 1 << g.root, dtype=np.int64)
+    while True:
+        before = reach.copy()
+        for e, (u, v) in enumerate(g.edges):
+            uv = (1 << u) | (1 << v)
+            reach |= np.where(present[e] & ((reach & uv) != 0), uv, 0)
+        if np.array_equal(before, reach):
+            break
+    out = x[(reach & need) == need]
+    if out.size == 0:
         raise InstanceError("no edge set connects the demanded terminals")
-    return np.array(out, dtype=np.int64)
+    return out
 
 
 def _prepare(inst: Instance) -> _Prep:
@@ -174,14 +172,9 @@ def _prepare(inst: Instance) -> _Prep:
     if isinstance(inst, UflInstance):
         sigma = inst.sigma
         f0 = np.array(inst.open_cost, dtype=float)
-        dist = inst.dist
         f0_table = _mass_table(f0)
         # nearest-open-facility distance per (mask, client)
-        minc = np.full((1 << n, inst.n_clients), np.inf)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            minc[mask] = np.minimum(minc[mask ^ low], dist[i])
+        minc = _lowest_bit_fold(np.minimum, np.full((1 << n, inst.n_clients), np.inf), inst.dist)
         all_masks = np.arange(1 << n, dtype=np.int64)
         tables = []
         for k, (p, clients) in enumerate(scen):
@@ -206,24 +199,35 @@ def _solution_from_masks(f0_mask: int, x_masks: list[int]) -> TwoStageSolution:
 def brute_force_optimal(inst: Instance) -> OracleResult:
     prep = _prepare(inst)
     order = np.argsort(prep.first_vec, kind="stable")
+    widest = max((tab.masks.size for tab in prep.tables), default=1)
+    cap = max(1, BLOCK_ENTRIES // widest)
     best = np.inf
     best_mask = 0
     best_xs: list[int] = []
     nodes = 0
-    for mask in order:
-        mask = int(mask)
-        fc = prep.first_vec[mask]
-        if fc >= best:
-            break  # masks are sorted by first-stage cost; nothing better left
-        nodes += 1
-        total = fc
+    start, size = 0, 8
+    while start < order.size:
+        block = order[start : start + min(size, cap)]
+        start, size = start + block.size, 2 * size
+        fc = prep.first_vec[block]
+        total = fc.copy()
         xs = []
         for tab in prep.tables:
-            val, x = tab.best(mask)
+            val, x = tab.best(block)
             total += tab.prob * val
             xs.append(x)
-        if total < best:
-            best, best_mask, best_xs = total, mask, xs
+        # run[j] is the incumbent before row j; fmin because a NaN total never wins
+        run = np.fmin.accumulate(np.concatenate(([best], total)))[:-1]
+        # masks are sorted by first-stage cost; nothing better after a stop
+        stops = np.flatnonzero(fc >= run)
+        rows = int(stops[0]) if stops.size else block.size
+        nodes += rows
+        wins = np.flatnonzero(total[:rows] < run[:rows])
+        if wins.size:
+            j = wins[-1]
+            best, best_mask, best_xs = total[j], int(block[j]), [int(x[j]) for x in xs]
+        if stops.size:
+            break
     return OracleResult(float(best), _solution_from_masks(best_mask, best_xs), nodes)
 
 
@@ -236,13 +240,7 @@ def best_completion(inst: Instance, reserved: frozenset[int]) -> tuple[TwoStageS
     total = float(prep.first_vec[mask])
     xs = []
     for tab in prep.tables:
-        val, x = tab.best(mask)
-        total += tab.prob * val
-        xs.append(x)
+        val, x = tab.best(np.array([mask]))
+        total += tab.prob * float(val[0])
+        xs.append(int(x[0]))
     return _solution_from_masks(mask, xs), total
-
-
-def verify_ratio(cost: float, oracle: OracleResult, bound: float) -> RatioCheck:
-    """Check cost <= bound * optimum (zero optimum demands zero cost)."""
-    opt = oracle.optimal_cost
-    return RatioCheck(passed=cost <= bound * opt + 1e-9, slack=bound * opt - cost)

@@ -1,18 +1,23 @@
-"""Exhaustive ground-truth solver and the ratio gate built on it."""
-import pytest
+"""Exhaustive ground-truth solver."""
+import tracemalloc
 
-from twostage.instances import InstanceError, SetCoverInstance
-from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
-from twostage.oracle import (
-    MAX_ITEMS,
-    MAX_SCENARIOS,
-    OracleResult,
-    best_completion,
-    brute_force_optimal,
-    verify_ratio,
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twostage import oracle
+from twostage.instances import (
+    InstanceError,
+    MetricGraph,
+    SetCoverInstance,
+    SteinerInstance,
+    UflInstance,
 )
+from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
+from twostage.oracle import MAX_ITEMS, MAX_SCENARIOS, best_completion, brute_force_optimal
 from twostage.generators import generate_instance
-from twostage.model import TwoStageSolution
 
 
 def cover_instance(weights, sets, scen_pairs, sigma=0.5, lam=2.0, n_elements=2):
@@ -97,12 +102,256 @@ def test_best_completion_matches_oracle_at_its_reservation():
     assert cost0 >= res.optimal_cost - 1e-9
 
 
-def test_verify_ratio_examples():
-    res = OracleResult(1.0, TwoStageSolution.of([], []), nodes_explored=1)
-    assert verify_ratio(4.9, res, 5.0).passed
-    failed = verify_ratio(5.1, res, 5.0)
-    assert not failed.passed
-    assert failed.slack == pytest.approx(-0.1)
-    zero = OracleResult(0.0, TwoStageSolution.of([], []), nodes_explored=1)
-    assert verify_ratio(0.0, zero, 5.0).passed
-    assert not verify_ratio(0.5, zero, 5.0).passed
+# ---------------------------------------------------------------------------
+# Reference: the oracle as a scan of one reservation mask at a time, with
+# per-mask Python loops for its tables.  The array oracle must match it bit
+# for bit: same additions in the same order, same stopping point.
+
+
+def ref_mass_table(weights):
+    table = np.zeros(1 << weights.size)
+    for mask in range(1, 1 << weights.size):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    return table
+
+
+def ref_covering_masks(inst, clients, n):
+    elem_masks = []
+    for e in sorted(clients):
+        cm = 0
+        for s in inst.covering_items(e):
+            cm |= 1 << s
+        if cm == 0:
+            raise InstanceError(f"element {e} is uncoverable")
+        elem_masks.append(cm)
+    return np.array(
+        [x for x in range(1 << n) if all(x & cm for cm in elem_masks)], dtype=np.int64
+    )
+
+
+def ref_connecting_masks(inst, clients):
+    g = inst.graph
+    terminals = [t for t in clients if t != g.root]
+    if not terminals:
+        return np.arange(1 << g.n_edges, dtype=np.int64)
+    out = []
+    for x in range(1 << g.n_edges):
+        parent = list(range(g.n_vertices))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        m = x
+        while m:
+            low = m & -m
+            u, v = g.edges[low.bit_length() - 1]
+            parent[find(u)] = find(v)
+            m ^= low
+        r = find(g.root)
+        if all(find(t) == r for t in terminals):
+            out.append(x)
+    if not out:
+        raise InstanceError("no edge set connects the demanded terminals")
+    return np.array(out, dtype=np.int64)
+
+
+def ref_tables(inst):
+    """First-stage cost per mask, and (prob, masks, base, save_table) per scenario."""
+    n = inst.n_items
+    scen = inst.scenarios.scenarios
+    if isinstance(inst, UflInstance):
+        sigma = inst.sigma
+        f0 = np.array(inst.open_cost, dtype=float)
+        dist = inst.dist
+        minc = np.full((1 << n, inst.n_clients), np.inf)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            minc[mask] = np.minimum(minc[mask ^ low], dist[low.bit_length() - 1])
+        all_masks = np.arange(1 << n, dtype=np.int64)
+        tables = []
+        for k, (p, clients) in enumerate(scen):
+            fk = np.array(inst.scenario_open_cost[k], dtype=float)
+            conn = minc[:, sorted(clients)].sum(axis=1) if clients else np.zeros(1 << n)
+            save = ref_mass_table(fk - (1.0 - sigma) * f0)
+            tables.append((p, all_masks, ref_mass_table(fk) + conn, save))
+        return sigma * ref_mass_table(f0), tables
+    sigma, lam = inst.policy.sigma, inst.policy.lam
+    steiner = isinstance(inst, SteinerInstance)
+    table = ref_mass_table(np.array(inst.graph.weights if steiner else inst.weights, dtype=float))
+    save = (lam - 1.0 + sigma) * table
+    tables = []
+    for p, clients in scen:
+        if steiner:
+            masks = ref_connecting_masks(inst, clients)
+        else:
+            masks = ref_covering_masks(inst, clients, n)
+        tables.append((p, masks, lam * table[masks], save))
+    return sigma * table, tables
+
+
+def ref_best(table, f0_mask):
+    _, masks, base, save = table
+    vals = base - save[masks & f0_mask]
+    idx = int(np.argmin(vals))
+    return float(vals[idx]), int(masks[idx])
+
+
+def ref_optimal(inst):
+    """(cost, reserved mask, bought masks, nodes) of the one-mask-at-a-time scan."""
+    first_vec, tables = ref_tables(inst)
+    best, best_mask, best_xs, nodes = np.inf, 0, [], 0
+    for mask in np.argsort(first_vec, kind="stable"):
+        mask = int(mask)
+        fc = first_vec[mask]
+        if fc >= best:
+            break
+        nodes += 1
+        total = fc
+        xs = []
+        for tab in tables:
+            val, x = ref_best(tab, mask)
+            total += tab[0] * val
+            xs.append(x)
+        if total < best:
+            best, best_mask, best_xs = total, mask, xs
+    return float(best), best_mask, best_xs, nodes
+
+
+def ref_completion(inst, reserved):
+    first_vec, tables = ref_tables(inst)
+    mask = sum(1 << s for s in reserved)
+    total = float(first_vec[mask])
+    xs = []
+    for tab in tables:
+        val, x = ref_best(tab, mask)
+        total += tab[0] * val
+        xs.append(x)
+    return oracle._solution_from_masks(mask, xs), total
+
+
+def edge_case_instances():
+    ufl = UflInstance(
+        open_cost=(1.0, 2.0),
+        scenario_open_cost=((2.0, 3.0), (2.5, 2.5)),
+        distance=((0.5, 1.0), (1.0, 0.2)),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(0.5, []), (0.5, [0, 1])]),
+    )
+    g = MetricGraph(3, ((0, 1), (1, 2)), (1.0, 2.0))
+    steiner = SteinerInstance(
+        g, CostPolicy(0.5, 2.0, {0: 1.0, 1: 2.0}), ScenarioSet.explicit([(0.4, [0]), (0.6, [2])])
+    )
+    return [
+        cover_instance([1.0], [{0}], [], n_elements=1),  # no scenarios
+        cover_instance([1.0], [{0}], [(1.0, [0])], n_elements=1),  # one item
+        ufl,  # a scenario without clients
+        steiner,  # a scenario whose only terminal is the root
+        SteinerInstance(g, steiner.policy, ScenarioSet.explicit([(1.0, [0])])),  # and nothing else
+    ]
+
+
+def generated_instances():
+    out = []
+    for seed in range(6):
+        out += [
+            generate_instance("set_cover", seed=seed, n_elements=6, n_sets=8, scenarios=3),
+            generate_instance("vertex_cover", seed=seed, n_vertices=8, n_edges=12, scenarios=4),
+            generate_instance("ufl", seed=seed, n_facilities=6, n_clients=5, scenarios=3),
+            generate_instance("steiner", seed=seed, n_vertices=6, n_edges=8, scenarios=3),
+        ]
+    out += [
+        generate_instance("set_cover", seed=1, n_elements=9, n_sets=11, scenarios=6, lam=3.0),
+        generate_instance("vertex_cover", seed=2, n_vertices=10, n_edges=16, scenarios=5, sigma=0.3),
+        generate_instance("ufl", seed=3, n_facilities=9, n_clients=7, scenarios=6, sigma=0.7),
+        generate_instance("steiner", seed=4, n_vertices=7, n_edges=10, scenarios=5),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("block_entries", [None, 1, 3])
+def test_array_oracle_is_bit_identical_to_the_mask_at_a_time_scan(monkeypatch, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", block_entries)
+    for inst in edge_case_instances() + generated_instances():
+        res = brute_force_optimal(inst)
+        cost, best_mask, best_xs, nodes = ref_optimal(inst)
+        assert res.optimal_cost.hex() == cost.hex()
+        assert res.nodes_explored == nodes
+        assert res.optimal_solution == oracle._solution_from_masks(best_mask, best_xs)
+        rng = np.random.default_rng(nodes)
+        for reserved in (
+            res.optimal_solution.reserved,
+            frozenset(),
+            frozenset(range(inst.n_items)),
+            frozenset(int(i) for i in np.flatnonzero(rng.random(inst.n_items) < 0.5)),
+        ):
+            sol, c = best_completion(inst, reserved)
+            ref_sol, ref_c = ref_completion(inst, reserved)
+            assert sol == ref_sol
+            assert c.hex() == ref_c.hex()
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if others:
+        edges += draw(st.lists(st.sampled_from(others), unique=True, max_size=8 - len(edges)))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    return MetricGraph(n, tuple(edges), (1.0,) * len(edges), root=draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs(), data=st.data())
+def test_connecting_masks_agree_with_networkx(g, data):
+    clients = frozenset(data.draw(st.sets(st.integers(0, g.n_vertices - 1))))
+    inst = SteinerInstance(
+        g, CostPolicy(0.5, 2.0, dict(enumerate(g.weights))), ScenarioSet.explicit([(1.0, clients)])
+    )
+    feasible = set(oracle._connecting_feasible_masks(inst, clients).tolist())
+    for x in range(1 << g.n_edges):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n_vertices))
+        h.add_edges_from(g.edges[e] for e in range(g.n_edges) if x >> e & 1)
+        reached = nx.node_connected_component(h, g.root)
+        assert (x in feasible) == (clients <= reached)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_covering_masks_are_exactly_the_covers(data):
+    n_elements = data.draw(st.integers(1, 6))
+    elements = st.integers(0, n_elements - 1)
+    sets = data.draw(st.lists(st.frozensets(elements, max_size=n_elements), min_size=1, max_size=7))
+    clients = frozenset(data.draw(st.sets(elements)))
+    inst = cover_instance(
+        [1.0] * len(sets), sets, [(1.0, clients)], n_elements=n_elements
+    )
+    covered = frozenset().union(*sets)
+    if not clients <= covered:
+        with pytest.raises(InstanceError):
+            oracle._covering_feasible_masks(inst, clients, len(sets))
+        return
+    feasible = set(oracle._covering_feasible_masks(inst, clients, len(sets)).tolist())
+    for x in range(1 << len(sets)):
+        union = frozenset().union(*(sets[s] for s in range(len(sets)) if x >> s & 1))
+        assert (x in feasible) == (clients <= union)
+
+
+def test_block_scan_memory_stays_bounded():
+    # every UFL scenario keeps all 2^16 facility sets as candidates, so an
+    # uncapped block would hold rows x 65536 entries per scenario
+    inst = generate_instance("ufl", seed=0, n_facilities=16, n_clients=8, scenarios=6)
+    tracemalloc.start()
+    try:
+        brute_force_optimal(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
