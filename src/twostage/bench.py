@@ -1,11 +1,19 @@
 """Experiment orchestration: run registered roundings over instances and
 emit ratio tables.
 
-Rows are computed by a worker pool (capped by the RR_THREADS environment
+Every registered algorithm has one shape: prepare once, sample per seed.
+Its prepare step reads the instance and the optimum of the instance's
+relaxation and does every piece of seed-independent work (deterministic
+schemes finish and price their plan there); it returns the per-seed sample,
+which draws one plan and yields ``(cost, feasible, bound, basis)``.  An
+experiment solves the relaxation once, so that solve gives both ``lp_opt``
+and the prepared state every trial shares.
+
+Trials are sampled by a worker pool (capped by the RR_THREADS environment
 variable) and then sorted by (instance_id, algorithm, seed), so the output
 is canonical no matter how the pool schedules.  CSV output holds only the
-deterministic columns; wall-clock timings go to the JSON emission, keeping
-CSV reruns byte-identical.
+deterministic columns; wall-clock timings of the per-seed sample go to the
+JSON emission, keeping CSV reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,14 +39,16 @@ from .instances import (
     VertexCoverInstance,
     load_instance,
 )
-from .lp_builders import lp_lower_bound, solve_ufl_lp
-from .model import check_feasible, evaluate_objective
+from .lp_builders import cover_solution_from_lp, solve_relaxation, ufl_solution_from_lp
+from .model import TwoStageSolution, check_feasible, evaluate_objective
 from .oracle import MAX_ITEMS, MAX_SCENARIOS, brute_force_optimal
 
 __all__ = [
     "ALGORITHMS",
     "ExperimentSpec",
+    "Prepared",
     "RunRow",
+    "prepare",
     "run_algorithm",
     "run_experiment",
     "rows_to_csv",
@@ -125,85 +136,117 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------------------
 # the algorithm registry
+#
+# Each entry maps (instance, relaxation optimum, params) to the per-seed
+# sample: seed -> (cost, feasible, bound, basis).
 
 _COVER_KINDS = (SetCoverInstance, VertexCoverInstance)
 
 
-def _run_cover(name):
-    def run(inst, seed, params):
-        stats: dict = {}
-        sol = cover_mod.round_for_cover(inst, name, seed=seed, stats=stats)
-        cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
-        ok = check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
+def _fixed(outcome):
+    """The sample of a seed-independent plan, built and priced once."""
+    return lambda seed: outcome
+
+
+def _priced(inst, sol: TwoStageSolution, bound, basis):
+    """The row outcome of a cover or tree plan."""
+    cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
+    ok = check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
+    return cost, ok, bound, basis
+
+
+def _ufl_priced(inst, plan, bound):
+    """The row outcome of a facility plan."""
+    cost = ufl_mod.evaluate_ufl_cost(inst, plan).total
+    ok = check_feasible(plan.solution, inst.scenarios, inst.covers_demand).feasible
+    return cost, ok, bound, "lp"
+
+
+def _cover(name):
+    def prepare(inst, relaxation, params):
+        if name == "buyall":
+            stats: dict = {}
+            plan = cover_mod.prepare_cover(inst, name, stats=stats)(0)
+            return _fixed(_priced(inst, plan, stats["factor"], "oracle"))
+        sample = cover_mod.prepare_cover(inst, name, cover_solution_from_lp(inst, relaxation))
         if name == "threshold":
-            bound, basis = (
-                4.0 * cover_mod.half_mass_inflation_bound(inst.policy.sigma, inst.policy.lam),
-                "lp",
-            )
-        elif name == "buyall":
-            bound, basis = stats["factor"], "oracle"
-        else:
-            bound, basis = None, "lp"
-        return cost, ok, bound, basis
+            policy = inst.policy
+            bound = 4.0 * cover_mod.half_mass_inflation_bound(policy.sigma, policy.lam)
+            return _fixed(_priced(inst, sample(0), bound, "lp"))
+        return lambda seed: _priced(inst, sample(seed), None, "lp")
 
-    return run
+    return prepare
 
 
-def _run_ufl5(inst, seed, params):
-    sol = solve_ufl_lp(inst)
+def _ufl5(inst, relaxation, params):
     plan = ufl_mod.round_5approx(
-        sol,
+        ufl_solution_from_lp(inst, relaxation),
         alpha=params.get("alpha", ufl_mod.ALPHA_DEFAULT),
         beta=params.get("beta", ufl_mod.BETA_DEFAULT),
     )
-    cost = ufl_mod.evaluate_ufl_cost(inst, plan).total
-    return cost, True, 5.0, "lp"
+    return _fixed(_ufl_priced(inst, plan, 5.0))
 
 
-def _run_ufl_improved(inst, seed, params):
-    sol = solve_ufl_lp(inst)
-    plan = ufl_mod.round_improved(
-        sol,
+def _ufl_improved(inst, relaxation, params):
+    prep = ufl_mod.prepare_improved(
+        ufl_solution_from_lp(inst, relaxation),
         theta=params.get("theta", ufl_mod.THETA_DEFAULT),
         gamma=params.get("gamma", ufl_mod.GAMMA_DEFAULT),
-        seed=seed,
     )
-    cost = ufl_mod.evaluate_ufl_cost(inst, plan).total
-    return cost, True, None, "lp"
+    return lambda seed: _ufl_priced(inst, ufl_mod.sample_improved(prep, seed), None)
 
 
-def _run_steiner_sample(inst, seed, params):
-    plan = steiner_mod.sampling_heuristic(inst.graph, inst.policy, inst.scenarios, seed=seed)
-    sol = plan.solution_for(inst.scenarios)
-    cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
-    ok = check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
+def _steiner_sample(inst, relaxation, params):
     sigma = inst.policy.sigma
-    return cost, ok, 4.0 + 2.0 * (1.0 - sigma) / sigma, "oracle"
+    bound = 4.0 + 2.0 * (1.0 - sigma) / sigma
+
+    def sample(seed):
+        plan = steiner_mod.sampling_heuristic(inst.graph, inst.policy, inst.scenarios, seed=seed)
+        return _priced(inst, plan.solution_for(inst.scenarios), bound, "oracle")
+
+    return sample
 
 
-def _run_steiner_buyall(inst, seed, params):
+def _steiner_buyall(inst, relaxation, params):
     stats: dict = {}
     sol = steiner_mod.ignore_revocation_steiner(inst, stats=stats)
-    cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
-    ok = check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
-    return cost, ok, stats["factor"], "oracle"
+    return _fixed(_priced(inst, sol, stats["factor"], "oracle"))
 
 
 ALGORITHMS = {
-    "double": (_run_cover("double"), _COVER_KINDS),
-    "threshold": (_run_cover("threshold"), (VertexCoverInstance,)),
-    "srini-sc": (_run_cover("srini-sc"), (SetCoverInstance,)),
-    "srini-vc": (_run_cover("srini-vc"), (VertexCoverInstance,)),
-    "buyall": (_run_cover("buyall"), _COVER_KINDS),
-    "ufl5": (_run_ufl5, (UflInstance,)),
-    "ufl-improved": (_run_ufl_improved, (UflInstance,)),
-    "steiner-sample": (_run_steiner_sample, (SteinerInstance,)),
-    "steiner-buyall": (_run_steiner_buyall, (SteinerInstance,)),
+    "double": (_cover("double"), _COVER_KINDS),
+    "threshold": (_cover("threshold"), (VertexCoverInstance,)),
+    "srini-sc": (_cover("srini-sc"), (SetCoverInstance,)),
+    "srini-vc": (_cover("srini-vc"), (VertexCoverInstance,)),
+    "buyall": (_cover("buyall"), _COVER_KINDS),
+    "ufl5": (_ufl5, (UflInstance,)),
+    "ufl-improved": (_ufl_improved, (UflInstance,)),
+    "steiner-sample": (_steiner_sample, (SteinerInstance,)),
+    "steiner-buyall": (_steiner_buyall, (SteinerInstance,)),
 }
 
 
 def oracle_in_reach(inst) -> bool:
     return inst.n_items <= MAX_ITEMS and len(inst.scenarios.scenarios) <= MAX_SCENARIOS
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """One algorithm prepared on one instance: the relaxation value and the
+    per-seed sample, seed -> (cost, feasible, bound, basis)."""
+
+    lp_opt: float
+    sample: Callable[[int], tuple]
+
+
+def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
+    """Solve the relaxation and run the seed-independent part of an
+    algorithm, once."""
+    build, kinds = ALGORITHMS[algorithm]
+    if not isinstance(inst, kinds):
+        raise ValueError(f"algorithm {algorithm!r} does not apply to {inst.kind!r}")
+    relaxation = solve_relaxation(inst)
+    return Prepared(relaxation.objective_value, build(inst, relaxation, alg_params or {}))
 
 
 def run_algorithm(
@@ -214,18 +257,23 @@ def run_algorithm(
     alg_params: dict | None = None,
     lp_opt: float | None = None,
     oracle_opt: float | None = None,
+    prepared: Prepared | None = None,
 ) -> RunRow:
     """One row: run the algorithm and compare against the relaxation and,
-    when the instance is small enough, the exact optimum."""
-    run, kinds = ALGORITHMS[algorithm]
-    if not isinstance(inst, kinds):
-        raise ValueError(f"algorithm {algorithm!r} does not apply to {inst.kind!r}")
+    when the instance is small enough, the exact optimum.
+
+    ``prepared`` is the algorithm's state from :func:`prepare` on this
+    instance and these params; without it the row prepares its own.
+    ``runtime_ms`` times the per-seed sample only.
+    """
+    if prepared is None:
+        prepared = prepare(inst, algorithm, alg_params)
     if lp_opt is None:
-        lp_opt = lp_lower_bound(inst)
+        lp_opt = prepared.lp_opt
     if oracle_opt is None and oracle_in_reach(inst):
         oracle_opt = brute_force_optimal(inst).optimal_cost
     start = time.perf_counter()
-    cost, feasible, bound, basis = run(inst, seed, alg_params or {})
+    cost, feasible, bound, basis = prepared.sample(seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     sigma = inst.policy.sigma if hasattr(inst, "policy") else inst.sigma
     lam = inst.policy.lam if hasattr(inst, "policy") else inst.lam
@@ -264,7 +312,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     else:
         inst = load_instance(spec.instance)
         instance_id = Path(spec.instance).stem
-    lp_opt = lp_lower_bound(inst)
+    prepared = prepare(inst, spec.algorithm, spec.alg_params)
     oracle_opt = (
         brute_force_optimal(inst).optimal_cost if oracle_in_reach(inst) else None
     )
@@ -272,7 +320,13 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
 
     def one(seed: int) -> RunRow:
         return run_algorithm(
-            inst, instance_id, spec.algorithm, seed, spec.alg_params, lp_opt, oracle_opt
+            inst,
+            instance_id,
+            spec.algorithm,
+            seed,
+            spec.alg_params,
+            oracle_opt=oracle_opt,
+            prepared=prepared,
         )
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:

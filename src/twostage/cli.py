@@ -10,6 +10,7 @@ bound was violated under ``--assert-bounds``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -98,7 +99,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-def _run(argv: list[str] | None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole command line, built once per process: parsing never
+    mutates it (``append`` copies its default list before adding)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=Path, default=None)
@@ -149,7 +153,11 @@ def _run(argv: list[str] | None) -> int:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--gen-seed", dest="gen_seed", type=int, default=0)
     p.add_argument("--param", action="append", type=_parse_param, default=[])
+    return parser
 
+
+def _run(argv: list[str] | None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "gen":

@@ -48,6 +48,7 @@ __all__ = [
     "scale_factor",
     "threshold_recourse_cover",
     "buy_all_reserved_reduction",
+    "prepare_cover",
 ]
 
 # Mass at exactly one half counts as heavy; the slack only absorbs float dust.
@@ -562,21 +563,42 @@ def buy_all_reserved_reduction(
     return TwoStageSolution(reserved, stages)
 
 
+def prepare_cover(
+    inst: CoverInstance,
+    algorithm: str,
+    sol: FractionalCoverSolution | None = None,
+    stats: dict | None = None,
+) -> Callable[[int], TwoStageSolution]:
+    """Everything a named scheme does before its first draw; returns the
+    per-seed sample, seed -> plan.
+
+    ``sol`` is the relaxation's optimum, solved here when not given.  The
+    deterministic schemes (``threshold``, ``buyall``) finish their plan here
+    and their sample ignores the seed.  ``stats`` receives what the scheme
+    reports: ``buyall`` fills it here, ``double`` and ``srini-sc`` on each
+    draw.
+    """
+    if algorithm == "buyall":
+        plan = buy_all_reserved_reduction(threshold_recourse_cover, inst, stats)
+        return lambda seed: plan
+    if sol is None:
+        sol = solve_cover_lp(inst)
+    if algorithm == "double":
+        pre, _ = preprocess_half(sol)
+        return lambda seed: double_randomized_round(pre, seed, stats)
+    if algorithm == "threshold":
+        pre, _ = preprocess_half(sol)
+        plan = threshold_round_vertex_cover(pre)
+        return lambda seed: plan
+    if algorithm == "srini-sc":
+        return lambda seed: srinivasan_round_set_cover(sol, seed=seed, stats=stats)
+    if algorithm == "srini-vc":
+        return lambda seed: srinivasan_round_vertex_cover(sol, seed=seed)
+    raise ValueError(f"unknown covering algorithm {algorithm!r}")
+
+
 def round_for_cover(
     inst: CoverInstance, algorithm: str, seed: int = 0, stats: dict | None = None
 ) -> TwoStageSolution:
     """Solve the relaxation and apply one of the named rounding schemes."""
-    if algorithm == "buyall":
-        return buy_all_reserved_reduction(threshold_recourse_cover, inst, stats)
-    sol = solve_cover_lp(inst)
-    if algorithm == "double":
-        pre, _ = preprocess_half(sol)
-        return double_randomized_round(pre, seed, stats)
-    if algorithm == "threshold":
-        pre, _ = preprocess_half(sol)
-        return threshold_round_vertex_cover(pre)
-    if algorithm == "srini-sc":
-        return srinivasan_round_set_cover(sol, seed=seed, stats=stats)
-    if algorithm == "srini-vc":
-        return srinivasan_round_vertex_cover(sol, seed=seed)
-    raise ValueError(f"unknown covering algorithm {algorithm!r}")
+    return prepare_cover(inst, algorithm, stats=stats)(seed)

@@ -32,6 +32,9 @@ __all__ = [
     "solve_cover_lp",
     "solve_ufl_lp",
     "build_relaxation",
+    "solve_relaxation",
+    "cover_solution_from_lp",
+    "ufl_solution_from_lp",
     "lp_lower_bound",
 ]
 
@@ -455,9 +458,14 @@ def build_relaxation(inst) -> LinearProgram:
     raise TypeError(f"unsupported instance {type(inst).__name__}")
 
 
-def lp_lower_bound(inst) -> float:
-    """Optimal value of the natural relaxation for any supported instance."""
+def solve_relaxation(inst) -> LpSolution:
+    """Optimum of the natural relaxation for any supported instance."""
     sol, _ = solve_lp(build_relaxation(inst))
     if sol.status != "optimal":
         raise InstanceError(f"relaxation came back {sol.status}")
-    return sol.objective_value
+    return sol
+
+
+def lp_lower_bound(inst) -> float:
+    """Optimal value of the natural relaxation for any supported instance."""
+    return solve_relaxation(inst).objective_value

@@ -96,7 +96,6 @@ class _ScenarioTable:
 
 @dataclass
 class _Prep:
-    n_items: int
     first_vec: np.ndarray   # first-stage cost per reservation mask
     tables: list[_ScenarioTable]
 
@@ -156,7 +155,7 @@ def _prepare(inst: Instance) -> _Prep:
         for p, clients in scen:
             masks = _covering_feasible_masks(inst, clients, n)
             tables.append(_ScenarioTable(p, masks, lam * table[masks], save_table))
-        return _Prep(n, sigma * table, tables)
+        return _Prep(sigma * table, tables)
 
     if isinstance(inst, SteinerInstance):
         sigma, lam = inst.policy.sigma, inst.policy.lam
@@ -167,7 +166,7 @@ def _prepare(inst: Instance) -> _Prep:
         for p, clients in scen:
             masks = _connecting_feasible_masks(inst, clients)
             tables.append(_ScenarioTable(p, masks, lam * table[masks], save_table))
-        return _Prep(n, sigma * table, tables)
+        return _Prep(sigma * table, tables)
 
     if isinstance(inst, UflInstance):
         sigma = inst.sigma
@@ -183,7 +182,7 @@ def _prepare(inst: Instance) -> _Prep:
             conn = minc[:, sorted(clients)].sum(axis=1) if clients else np.zeros(1 << n)
             save_table = _mass_table(fk - (1.0 - sigma) * f0)
             tables.append(_ScenarioTable(p, all_masks, open_table + conn, save_table))
-        return _Prep(n, sigma * f0_table, tables)
+        return _Prep(sigma * f0_table, tables)
 
     raise InstanceError(f"unsupported instance type {type(inst).__name__}")
 

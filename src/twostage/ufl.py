@@ -48,6 +48,9 @@ __all__ = [
     "make_complete",
     "swamy_filter",
     "round_improved",
+    "PreparedImproved",
+    "prepare_improved",
+    "sample_improved",
     "cs_round_deterministic_ufl",
     "solve_deterministic_ufl_lp",
     "clustered_approx_factor",
@@ -498,42 +501,42 @@ def _greedy_clusters(filtered: FilteredUfl, keys: list[tuple]) -> ClusterPlan:
 # the improved pipeline
 
 
-def round_improved(
+@dataclass(frozen=True)
+class PreparedImproved:
+    """Seed-independent part of ``round_improved`` on one relaxation.
+
+    ``needed[k]`` lists the clusters backing a demanded first-stage pair of
+    scenario k; ``second_opened[k]`` is the scenario's second-stage
+    opening.  ``complete``, ``filtered`` and ``clusters`` are None when no
+    pair is first-stage.
+    """
+
+    sol: FractionalUflSolution
+    first: tuple[tuple[int, int], ...]
+    second: tuple[tuple[int, int], ...]
+    complete: CompleteUfl | None
+    filtered: FilteredUfl | None
+    clusters: ClusterPlan | None
+    needed: tuple[tuple[int, ...], ...]
+    second_opened: tuple[frozenset[int], ...]
+
+
+def prepare_improved(
     sol: FractionalUflSolution,
     theta: float = THETA_DEFAULT,
     gamma: float = GAMMA_DEFAULT,
-    seed: int = 0,
-    trace: dict | None = None,
-) -> UflPlan:
-    """Randomized two-sided rounding.
-
-    First-stage pairs (service mass >= theta on exercised capacity) are
-    rescaled by 1/theta, made complete, prefix-filtered at ``gamma`` and
-    clustered.  Reservation samples each cluster copy with its filtered
-    ground mass, retrying until the cluster holds something (each round
-    succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
-    is bought outright).  Copies outside clusters flip independent coins.
-    Per scenario, every cluster backing a demanded first-stage pair
-    exercises exactly one reserved copy via a categorical draw weighted by
-    exercised/ground mass ratios; all-zero weights fall back to the
-    cheapest-f0 copy.  Non-cluster reserved copies exercise independently
-    with that ratio.  Second-stage pairs are rounded per scenario by
-    ``deterministic_ufl_approx`` on the recourse masses rescaled by
-    1/(1 - theta).  Clients always go to the nearest open facility.
-    """
+) -> PreparedImproved:
+    """Split, classify, complete, filter and cluster the first-stage pairs,
+    and round every scenario's second-stage pairs; none of it draws."""
     if not 0.0 < theta < 1.0:
         raise ValueError("splitting threshold must sit strictly inside (0, 1)")
     inst = sol.instance
-    rng = np.random.default_rng(seed)
     c = inst.dist
     split = split_assignment(sol)
     first, second = classify_pairs(split, theta)
 
-    reserved_orig: set[int] = set()
-    exercised_orig: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
-    cluster_hits: list[dict[int, int]] = [dict() for _ in inst.scenarios.scenarios]
-    plan = None
-    filtered = None
+    comp = filtered = plan = None
+    needed: tuple[tuple[int, ...], ...] = tuple(() for _ in inst.scenarios.scenarios)
     if first:
         serve = np.array([split.first[k, j] for k, j in first]) / theta
         comp = make_complete(sol.y0 / theta, serve, aux=sol.yk / theta)
@@ -545,7 +548,45 @@ def round_improved(
             for t in range(len(first))
         ]
         plan = _greedy_clusters(filtered, keys)
+        needed = tuple(
+            tuple(sorted({plan.representative[t] for t, (kk, _) in enumerate(first) if kk == k}))
+            for k in range(len(inst.scenarios))
+        )
 
+    # Second-stage pairs: one single-stage rounding per scenario, priced at
+    # that scenario's recourse openings.
+    second_opened = []
+    for k in range(len(inst.scenarios)):
+        cl = tuple(j for kk, j in second if kk == k)
+        if not cl:
+            second_opened.append(frozenset())
+            continue
+        serve_rows = np.minimum(
+            np.array([split.second[k, j] for j in cl]) / (1.0 - theta), 1.0
+        )
+        open_mass = np.minimum(sol.zk[k] / (1.0 - theta), 1.0)
+        opened, _ = deterministic_ufl_approx(
+            np.asarray(inst.scenario_open_cost[k]), c, cl, open_mass, serve_rows
+        )
+        second_opened.append(opened)
+    return PreparedImproved(
+        sol, first, second, comp, filtered, plan, needed, tuple(second_opened)
+    )
+
+
+def sample_improved(
+    prep: PreparedImproved, seed: int = 0, trace: dict | None = None
+) -> UflPlan:
+    """The seeded draws of ``round_improved`` on a prepared relaxation."""
+    inst = prep.sol.instance
+    rng = np.random.default_rng(seed)
+    c = inst.dist
+    comp, filtered, plan = prep.complete, prep.filtered, prep.clusters
+
+    reserved_orig: set[int] = set()
+    exercised_orig: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
+    cluster_hits: list[dict[int, int]] = [dict() for _ in inst.scenarios.scenarios]
+    if plan is not None:
         open_hat = filtered.open_hat
         aux_hat = filtered.aux_hat
         reserved_copies: set[int] = set()
@@ -570,10 +611,7 @@ def round_improved(
 
         f0 = np.asarray(inst.open_cost)
         for k in range(len(inst.scenarios)):
-            needed = sorted(
-                {plan.representative[t] for t, (kk, _) in enumerate(first) if kk == k}
-            )
-            for ci in needed:
+            for ci in prep.needed[k]:
                 held = np.array(
                     sorted(set(plan.members[ci]) & reserved_copies), dtype=int
                 )
@@ -595,20 +633,8 @@ def round_improved(
                 hit = stray[rng.random(stray.size) < ratio]
                 exercised_orig[k].update(int(comp.source[cc]) for cc in hit)
 
-    # Second-stage pairs: one single-stage rounding per scenario, priced at
-    # that scenario's recourse openings.
     recoursed: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
-    for k in range(len(inst.scenarios)):
-        cl = tuple(j for kk, j in second if kk == k)
-        if not cl:
-            continue
-        serve_rows = np.minimum(
-            np.array([split.second[k, j] for j in cl]) / (1.0 - theta), 1.0
-        )
-        open_mass = np.minimum(sol.zk[k] / (1.0 - theta), 1.0)
-        opened, _ = deterministic_ufl_approx(
-            np.asarray(inst.scenario_open_cost[k]), c, cl, open_mass, serve_rows
-        )
+    for k, opened in enumerate(prep.second_opened):
         for i in opened:
             if i in reserved_orig:
                 exercised_orig[k].add(i)  # exercising a reservation beats rebuying
@@ -630,14 +656,44 @@ def round_improved(
         assignment.append(amap)
 
     if trace is not None:
-        trace["first"] = first
-        trace["second"] = second
+        trace["first"] = prep.first
+        trace["second"] = prep.second
         trace["clusters"] = plan
         trace["filtered"] = filtered
         trace["cluster_hits"] = tuple(dict(h) for h in cluster_hits)
     return UflPlan(
         TwoStageSolution(frozenset(reserved_orig), stages), tuple(assignment)
     )
+
+
+def round_improved(
+    sol: FractionalUflSolution,
+    theta: float = THETA_DEFAULT,
+    gamma: float = GAMMA_DEFAULT,
+    seed: int = 0,
+    trace: dict | None = None,
+) -> UflPlan:
+    """Randomized two-sided rounding.
+
+    First-stage pairs (service mass >= theta on exercised capacity) are
+    rescaled by 1/theta, made complete, prefix-filtered at ``gamma`` and
+    clustered.  Reservation samples each cluster copy with its filtered
+    ground mass, retrying until the cluster holds something (each round
+    succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
+    is bought outright).  Copies outside clusters flip independent coins.
+    Per scenario, every cluster backing a demanded first-stage pair
+    exercises exactly one reserved copy via a categorical draw weighted by
+    exercised/ground mass ratios; all-zero weights fall back to the
+    cheapest-f0 copy.  Non-cluster reserved copies exercise independently
+    with that ratio.  Second-stage pairs are rounded per scenario by
+    ``deterministic_ufl_approx`` on the recourse masses rescaled by
+    1/(1 - theta).  Clients always go to the nearest open facility.
+
+    Everything up to the draws is ``prepare_improved``; callers rounding
+    one relaxation under many seeds prepare once and call
+    ``sample_improved`` per seed, with the same plans.
+    """
+    return sample_improved(prepare_improved(sol, theta, gamma), seed, trace)
 
 
 def clustered_approx_factor(

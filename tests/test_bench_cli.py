@@ -1,13 +1,21 @@
 """Benchmark tables and the command-line front end."""
 import csv
-import io
+import dataclasses
 import json
 
 import pytest
 
-from twostage import bench
+from twostage import bench, cover, lp, lp_builders, ufl
 from twostage.cli import EXIT_BOUND, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from twostage.instances import load_instance
+from twostage.generators import generate_instance
+from twostage.instances import (
+    UflInstance,
+    VertexCoverInstance,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
+from twostage.model import CostPolicy, ScenarioSet
 
 
 def gen_file(tmp_path, kind, name, *extra):
@@ -40,6 +48,17 @@ def test_gen_param_casting(tmp_path):
     inst = load_instance(path)
     assert inst.n_elements == 4
     assert inst.policy.sigma == 0.25
+
+
+def test_gen_params_do_not_leak_between_calls(tmp_path):
+    # the parser is built once per process; each parse starts from fresh defaults
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    base = ["gen", "--kind", "set_cover", "--seed", "1"]
+    assert main(base + ["--out", str(a), "--param", "n_elements=4"]) == EXIT_OK
+    assert main(base + ["--out", str(b), "--param", "sigma=0.25"]) == EXIT_OK
+    for path, params in ((a, {"n_elements": 4}), (b, {"sigma": 0.25})):
+        inst = generate_instance("set_cover", seed=1, **params)
+        assert path.read_text() == json.dumps(instance_to_dict(inst), indent=2) + "\n"
 
 
 def test_solve_lp_emits_both_formats(tmp_path, capsys):
@@ -216,3 +235,108 @@ def test_csv_parses_with_stdlib_reader(tmp_path):
     body = rows[0]
     assert body["kind"] == "set_cover"
     assert float(body["cost"]) > 0
+
+
+# -- prepare once, sample per seed --------------------------------------------
+
+GENERATED = {
+    "set_cover": {"n_elements": 6, "n_sets": 6, "scenarios": 3},
+    "vertex_cover": {"n_vertices": 6, "n_edges": 8, "scenarios": 3},
+    "ufl": {"n_facilities": 4, "n_clients": 5, "scenarios": 3},
+    "steiner": {"n_vertices": 6, "n_edges": 8, "scenarios": 3},
+}
+
+
+def odd_cycle_vc(n=5):
+    """Every edge of an odd cycle demanded: the relaxation is 1/2 everywhere."""
+    edges = tuple(tuple(sorted((v, (v + 1) % n))) for v in range(n))
+    return VertexCoverInstance(
+        n,
+        edges,
+        (1.0,) * n,
+        CostPolicy(0.5, 2.0, {v: 1.0 for v in range(n)}),
+        ScenarioSet.explicit([(0.6, range(n)), (0.4, [0, 2])]),
+    )
+
+
+def odd_cycle_ufl(sigma=0.7, fk=2.5):
+    """Clients at distance 1 from two facilities of a 3-cycle; these prices
+    send some pairs to each side of ``round_improved``."""
+    dist = [[3.0] * 3 for _ in range(3)]
+    for j in range(3):
+        dist[j][j] = dist[(j + 1) % 3][j] = 1.0
+    return UflInstance(
+        open_cost=(2.0,) * 3,
+        scenario_open_cost=((fk,) * 3,) * 2,
+        distance=tuple(tuple(r) for r in dist),
+        sigma=sigma,
+        scenarios=ScenarioSet.explicit([(0.5, [0, 1, 2]), (0.5, [0])]),
+    )
+
+
+ODD_CYCLES = {"odd_cycle_vc": odd_cycle_vc, "odd_cycle_ufl": odd_cycle_ufl}
+
+CASES = [
+    ("double", "set_cover"),
+    ("double", "odd_cycle_vc"),
+    ("threshold", "vertex_cover"),
+    ("threshold", "odd_cycle_vc"),
+    ("srini-sc", "set_cover"),
+    ("srini-vc", "vertex_cover"),
+    ("srini-vc", "odd_cycle_vc"),
+    ("buyall", "set_cover"),
+    ("buyall", "odd_cycle_vc"),
+    ("ufl5", "ufl"),
+    ("ufl5", "odd_cycle_ufl"),
+    ("ufl-improved", "ufl"),
+    ("ufl-improved", "odd_cycle_ufl"),
+    ("steiner-sample", "steiner"),
+    ("steiner-buyall", "steiner"),
+]
+
+
+def experiment(tmp_path, algorithm, source, trials=4, seed=3):
+    """The spec of one case, its instance and its instance id."""
+    if source in ODD_CYCLES:
+        path = tmp_path / f"{source}.json"
+        save_instance(ODD_CYCLES[source](), path)
+        spec = bench.ExperimentSpec(str(path), algorithm, trials=trials, seed=seed)
+        return spec, load_instance(path), source
+    params = GENERATED[source]
+    spec = bench.ExperimentSpec(
+        source, algorithm, trials=trials, seed=seed, gen_seed=2, gen_params=params
+    )
+    return spec, generate_instance(source, seed=2, **params), f"{source}-s2"
+
+
+def without_runtime(row):
+    return dataclasses.replace(row, runtime_ms=0.0)
+
+
+@pytest.mark.parametrize("algorithm,source", CASES)
+def test_experiment_rows_equal_one_shot_rows(tmp_path, algorithm, source):
+    spec, inst, instance_id = experiment(tmp_path, algorithm, source)
+    rows = bench.run_experiment(spec)
+    alone = [
+        bench.run_algorithm(inst, instance_id, algorithm, seed)
+        for seed in range(spec.seed, spec.seed + spec.trials)
+    ]
+    assert [without_runtime(r) for r in rows] == [without_runtime(r) for r in alone]
+
+
+@pytest.mark.parametrize("algorithm", sorted(bench.ALGORITHMS))
+def test_experiment_solves_each_relaxation_once(tmp_path, monkeypatch, algorithm):
+    source = next(src for alg, src in CASES if alg == algorithm)
+    spec, _, _ = experiment(tmp_path, algorithm, source)
+    calls = []
+    real = lp.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (lp_builders, cover, ufl):
+        monkeypatch.setattr(module, "solve_lp", counting)
+    assert len(bench.run_experiment(spec)) == 4
+    # the relaxation, plus the plain-recourse relaxation behind buyall
+    assert len(calls) == (2 if algorithm == "buyall" else 1)

@@ -5,6 +5,7 @@ fractional branches are exercised with an odd-cycle metric gadget (each
 client sits at distance 1 from two facilities arranged in a 3-cycle) whose
 relaxation genuinely splits mass half/half.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,10 @@ from twostage.ufl import (
     deterministic_ufl_approx,
     evaluate_ufl_cost,
     make_complete,
+    prepare_improved,
     round_5approx,
     round_improved,
+    sample_improved,
     solve_deterministic_ufl_lp,
     split_assignment,
     swamy_filter,
@@ -351,6 +354,39 @@ def test_round_improved_second_stage_only():
     plan = round_improved(sol, seed=0)
     assert plan.solution.reserved == frozenset()
     assert plan.solution.stages[0].recoursed
+
+
+def _same(a, b):
+    """Deep equality that also compares numpy arrays inside dataclasses."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        odd_cycle_instance(extra_scenario=True),  # two clusters, first-stage pairs only
+        odd_cycle_instance(sigma=0.7, fk=2.5, extra_scenario=True),  # both sides
+    ],
+    ids=["clusters", "both-sides"],
+)
+def test_round_improved_equals_sampling_a_shared_prepared_state(inst):
+    sol = solve_ufl_lp(inst)
+    prep = prepare_improved(sol)
+    for seed in range(50):
+        one_shot, shared = {}, {}
+        plan = round_improved(sol, seed=seed, trace=one_shot)
+        assert plan == sample_improved(prep, seed=seed, trace=shared)
+        assert _same(one_shot, shared)
 
 
 def test_round_improved_rejects_bad_theta():
