@@ -228,62 +228,74 @@ def double_randomized_round(
     by independent rounds over the recourse mass with the same cap-and-repair
     guard.  The output is always feasible.
     """
+    return _double_sampler(sol, classify_heavy(sol))(seed, stats)
+
+
+def _double_sampler(
+    sol: FractionalCoverSolution, heavy: frozenset[int]
+) -> Callable[[int, dict | None], TwoStageSolution]:
+    """Everything ``double_randomized_round`` computes before its first coin;
+    returns (seed, stats) -> plan.  ``heavy`` is ``classify_heavy(sol)``."""
     inst = sol.instance
-    rng = np.random.default_rng(seed)
-    heavy = classify_heavy(sol)
     n_elem = max(inst.n_elements, 1)
     cap = math.ceil(4.0 * (math.log(n_elem) + 4.0))
     xhat = np.minimum(sol.x, 1.0)
-
-    reserved: set[int] = set()
-    rounds: list[np.ndarray] = []
-    demanded_anywhere = {e for e, _ in _demand_lists(inst)}
-    target = set(heavy) & demanded_anywhere
-    n_rounds = 0
-    while _uncovered(inst, target, reserved) and n_rounds < cap:
-        picked = np.flatnonzero(rng.random(inst.n_items) < xhat)
-        rounds.append(picked)
-        reserved.update(int(s) for s in picked)
-        n_rounds += 1
-    repaired_stage1 = False
-    missing = _uncovered(inst, target, reserved)
-    if missing:
-        extra = _greedy_cover(inst, missing, reserved)
-        rounds.append(np.array(sorted(extra), dtype=int))
-        reserved.update(extra)
-        repaired_stage1 = True
-
-    stages = []
-    scenario_repairs = 0
+    target = set(heavy) & {e for e, _ in _demand_lists(inst)}
+    pos = xhat > 0.0
+    # Per scenario: its clients, the replay odds y/x and the light demand.
+    scenarios = []
     for k, (_, clients) in enumerate(inst.scenarios.scenarios):
-        exercised: set[int] = set()
         ratio = np.zeros(inst.n_items)
-        pos = xhat > 0.0
         ratio[pos] = np.minimum(sol.y[k, pos] / xhat[pos], 1.0)
-        for picked in rounds:
-            keep = picked[rng.random(picked.size) < ratio[picked]]
-            exercised.update(int(s) for s in keep)
+        scenarios.append((clients, ratio, set(clients) - heavy, sol.z[k]))
 
-        recoursed: set[int] = set()
-        light = set(clients) - heavy
-        t = 0
-        while _uncovered(inst, light, exercised | recoursed) and t < cap:
-            picked = np.flatnonzero(rng.random(inst.n_items) < sol.z[k])
-            recoursed.update(int(s) for s in picked)
-            t += 1
-        leftover = _uncovered(inst, clients, exercised | recoursed)
-        if leftover:
-            recoursed |= _greedy_cover(inst, leftover, exercised | recoursed)
-            scenario_repairs += 1
-        stages.append(
-            StageDecision(frozenset(exercised), frozenset(recoursed - exercised))
-        )
+    def sample(seed: int, stats: dict | None = None) -> TwoStageSolution:
+        rng = np.random.default_rng(seed)
+        reserved: set[int] = set()
+        rounds: list[np.ndarray] = []
+        n_rounds = 0
+        while _uncovered(inst, target, reserved) and n_rounds < cap:
+            picked = np.flatnonzero(rng.random(inst.n_items) < xhat)
+            rounds.append(picked)
+            reserved.update(int(s) for s in picked)
+            n_rounds += 1
+        repaired_stage1 = False
+        missing = _uncovered(inst, target, reserved)
+        if missing:
+            extra = _greedy_cover(inst, missing, reserved)
+            rounds.append(np.array(sorted(extra), dtype=int))
+            reserved.update(extra)
+            repaired_stage1 = True
 
-    if stats is not None:
-        stats["stage1_rounds"] = n_rounds
-        stats["stage1_repaired"] = repaired_stage1
-        stats["scenario_repairs"] = scenario_repairs
-    return TwoStageSolution(frozenset(reserved), tuple(stages))
+        stages = []
+        scenario_repairs = 0
+        for clients, ratio, light, z in scenarios:
+            exercised: set[int] = set()
+            for picked in rounds:
+                keep = picked[rng.random(picked.size) < ratio[picked]]
+                exercised.update(int(s) for s in keep)
+
+            recoursed: set[int] = set()
+            t = 0
+            while _uncovered(inst, light, exercised | recoursed) and t < cap:
+                picked = np.flatnonzero(rng.random(inst.n_items) < z)
+                recoursed.update(int(s) for s in picked)
+                t += 1
+            leftover = _uncovered(inst, clients, exercised | recoursed)
+            if leftover:
+                recoursed |= _greedy_cover(inst, leftover, exercised | recoursed)
+                scenario_repairs += 1
+            stages.append(
+                StageDecision(frozenset(exercised), frozenset(recoursed - exercised))
+            )
+
+        if stats is not None:
+            stats["stage1_rounds"] = n_rounds
+            stats["stage1_repaired"] = repaired_stage1
+            stats["scenario_repairs"] = scenario_repairs
+        return TwoStageSolution(frozenset(reserved), tuple(stages))
+
+    return sample
 
 
 def threshold_round_vertex_cover(sol: FractionalCoverSolution) -> TwoStageSolution:
@@ -584,8 +596,9 @@ def prepare_cover(
     if sol is None:
         sol = solve_cover_lp(inst)
     if algorithm == "double":
-        pre, _ = preprocess_half(sol)
-        return lambda seed: double_randomized_round(pre, seed, stats)
+        pre, report = preprocess_half(sol)
+        sample = _double_sampler(pre, report.heavy_elements)
+        return lambda seed: sample(seed, stats)
     if algorithm == "threshold":
         pre, _ = preprocess_half(sol)
         plan = threshold_round_vertex_cover(pre)

@@ -1,10 +1,13 @@
 """Two-phase primal simplex on a dense tableau, with dual extraction.
 
 Small LPs only (hundreds of variables); everything the rounding algorithms
-need fits comfortably.  The tableau is stored dense, but each pivot updates
-only the rows whose pivot-column entry is nonzero: the relaxations are
-sparse, and skipping a zero factor leaves every other row's arithmetic
-unchanged.  Minimization form with row senses '<=', '>=', '=='
+need fits comfortably.  The tableau is stored dense with one column per
+structural and slack variable and none for the phase-1 artificials: an
+artificial never re-enters the basis, so it is only a basis id past the
+last column.  Each pivot updates only the rows whose pivot-column entry is
+nonzero, and in them only the columns where the pivot row is nonzero: the
+relaxations are sparse, and a skipped entry could only lose the sign of a
+zero.  Minimization form with row senses '<=', '>=', '=='
 and per-variable lower bounds (default 0, shifted out internally).
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
@@ -103,54 +106,62 @@ class DualSolution:
 
 @dataclass
 class _Tableau:
-    body: np.ndarray          # (m, n_cols + 1), last column is the rhs
-    basis: list[int]
+    body: np.ndarray          # (m, n_enter + 1), C-contiguous; last column is the rhs
+    basis: list[int]          # ids >= n_enter are artificials, which have no column
     n_enter: int              # columns [0, n_enter) are eligible to enter
+    n_cols: int               # n_enter plus the artificials
 
     def pivot(self, row: int, col: int, obj: np.ndarray) -> None:
         body = self.body
         body[row] /= body[row, col]
         pivot_row = body[row]
-        # Rows with a zero entry in the pivot column would only subtract zeros.
+        # Outside the hit rows x the pivot row's support the update would only
+        # subtract zeros, which can change nothing but the sign of a zero.
+        nz = pivot_row.nonzero()[0]
         hit = body[:, col].nonzero()[0]
         hit = hit[hit != row]
-        body[hit] -= body[hit, col, None] * pivot_row
-        obj -= obj[col] * pivot_row
+        support = pivot_row[nz]
+        idx = (hit * body.shape[1])[:, None] + nz
+        body.reshape(-1)[idx] -= body[hit, col, None] * support
+        obj[nz] -= obj[col] * support
         self.basis[row] = col
 
 
 def _run_simplex(tab: _Tableau, obj: np.ndarray, max_iter: int) -> Literal["optimal", "unbounded", "failed"]:
-    m = tab.body.shape[0]
+    # The Bland threshold counts the artificials, as if each had a column.
+    bland_after = 2 * (tab.body.shape[0] + tab.n_cols + 1)
+    reduced = obj[:tab.n_enter]
+    rhs = tab.body[:, -1]
+    basis = np.array(tab.basis, dtype=np.intp)
     degenerate_streak = 0
     bland = False
     for _ in range(max_iter):
-        reduced = obj[:tab.n_enter]
         if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            candidates = (reduced < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 return "optimal"
             col = int(candidates[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
                 return "optimal"
         column = tab.body[:, col]
-        rhs = tab.body[:, -1]
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded"
         ratios = rhs[eligible] / column[eligible]
-        best = ratios.min()
+        best = np.minimum.reduce(ratios)
         ties = eligible[ratios <= best + PIVOT_TOL]
         # Smallest basis index among ties keeps Bland's guarantee intact.
-        row = int(ties[0]) if ties.size == 1 else int(min(ties, key=lambda r: tab.basis[r]))
+        row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         if best <= PIVOT_TOL:
             degenerate_streak += 1
-            if degenerate_streak > 2 * (m + tab.body.shape[1]):
+            if degenerate_streak > bland_after:
                 bland = True
         else:
             degenerate_streak = 0
         tab.pivot(row, col, obj)
+        basis[row] = col
     return "failed"
 
 
@@ -171,42 +182,30 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     rhs *= flips
     senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(lp.senses, flips)]
 
-    slack_cols = [i for i, s in enumerate(senses) if s == "<="]
-    surplus_cols = [i for i, s in enumerate(senses) if s == ">="]
+    slack_rows = [i for i, s in enumerate(senses) if s == "<="]
+    surplus_rows = [i for i, s in enumerate(senses) if s == ">="]
     art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    n_slack = len(slack_cols) + len(surplus_cols)
-    n_ext = n + n_slack
+    n_ext = n + len(slack_rows) + len(surplus_rows)
     n_cols = n_ext + len(art_rows)
 
-    body = np.zeros((m, n_cols + 1))
+    body = np.zeros((m, n_ext + 1))
     body[:, :n] = rows
     body[:, -1] = rhs
-    col = n
-    slack_col_of: dict[int, int] = {}
-    for i in slack_cols:
-        body[i, col] = 1.0
-        slack_col_of[i] = col
-        col += 1
-    for i in surplus_cols:
-        body[i, col] = -1.0
-        slack_col_of[i] = col
-        col += 1
-    art_col_of: dict[int, int] = {}
-    for i in art_rows:
-        body[i, col] = 1.0
-        art_col_of[i] = col
-        col += 1
-
     basis = [0] * m
-    for i in range(m):
-        basis[i] = art_col_of[i] if i in art_col_of else slack_col_of[i]
+    for k, i in enumerate(slack_rows + surplus_rows):
+        body[i, n + k] = 1.0 if senses[i] == "<=" else -1.0
+        basis[i] = n + k
+    for k, i in enumerate(art_rows):
+        basis[i] = n_ext + k
+    # The constraint matrix with slacks, for the duals at the end.
+    A_ext = body[:, :n_ext].copy()
 
-    tab = _Tableau(body=body, basis=basis, n_enter=n_ext)
+    tab = _Tableau(body=body, basis=basis, n_enter=n_ext, n_cols=n_cols)
     max_iter = 2000 + 40 * (m + n_cols)
 
     def reduced_row(costs: np.ndarray) -> np.ndarray:
-        obj = np.zeros(n_cols + 1)
-        obj[:n_cols] = costs
+        obj = np.zeros(n_ext + 1)
+        obj[:n_ext] = costs[:n_ext]
         for r, b in enumerate(tab.basis):
             if costs[b] != 0.0:
                 obj -= costs[b] * tab.body[r]
@@ -217,8 +216,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
 
     if m > 0:
         phase1_costs = np.zeros(n_cols)
-        for c in art_col_of.values():
-            phase1_costs[c] = 1.0
+        phase1_costs[n_ext:] = 1.0
         obj1 = reduced_row(phase1_costs)
         status = _run_simplex(tab, obj1, max_iter)
         if status == "failed":
@@ -228,10 +226,9 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
 
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and dropped.
-        art_set = set(art_col_of.values())
         drop: list[int] = []
         for r in range(m):
-            if tab.basis[r] in art_set:
+            if tab.basis[r] >= n_ext:
                 options = np.flatnonzero(np.abs(tab.body[r, :n_ext]) > FEAS_TOL)
                 if options.size:
                     tab.pivot(r, int(options[0]), obj1)
@@ -244,7 +241,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     else:
         kept = []
 
-    phase2_costs = np.zeros(n_cols)
+    phase2_costs = np.zeros(n_ext)
     phase2_costs[:n] = lp.objective
     obj2 = reduced_row(phase2_costs)
     status = _run_simplex(tab, obj2, max_iter)
@@ -253,7 +250,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     if status == "unbounded":
         return LpSolution("unbounded", None, float("-inf"), lp.names), None
 
-    values_ext = np.zeros(n_cols)
+    values_ext = np.zeros(n_ext)
     for r, b in enumerate(tab.basis):
         values_ext[b] = tab.body[r, -1]
     u = np.clip(values_ext[:n], 0.0, None)
@@ -274,12 +271,6 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     if m > 0:
         # y solves B^T y = c_B over the kept rows; dropped (redundant) rows
         # get dual 0, and flipped rows get their sign restored.
-        A_ext = np.zeros((m, n_ext))
-        A_ext[:, :n] = rows
-        for i in slack_cols:
-            A_ext[i, slack_col_of[i]] = 1.0
-        for i in surplus_cols:
-            A_ext[i, slack_col_of[i]] = -1.0
         B = A_ext[kept][:, tab.basis]
         try:
             y_kept = np.linalg.solve(B.T, phase2_costs[tab.basis])

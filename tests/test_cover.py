@@ -13,6 +13,7 @@ from twostage.cover import (
     default_psi,
     double_randomized_round,
     half_mass_inflation_bound,
+    prepare_cover,
     preprocess_half,
     round_for_cover,
     scale_factor,
@@ -166,6 +167,29 @@ def test_double_round_always_feasible():
             assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
             for stage in out.stages:
                 assert stage.exercised <= out.reserved
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        generate_instance("set_cover", seed=3, n_elements=8, n_sets=8, scenarios=3),
+        generate_instance("vertex_cover", seed=3, n_vertices=8, n_edges=12, scenarios=3),
+        triangle_vc(),
+    ],
+    ids=["set_cover", "vertex_cover", "triangle"],
+)
+def test_prepared_double_sample_equals_one_shot_rounding(inst):
+    # prepare_cover takes the heavy set from preprocess_half's report and
+    # builds the per-scenario replay odds once; one shared sampler must give
+    # the plans and stats of rounding from scratch on every seed.
+    sol = solve_cover_lp(inst)
+    pre, _ = preprocess_half(sol)
+    stats = {}
+    sample = prepare_cover(inst, "double", sol, stats=stats)
+    for seed in range(50):
+        alone = {}
+        assert sample(seed) == double_randomized_round(pre, seed=seed, stats=alone)
+        assert stats == alone
 
 
 # -- threshold rounding -------------------------------------------------------

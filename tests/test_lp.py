@@ -1,17 +1,29 @@
 """Simplex engine checked against hand vertices and scipy's solver.
 
 The scipy comparison is the independent route: both solvers see the same
-random feasible bounded programs and must land on the same optimum.  The
-sparse-row pivot is checked against the dense rank-one update it replaced,
-which this file keeps as the reference: the output must be byte-equal.
+random feasible bounded programs and must land on the same optimum.  Two
+older forms of the solver are kept here as references, and the output must
+be byte-equal to both: the dense rank-one update the sparse pivot replaced,
+and the whole solver as it was before the artificial columns were dropped
+from the tableau and the update narrowed to the pivot row's support.
 """
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import twostage.lp
 from twostage.generators import generate_instance
-from twostage.lp import DUALITY_TOL, LinearProgram, solve_lp
+from twostage.lp import (
+    DUALITY_TOL,
+    FEAS_TOL,
+    PIVOT_TOL,
+    DualSolution,
+    LinearProgram,
+    LpSolution,
+    solve_lp,
+)
 from twostage.lp_builders import build_relaxation
 
 
@@ -156,23 +168,23 @@ def test_shape_mismatch_rejected():
         LinearProgram([1.0], [[1.0]], (">=", "<="), [1.0])
 
 
-def record_pivots(monkeypatch):
-    """Log (row, col) of every pivot solve_lp makes."""
+def record_pivots(monkeypatch, tableau=twostage.lp._Tableau):
+    """Log (row, col) of every pivot made on the given tableau class."""
     pivots = []
-    pivot = twostage.lp._Tableau.pivot
+    pivot = tableau.pivot
 
     def logged(self, row, col, obj):
         pivots.append((row, col))
         pivot(self, row, col, obj)
 
-    monkeypatch.setattr(twostage.lp._Tableau, "pivot", logged)
+    monkeypatch.setattr(tableau, "pivot", logged)
     return pivots
 
 
 def test_bland_switch_breaks_beales_cycle(monkeypatch):
     # Beale's LP cycles with period 6 under the Dantzig rule; the optimum is
-    # reached only once the degenerate streak exceeds 2 * (m + tableau
-    # columns) = 22 and the entering rule switches to Bland's.
+    # reached only once the degenerate streak exceeds 2 * (m + columns + 1)
+    # = 2 * (3 + 7 + 1) = 22 and the entering rule switches to Bland's.
     pivots = record_pivots(monkeypatch)
     lp = LinearProgram(
         [-0.75, 20.0, -0.5, 6.0],
@@ -218,8 +230,8 @@ def dense_pivot(self, row, col, obj):
     self.basis[row] = col
 
 
-def solution_bytes(lp):
-    sol, dual = solve_lp(lp)
+def solution_bytes(lp, solve=solve_lp):
+    sol, dual = solve(lp)
     values = None if sol.values is None else sol.values.tobytes()
     duals = None if dual is None else (dual.values.tobytes(), dual.objective_value)
     return sol.status, values, np.float64(sol.objective_value).tobytes(), duals
@@ -247,3 +259,316 @@ def test_sparse_row_pivot_is_bit_identical_to_dense_update(monkeypatch):
     dense = [solution_bytes(lp) for lp in corpus]
     assert all(s[0] == "optimal" for s in sparse)
     assert sparse == dense
+
+
+# -- the solver before the lean tableau, kept as the reference ---------------
+#
+# A frozen copy of the tableau that stored one artificial column per '>=' or
+# '==' row and updated the full width of every row the pivot column touched.
+
+
+@dataclass
+class RefTableau:
+    body: np.ndarray          # (m, n_cols + 1), last column is the rhs
+    basis: list[int]
+    n_enter: int              # columns [0, n_enter) are eligible to enter
+
+    def pivot(self, row, col, obj):
+        body = self.body
+        body[row] /= body[row, col]
+        pivot_row = body[row]
+        hit = body[:, col].nonzero()[0]
+        hit = hit[hit != row]
+        body[hit] -= body[hit, col, None] * pivot_row
+        obj -= obj[col] * pivot_row
+        self.basis[row] = col
+
+
+def ref_run_simplex(tab, obj, max_iter):
+    m = tab.body.shape[0]
+    degenerate_streak = 0
+    bland = False
+    for _ in range(max_iter):
+        reduced = obj[:tab.n_enter]
+        if bland:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            if candidates.size == 0:
+                return "optimal"
+            col = int(candidates[0])
+        else:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -PIVOT_TOL:
+                return "optimal"
+        column = tab.body[:, col]
+        rhs = tab.body[:, -1]
+        eligible = (column > PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
+            return "unbounded"
+        ratios = rhs[eligible] / column[eligible]
+        best = ratios.min()
+        ties = eligible[ratios <= best + PIVOT_TOL]
+        row = int(ties[0]) if ties.size == 1 else int(min(ties, key=lambda r: tab.basis[r]))
+        if best <= PIVOT_TOL:
+            degenerate_streak += 1
+            if degenerate_streak > 2 * (m + tab.body.shape[1]):
+                bland = True
+        else:
+            degenerate_streak = 0
+        tab.pivot(row, col, obj)
+    return "failed"
+
+
+def ref_solve_lp(lp):
+    n = lp.n_vars
+    m = lp.n_rows
+    lb = lp.lower_bounds
+    shift_const = float(lp.objective @ lb)
+    rhs = lp.rhs - lp.rows @ lb
+
+    flips = np.where(rhs < 0, -1.0, 1.0)
+    rows = lp.rows * flips[:, None]
+    rhs *= flips
+    flipped = {"<=": ">=", ">=": "<=", "==": "=="}
+    senses = [flipped[s] if f < 0 else s for s, f in zip(lp.senses, flips)]
+
+    slack_cols = [i for i, s in enumerate(senses) if s == "<="]
+    surplus_cols = [i for i, s in enumerate(senses) if s == ">="]
+    art_rows = [i for i, s in enumerate(senses) if s != "<="]
+    n_slack = len(slack_cols) + len(surplus_cols)
+    n_ext = n + n_slack
+    n_cols = n_ext + len(art_rows)
+
+    body = np.zeros((m, n_cols + 1))
+    body[:, :n] = rows
+    body[:, -1] = rhs
+    col = n
+    slack_col_of = {}
+    for i in slack_cols:
+        body[i, col] = 1.0
+        slack_col_of[i] = col
+        col += 1
+    for i in surplus_cols:
+        body[i, col] = -1.0
+        slack_col_of[i] = col
+        col += 1
+    art_col_of = {}
+    for i in art_rows:
+        body[i, col] = 1.0
+        art_col_of[i] = col
+        col += 1
+
+    basis = [art_col_of[i] if i in art_col_of else slack_col_of[i] for i in range(m)]
+    tab = RefTableau(body=body, basis=basis, n_enter=n_ext)
+    max_iter = 2000 + 40 * (m + n_cols)
+
+    def reduced_row(costs):
+        obj = np.zeros(n_cols + 1)
+        obj[:n_cols] = costs
+        for r, b in enumerate(tab.basis):
+            if costs[b] != 0.0:
+                obj -= costs[b] * tab.body[r]
+        return obj
+
+    def fail():
+        return LpSolution("failed", None, float("nan"), lp.names), None
+
+    if m > 0:
+        phase1_costs = np.zeros(n_cols)
+        for c in art_col_of.values():
+            phase1_costs[c] = 1.0
+        obj1 = reduced_row(phase1_costs)
+        status = ref_run_simplex(tab, obj1, max_iter)
+        if status == "failed":
+            return fail()
+        if -obj1[-1] > FEAS_TOL:
+            return LpSolution("infeasible", None, float("nan"), lp.names), None
+        art_set = set(art_col_of.values())
+        drop = []
+        for r in range(m):
+            if tab.basis[r] in art_set:
+                options = np.flatnonzero(np.abs(tab.body[r, :n_ext]) > FEAS_TOL)
+                if options.size:
+                    tab.pivot(r, int(options[0]), obj1)
+                else:
+                    drop.append(r)
+        kept = [r for r in range(m) if r not in drop]
+        if drop:
+            tab.body = tab.body[kept]
+            tab.basis = [tab.basis[r] for r in kept]
+    else:
+        kept = []
+
+    phase2_costs = np.zeros(n_cols)
+    phase2_costs[:n] = lp.objective
+    obj2 = reduced_row(phase2_costs)
+    status = ref_run_simplex(tab, obj2, max_iter)
+    if status == "failed":
+        return fail()
+    if status == "unbounded":
+        return LpSolution("unbounded", None, float("-inf"), lp.names), None
+
+    values_ext = np.zeros(n_cols)
+    for r, b in enumerate(tab.basis):
+        values_ext[b] = tab.body[r, -1]
+    x = np.clip(values_ext[:n], 0.0, None) + lb
+
+    resid_hi = lp.rows @ x - lp.rhs
+    for i, s in enumerate(lp.senses):
+        if (
+            (s == "<=" and resid_hi[i] > FEAS_TOL)
+            or (s == ">=" and resid_hi[i] < -FEAS_TOL)
+            or (s == "==" and abs(resid_hi[i]) > FEAS_TOL)
+        ):
+            return fail()
+    objective_value = float(lp.objective @ x)
+
+    if m > 0:
+        A_ext = np.zeros((m, n_ext))
+        A_ext[:, :n] = rows
+        for i in slack_cols:
+            A_ext[i, slack_col_of[i]] = 1.0
+        for i in surplus_cols:
+            A_ext[i, slack_col_of[i]] = -1.0
+        B = A_ext[kept][:, tab.basis]
+        try:
+            y_kept = np.linalg.solve(B.T, phase2_costs[tab.basis])
+        except np.linalg.LinAlgError:
+            return fail()
+        y = np.zeros(m)
+        y[kept] = y_kept
+        y *= flips
+        dual_value = float(y @ (lp.rhs - lp.rows @ lb)) + shift_const
+    else:
+        y = np.zeros(0)
+        dual_value = shift_const
+
+    if abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value)):
+        return fail()
+    return (
+        LpSolution("optimal", x, objective_value, lp.names),
+        DualSolution(values=y, objective_value=dual_value),
+    )
+
+
+# Two sizes per kind from the relax benchmark ladder (80-350 rows).
+RELAX_SIZES = (
+    ("set_cover", {"n_elements": 12, "n_sets": 16, "scenarios": 4}),
+    ("set_cover", {"n_elements": 17, "n_sets": 21, "scenarios": 5}),
+    ("vertex_cover", {"n_vertices": 12, "n_edges": 24, "scenarios": 4}),
+    ("vertex_cover", {"n_vertices": 17, "n_edges": 34, "scenarios": 5}),
+    ("ufl", {"n_facilities": 5, "n_clients": 9, "scenarios": 3}),
+    ("ufl", {"n_facilities": 7, "n_clients": 11, "scenarios": 4}),
+    ("steiner", {"n_vertices": 6, "scenarios": 3}),
+    ("steiner", {"n_vertices": 7, "scenarios": 4}),
+)
+
+
+def equality_lp(rng, redundant):
+    """Mixed senses, rows 0 and 1 '==', feasible by a planted point; with
+    ``redundant``, those two rows come again as a scaled copy and a sum."""
+    n = int(rng.integers(3, 10))
+    m = int(rng.integers(2, 8))
+    rows = rng.uniform(-1.0, 1.0, size=(m, n))
+    rhs = rows @ rng.uniform(0.0, 2.0, size=n)
+    senses = ["=="] * m
+    for r in range(2, m):
+        pick = rng.random()
+        if pick < 0.3:
+            senses[r] = "<="
+            rhs[r] += 0.5
+        elif pick < 0.6:
+            senses[r] = ">="
+            rhs[r] -= 0.5
+    if redundant:
+        rows = np.vstack([rows, 2.0 * rows[0], rows[0] + rows[1]])
+        rhs = np.concatenate([rhs, [2.0 * rhs[0], rhs[0] + rhs[1]]])
+        senses += ["==", "=="]
+    return LinearProgram(rng.uniform(0.0, 1.0, size=n), rows, tuple(senses), rhs)
+
+
+def infeasible_lp(rng):
+    """A random program plus rows asking for sum(x) <= 1 and sum(x) >= 2."""
+    lp = random_feasible_lp(rng, max_vars=8, max_rows=8)
+    ones = np.ones((2, lp.n_vars))
+    return LinearProgram(
+        lp.objective,
+        np.vstack([lp.rows, ones]),
+        lp.senses + ("<=", ">="),
+        np.concatenate([lp.rhs, [1.0, 2.0]]),
+    )
+
+
+def unbounded_lp(rng):
+    """'>=' rows nonnegative in x_0, which has a negative cost, and x_1 == 1."""
+    n = int(rng.integers(2, 8))
+    m = int(rng.integers(1, 6))
+    rows = rng.uniform(0.0, 1.0, size=(m + 1, n))
+    rows[m] = 0.0
+    rows[m, 1] = 1.0
+    rhs = np.append(rng.uniform(0.5, 2.0, size=m), 1.0)
+    obj = rng.uniform(0.0, 1.0, size=n)
+    obj[0] = -1.0
+    return LinearProgram(obj, rows, (">=",) * m + ("==",), rhs)
+
+
+def lean_tableau_corpus():
+    yield from differential_corpus()
+    for kind, sizes in RELAX_SIZES:
+        yield build_relaxation(generate_instance(kind, seed=7, **sizes))
+    rng = np.random.default_rng(11)
+    for i in range(24):
+        yield equality_lp(rng, redundant=i % 2 == 1)
+    for _ in range(6):
+        yield infeasible_lp(rng)
+        yield unbounded_lp(rng)
+    yield LinearProgram([1.0], [[1.0]], ("<=",), [-1.0])
+    yield LinearProgram([-1.0], np.zeros((0, 1)), (), [])
+
+
+def test_lean_tableau_is_bit_identical_to_the_artificial_column_reference():
+    corpus = list(lean_tableau_corpus())
+    lean = [solution_bytes(lp) for lp in corpus]
+    ref = [solution_bytes(lp, solve=ref_solve_lp) for lp in corpus]
+    statuses = [s[0] for s in lean]
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+    assert statuses.count("optimal") == len(corpus) - 14
+    assert lean == ref
+
+
+def beale_with_artificials():
+    """Beale's cycling LP plus x5 >= 1 and x6 == 1 at cost 1 each: phase 1
+    pivots both in, then phase 2 cycles exactly as in Beale's LP."""
+    rows = np.zeros((5, 6))
+    rows[:3, :4] = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    rows[3, 4] = rows[4, 5] = 1.0
+    return LinearProgram(
+        [-0.75, 20.0, -0.5, 6.0, 1.0, 1.0],
+        rows,
+        ("<=", "<=", "<=", ">=", "=="),
+        [0.0, 0.0, 1.0, 1.0, 1.0],
+    )
+
+
+def test_bland_switch_with_artificials_matches_the_reference(monkeypatch):
+    # 6 structural + 4 slack/surplus + 2 artificial columns: the switch
+    # fires once the degenerate streak exceeds 2 * (5 + 12 + 1) = 36.
+    # Counting only the columns the lean tableau stores would give 32.
+    lp = beale_with_artificials()
+    lean_pivots = record_pivots(monkeypatch)
+    sol, dual = solve_lp(lp)
+    ref_pivots = record_pivots(monkeypatch, RefTableau)
+    ref_sol, ref_dual = ref_solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(0.75)
+    assert sol.values == pytest.approx([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+    assert dual.objective_value == pytest.approx(0.75)
+    assert lean_pivots == ref_pivots
+    assert sol.values.tobytes() == ref_sol.values.tobytes()
+    assert dual.values.tobytes() == ref_dual.values.tobytes()
+    # Phase 1 pivots x5 and x6 in; phase 2 cycles until Bland's rule, on
+    # from pivot 37, first picks another column at pivot 40.
+    assert len(lean_pivots) == 44
+    phase2 = lean_pivots[2:]
+    cycle = phase2[:6]
+    assert phase2[:40] == (cycle * 7)[:40]
+    assert phase2[40] != cycle[40 % 6]
