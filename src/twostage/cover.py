@@ -186,12 +186,12 @@ def preprocess_half(
 
 
 def _greedy_cover(
-    inst: CoverInstance, uncovered: set[int], owned: set[int]
+    inst: CoverInstance, inc: np.ndarray, uncovered: set[int], owned: set[int]
 ) -> set[int]:
-    """Cheapest-ratio greedy cover of ``uncovered``; deterministic tie-break."""
+    """Cheapest-ratio greedy cover of ``uncovered``; deterministic tie-break.
+    ``inc`` is ``inst.incidence()``."""
     added: set[int] = set()
     remaining = set(uncovered)
-    inc = inst.incidence()
     w = np.asarray(inst.weights, dtype=float)
     while remaining:
         best_s, best_ratio = -1, math.inf
@@ -208,8 +208,7 @@ def _greedy_cover(
     return added
 
 
-def _uncovered(inst: CoverInstance, clients, bought: set[int]) -> set[int]:
-    inc = inst.incidence()
+def _uncovered(inc: np.ndarray, clients, bought: set[int]) -> set[int]:
     return {e for e in clients if not any(inc[e, s] for s in bought)}
 
 
@@ -237,6 +236,7 @@ def _double_sampler(
     """Everything ``double_randomized_round`` computes before its first coin;
     returns (seed, stats) -> plan.  ``heavy`` is ``classify_heavy(sol)``."""
     inst = sol.instance
+    inc = inst.incidence()
     n_elem = max(inst.n_elements, 1)
     cap = math.ceil(4.0 * (math.log(n_elem) + 4.0))
     xhat = np.minimum(sol.x, 1.0)
@@ -254,15 +254,15 @@ def _double_sampler(
         reserved: set[int] = set()
         rounds: list[np.ndarray] = []
         n_rounds = 0
-        while _uncovered(inst, target, reserved) and n_rounds < cap:
+        while _uncovered(inc, target, reserved) and n_rounds < cap:
             picked = np.flatnonzero(rng.random(inst.n_items) < xhat)
             rounds.append(picked)
             reserved.update(int(s) for s in picked)
             n_rounds += 1
         repaired_stage1 = False
-        missing = _uncovered(inst, target, reserved)
+        missing = _uncovered(inc, target, reserved)
         if missing:
-            extra = _greedy_cover(inst, missing, reserved)
+            extra = _greedy_cover(inst, inc, missing, reserved)
             rounds.append(np.array(sorted(extra), dtype=int))
             reserved.update(extra)
             repaired_stage1 = True
@@ -277,13 +277,13 @@ def _double_sampler(
 
             recoursed: set[int] = set()
             t = 0
-            while _uncovered(inst, light, exercised | recoursed) and t < cap:
+            while _uncovered(inc, light, exercised | recoursed) and t < cap:
                 picked = np.flatnonzero(rng.random(inst.n_items) < z)
                 recoursed.update(int(s) for s in picked)
                 t += 1
-            leftover = _uncovered(inst, clients, exercised | recoursed)
+            leftover = _uncovered(inc, clients, exercised | recoursed)
             if leftover:
-                recoursed |= _greedy_cover(inst, leftover, exercised | recoursed)
+                recoursed |= _greedy_cover(inst, inc, leftover, exercised | recoursed)
                 scenario_repairs += 1
             stages.append(
                 StageDecision(frozenset(exercised), frozenset(recoursed - exercised))
@@ -370,6 +370,7 @@ def srinivasan_round_set_cover(
     reserved = frozenset(int(v) for v in np.flatnonzero(reserved_mask))
 
     w = np.asarray(inst.weights, dtype=float)
+    inc = inst.incidence()
     sigma = inst.policy.sigma
     lam = inst.policy.lam
     pre_repair = sigma * float(w[list(reserved)].sum()) if reserved else 0.0
@@ -390,9 +391,9 @@ def srinivasan_round_set_cover(
             (1.0 - sigma) * float(w[list(exercised)].sum() if exercised else 0.0)
             + lam * float(w[list(recoursed - exercised)].sum() if recoursed - exercised else 0.0)
         )
-        missing = _uncovered(inst, clients, exercised | recoursed)
+        missing = _uncovered(inc, clients, exercised | recoursed)
         if missing:
-            recoursed |= _greedy_cover(inst, missing, exercised | recoursed)
+            recoursed |= _greedy_cover(inst, inc, missing, exercised | recoursed)
             repairs += 1
         stages.append(StageDecision(frozenset(exercised), frozenset(recoursed - exercised)))
 

@@ -11,6 +11,7 @@ with F1 a subset of F0 and F1 | F2 feasible for the realized scenario.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -86,7 +87,7 @@ class ScenarioSet:
                 raise ValueError("a ScenarioSet is either explicit or black-box, not both")
             return
         total = math.fsum(p for p, _ in self.scenarios)
-        if self.scenarios and abs(total - 1.0) > PROB_TOL:
+        if self.scenarios and not abs(total - 1.0) <= PROB_TOL:
             raise StructureError(f"probabilities sum to {total!r}, expected 1")
         for p, clients in self.scenarios:
             if p < 0:
@@ -113,13 +114,14 @@ class ScenarioSet:
         """Wrap an explicit set behind a sampler (ground truth for tests/SAA)."""
         if explicit.is_black_box:
             raise ValueError("already a black box")
-        probs = np.array([p for p, _ in explicit.scenarios])
-        clients = [c for _, c in explicit.scenarios]
+        return cls.black_box(explicit.sample)
 
-        def draw(rng: np.random.Generator) -> frozenset[int]:
-            return clients[int(rng.choice(len(clients), p=probs))]
-
-        return cls.black_box(draw)
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """Normalised CDF of the probabilities, built as ``Generator.choice`` builds it."""
+        cdf = np.array([p for p, _ in self.scenarios]).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     @property
     def is_black_box(self) -> bool:
@@ -131,8 +133,10 @@ class ScenarioSet:
     def sample(self, rng: np.random.Generator) -> frozenset[int]:
         if self.sampler is not None:
             return self.sampler(rng)
-        probs = np.array([p for p, _ in self.scenarios])
-        return self.scenarios[int(rng.choice(len(self.scenarios), p=probs))][1]
+        if not self.scenarios:
+            raise ValueError("an empty scenario set has nothing to sample")
+        # the draw of rng.choice(len(self), p=probs): one uniform, inverted
+        return self.scenarios[int(self._cdf.searchsorted(rng.random(), side="right"))][1]
 
     def sample_many(self, seed: int, count: int) -> list[frozenset[int]]:
         """Same seed, same sequence; the reproducibility contract for SAA."""

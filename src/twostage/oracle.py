@@ -7,18 +7,30 @@ scans reservation bitmasks in increasing first-stage cost, computes each
 scenario's best X with precomputed subset-mass tables, and stops as soon as
 the first-stage cost alone reaches the incumbent.
 
-The tables and feasible-set lists are built as whole arrays, and the scan
+For set cover, vertex cover and Steiner, a bought set that holds a smaller
+feasible set never costs less, so each scenario keeps only its
+inclusion-minimal feasible sets as candidates (about 10-20 instead of
+hundreds).  That is done only when a certificate, checked once per instance
+from the weights, lambda and sigma, proves that rounding cannot make a
+superset strictly cheaper than its subset in float arithmetic either (see
+``_pruning_is_exact``); otherwise every feasible set stays a candidate.
+UFL is not monotone (opening a facility can shorten connections), so it
+keeps every facility set.
+
+The tables and candidate lists are built as whole arrays, and the scan
 takes the sorted masks in blocks (8 rows, doubling, capped so that a block
 times the widest scenario's candidate count stays within BLOCK_ENTRIES).
 Every float is computed by the same operations in the same order as a scan
-of one mask at a time, and the stopping point is recovered from the running
-incumbent, so the cost, solution and node count equal that scan's exactly.
+of one mask at a time over every feasible set, and the stopping point is
+recovered from the running incumbent, so the cost, solution and node count
+equal that scan's exactly.
 
 Intended for cross-checking the approximation algorithms; refuses instances
 with more than MAX_ITEMS items or MAX_SCENARIOS scenarios.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +112,8 @@ class _Prep:
     tables: list[_ScenarioTable]
 
 
-def _covering_feasible_masks(inst, clients: frozenset[int], n: int) -> np.ndarray:
+def _covering_feasible(inst, clients: frozenset[int], n: int) -> np.ndarray:
+    """Bitmap over all item masks: does the mask cover every client."""
     x = np.arange(1 << n, dtype=np.int64)
     ok = np.ones(x.size, dtype=bool)
     for e in sorted(clients):
@@ -110,10 +123,11 @@ def _covering_feasible_masks(inst, clients: frozenset[int], n: int) -> np.ndarra
         if cm == 0:
             raise InstanceError(f"element {e} is uncoverable")
         ok &= (x & cm) != 0
-    return x[ok]
+    return ok
 
 
-def _connecting_feasible_masks(inst: SteinerInstance, clients: frozenset[int]) -> np.ndarray:
+def _connecting_feasible(inst: SteinerInstance, clients: frozenset[int]) -> np.ndarray:
+    """Bitmap over all edge masks: does the mask connect every client to the root."""
     g = inst.graph
     x = np.arange(1 << g.n_edges, dtype=np.int64)
     need = 0
@@ -121,7 +135,7 @@ def _connecting_feasible_masks(inst: SteinerInstance, clients: frozenset[int]) -
         if t != g.root:
             need |= 1 << t
     if not need:
-        return x
+        return np.ones(x.size, dtype=bool)
     # reach[x]: vertex bitmask of the root's component under the edges of x
     present = [(x >> e) & 1 == 1 for e in range(g.n_edges)]
     reach = np.full(x.size, 1 << g.root, dtype=np.int64)
@@ -132,10 +146,67 @@ def _connecting_feasible_masks(inst: SteinerInstance, clients: frozenset[int]) -
             reach |= np.where(present[e] & ((reach & uv) != 0), uv, 0)
         if np.array_equal(before, reach):
             break
-    out = x[(reach & need) == need]
-    if out.size == 0:
+    ok = (reach & need) == need
+    if not ok.any():
         raise InstanceError("no edge set connects the demanded terminals")
-    return out
+    return ok
+
+
+def _minimal_masks(ok: np.ndarray) -> np.ndarray:
+    """Ascending masks that are feasible and infeasible with any one bit removed.
+
+    For an upward-closed bitmap (covering, connecting) these are exactly the
+    inclusion-minimal feasible sets.
+    """
+    keep = ok.copy()
+    for k in range(ok.size.bit_length() - 1):
+        # viewed as (high bits, bit k, low bits): [:, 1] are the masks with
+        # bit k set and [:, 0] the same masks without it
+        keep.reshape(-1, 2, 1 << k)[:, 1] &= ~ok.reshape(-1, 2, 1 << k)[:, 0]
+    return np.flatnonzero(keep)
+
+
+def _pruning_is_exact(w: np.ndarray, lam: float, c: float) -> bool:
+    """Can dropping non-minimal candidates change no scenario's argmin?
+
+    A scenario's value of bought set X under reservation R is computed as
+    fl(fl(lam*T[X]) - fl(c*T[X & R])), with T the mass table (the weights of
+    a mask summed by the fold) and c = lam - 1 + sigma as ``_prepare``
+    computes it.  Write V(X) = lam*m(X) - c*m(X & R) for the same value in
+    exact arithmetic, m the exact mass, n the item count, W the sum of the
+    weights, u = 2^-53 and gamma_k = k*u / (1 - k*u).  With nonnegative
+    weights, T[Z] sums at most n of them, so each product is its exact value
+    times (1 + theta_{n+1}), plus at most 2^-1075 if it underflows, and the
+    subtraction adds one more rounding:
+
+        |fl value(X) - V(X)| <= E = gamma_{n+2}*(lam + c)*W + 2^-1072.
+
+    For feasible X a proper subset of Y, with c >= 0,
+
+        V(Y) - V(X) = lam*m(Y - X) - c*m((Y - X) & R) >= (lam - c)*m(Y - X).
+
+    If Y - X holds a positive weight, m(Y - X) >= w+_min, the smallest
+    positive weight, and (lam - c)*w+_min > 2E makes the computed value of X
+    strictly smaller.  Otherwise every item of Y - X weighs 0; the fold then
+    adds exact zeros, so T[Y] and T[X], and T[Y & R] and T[X & R], are the
+    same floats and the two values tie, and argmin keeps X, the smaller
+    mask.  Either way the first minimum over all feasible sets is a minimal
+    set and is also the first minimum over the minimal ones.
+
+    The check itself runs in floats.  Each side is a few roundings (and at
+    most one underflow, below E/8) from its exact value, so asking for 4E
+    instead of 2E covers them.  The last condition keeps every product and
+    difference clear of overflow.
+    """
+    if not (np.isfinite(w).all() and (w >= 0).all() and 0.0 <= c < lam < math.inf):
+        return False
+    positive = w[w > 0]
+    if positive.size == 0:
+        return True
+    k = (w.size + 2) * 2.0**-53
+    total = sum(w.tolist())
+    err = k / (1.0 - k) * (lam + c) * total + 2.0**-1072
+    return (lam - c) * float(positive.min()) > 4.0 * err and (lam + c) * total < 2.0**1000
 
 
 def _prepare(inst: Instance) -> _Prep:
@@ -146,25 +217,21 @@ def _prepare(inst: Instance) -> _Prep:
     if len(scen) > MAX_SCENARIOS:
         raise InstanceError(f"oracle handles at most {MAX_SCENARIOS} scenarios, got {len(scen)}")
 
-    if isinstance(inst, (SetCoverInstance, VertexCoverInstance)):
+    if isinstance(inst, (SetCoverInstance, VertexCoverInstance, SteinerInstance)):
         sigma, lam = inst.policy.sigma, inst.policy.lam
-        w = np.array(inst.weights, dtype=float)
+        steiner = isinstance(inst, SteinerInstance)
+        w = np.array(inst.graph.weights if steiner else inst.weights, dtype=float)
         table = _mass_table(w)
-        save_table = (lam - 1.0 + sigma) * table
+        c = lam - 1.0 + sigma
+        save_table = c * table
+        prune = _pruning_is_exact(w, lam, c)
         tables = []
         for p, clients in scen:
-            masks = _covering_feasible_masks(inst, clients, n)
-            tables.append(_ScenarioTable(p, masks, lam * table[masks], save_table))
-        return _Prep(sigma * table, tables)
-
-    if isinstance(inst, SteinerInstance):
-        sigma, lam = inst.policy.sigma, inst.policy.lam
-        w = np.array(inst.graph.weights, dtype=float)
-        table = _mass_table(w)
-        save_table = (lam - 1.0 + sigma) * table
-        tables = []
-        for p, clients in scen:
-            masks = _connecting_feasible_masks(inst, clients)
+            if steiner:
+                ok = _connecting_feasible(inst, clients)
+            else:
+                ok = _covering_feasible(inst, clients, n)
+            masks = _minimal_masks(ok) if prune else np.flatnonzero(ok)
             tables.append(_ScenarioTable(p, masks, lam * table[masks], save_table))
         return _Prep(sigma * table, tables)
 

@@ -192,6 +192,21 @@ def test_prepared_double_sample_equals_one_shot_rounding(inst):
         assert stats == alone
 
 
+def test_each_rounding_builds_the_incidence_once(monkeypatch):
+    inst = generate_instance("set_cover", seed=3, n_elements=8, n_sets=8, scenarios=3)
+    sol = solve_cover_lp(inst)
+    builds = []
+    real = SetCoverInstance.incidence
+    monkeypatch.setattr(SetCoverInstance, "incidence", lambda self: builds.append(1) or real(self))
+    sample = prepare_cover(inst, "double", sol)
+    for seed in range(5):
+        sample(seed)
+    assert len(builds) == 1
+    for seed in range(5):
+        srinivasan_round_set_cover(sol, seed=seed)
+    assert len(builds) == 6
+
+
 # -- threshold rounding -------------------------------------------------------
 
 

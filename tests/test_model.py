@@ -151,6 +151,39 @@ def test_black_box_wrapper_reproduces_the_distribution():
     assert box.sample_many(seed=7, count=50) == box.sample_many(seed=7, count=50)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1.0],
+        [0.25, 0.75],
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 0.0, 1.0],
+        [0.1, 0.2, 0.3, 0.15, 0.25],
+        [1 / 3, 1 / 3, 1 / 3],
+    ],
+)
+def test_scenario_draws_equal_generator_choice(probs):
+    # sample() inverts one uniform through the CDF that Generator.choice
+    # builds, so the drawn index and the generator state after it match
+    # rng.choice(k, p=probs), zero-probability scenarios included
+    scen = ScenarioSet.explicit([(p, [k]) for k, p in enumerate(probs)])
+    samplers = {"explicit": scen.sample, "black_box": ScenarioSet.black_box_of(scen).sample}
+    for name, sample in samplers.items():
+        for seed in range(50):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                k = int(ref.choice(len(probs), p=np.array(probs)))
+                assert sample(rng) == frozenset({k}), (name, seed)
+            assert rng.random() == ref.random()
+
+
+def test_empty_and_nan_scenario_sets_are_refused():
+    with pytest.raises(ValueError):
+        ScenarioSet.explicit([]).sample(np.random.default_rng(0))
+    with pytest.raises(StructureError):
+        ScenarioSet.explicit([(math.nan, [0])])
+
+
 # -- monte carlo ------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from twostage.instances import (
     SetCoverInstance,
     SteinerInstance,
     UflInstance,
+    VertexCoverInstance,
 )
 from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
 from twostage.oracle import MAX_ITEMS, MAX_SCENARIOS, best_completion, brute_force_optimal
@@ -314,7 +315,7 @@ def test_connecting_masks_agree_with_networkx(g, data):
     inst = SteinerInstance(
         g, CostPolicy(0.5, 2.0, dict(enumerate(g.weights))), ScenarioSet.explicit([(1.0, clients)])
     )
-    feasible = set(oracle._connecting_feasible_masks(inst, clients).tolist())
+    feasible = set(np.flatnonzero(oracle._connecting_feasible(inst, clients)).tolist())
     for x in range(1 << g.n_edges):
         h = nx.Graph()
         h.add_nodes_from(range(g.n_vertices))
@@ -336,9 +337,9 @@ def test_covering_masks_are_exactly_the_covers(data):
     covered = frozenset().union(*sets)
     if not clients <= covered:
         with pytest.raises(InstanceError):
-            oracle._covering_feasible_masks(inst, clients, len(sets))
+            oracle._covering_feasible(inst, clients, len(sets))
         return
-    feasible = set(oracle._covering_feasible_masks(inst, clients, len(sets)).tolist())
+    feasible = set(np.flatnonzero(oracle._covering_feasible(inst, clients, len(sets))).tolist())
     for x in range(1 << len(sets)):
         union = frozenset().union(*(sets[s] for s in range(len(sets)) if x >> s & 1))
         assert (x in feasible) == (clients <= union)
@@ -355,3 +356,187 @@ def test_block_scan_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Minimal candidates.  The reference keeps every feasible set as a candidate:
+# the same oracle with the pruning step replaced by the full feasible list.
+
+
+def oracle_records(inst):
+    """Cost bytes, node count, solution, and best_completion at four reservations."""
+    res = brute_force_optimal(inst)
+    out = [res.optimal_cost.hex(), res.nodes_explored, res.optimal_solution]
+    rng = np.random.default_rng(res.nodes_explored)
+    for reserved in (
+        res.optimal_solution.reserved,
+        frozenset(),
+        frozenset(range(inst.n_items)),
+        frozenset(int(i) for i in np.flatnonzero(rng.random(inst.n_items) < 0.5)),
+    ):
+        sol, cost = best_completion(inst, reserved)
+        out += [sol, cost.hex()]
+    return out
+
+
+def unpruned_records(monkeypatch, inst):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_minimal_masks", np.flatnonzero)
+        return oracle_records(inst)
+
+
+def candidate_counts(inst):
+    return [tab.masks.size for tab in oracle._prepare(inst).tables]
+
+
+def odd_cycle_vc(rng, n, k):
+    """Vertex cover on an odd cycle, equal weights, every edge demanded in
+    scenario 0: the relaxation is 1/2 everywhere."""
+    edges = tuple(tuple(sorted((v, (v + 1) % n))) for v in range(n))
+    w = round(float(rng.uniform(1.0, 10.0)), 2)
+    pairs = [(float(rng.uniform(0.2, 1.0)), range(n))]
+    for _ in range(k - 1):
+        members = [e for e in range(n) if rng.random() < 0.7] or [int(rng.integers(n))]
+        pairs.append((float(rng.uniform(0.2, 1.0)), members))
+    total = sum(p for p, _ in pairs)
+    policy = CostPolicy(float(rng.uniform(0.3, 0.7)), float(rng.uniform(1.5, 3.0)), dict.fromkeys(range(n), w))
+    return VertexCoverInstance(
+        n, edges, (w,) * n, policy, ScenarioSet.explicit([(p / total, c) for p, c in pairs])
+    )
+
+
+def odd_cycle_ufl(sigma, fk):
+    """Clients at distance 1 from two facilities of a 3-cycle."""
+    dist = [[3.0] * 3 for _ in range(3)]
+    for j in range(3):
+        dist[j][j] = dist[(j + 1) % 3][j] = 1.0
+    return UflInstance(
+        open_cost=(2.0,) * 3,
+        scenario_open_cost=((fk,) * 3,) * 2,
+        distance=tuple(tuple(r) for r in dist),
+        sigma=sigma,
+        scenarios=ScenarioSet.explicit([(0.5, [0, 1, 2]), (0.5, [0])]),
+    )
+
+
+def pruning_corpus():
+    rng = np.random.default_rng(2024)
+    out = []
+    for seed in range(30):
+        prices = {"sigma": float(rng.uniform(0.3, 0.7)), "lam": float(rng.uniform(1.5, 3.0))}
+        out += [
+            generate_instance("set_cover", seed=seed, n_elements=8, n_sets=8, scenarios=3, **prices),
+            generate_instance("vertex_cover", seed=seed, n_vertices=8, n_edges=12, scenarios=3, **prices),
+            generate_instance("steiner", seed=seed, n_vertices=6, n_edges=8, scenarios=3, **prices),
+        ]
+    out += [odd_cycle_vc(rng, n, k) for n, k in ((5, 2), (7, 3), (9, 3), (11, 4), (13, 3), (15, 2))]
+    out += [odd_cycle_ufl(0.7, 2.5), odd_cycle_ufl(0.3, 4.0)]
+    return out
+
+
+def test_minimal_candidates_give_the_records_of_every_feasible_set(monkeypatch):
+    pruned = 0
+    for inst in pruning_corpus():
+        assert oracle_records(inst) == unpruned_records(monkeypatch, inst)
+        if not isinstance(inst, UflInstance):
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_minimal_masks", np.flatnonzero)
+                full = candidate_counts(inst)
+            pruned += candidate_counts(inst) < full
+    assert pruned == 96  # every cover, Steiner and odd-cycle instance was pruned
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_minimal_masks_are_feasible_with_no_feasible_one_bit_removal(data):
+    n = data.draw(st.integers(0, 7))
+    ok = np.array(data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
+    kept = oracle._minimal_masks(ok).tolist()
+    assert kept == sorted(kept)
+    for x in range(1 << n):
+        removals = [x ^ (1 << i) for i in range(n) if x >> i & 1]
+        assert (x in kept) == (ok[x] and not any(ok[y] for y in removals))
+
+
+def test_minimal_masks_of_a_cover_are_its_inclusion_minimal_covers():
+    # sets {0}, {1}, {0, 1}, {2}: element 0 or 1 and element 2 demanded
+    inst = cover_instance([1.0] * 4, [{0}, {1}, {0, 1}, {2}], [(1.0, [0, 1, 2])], n_elements=3)
+    ok = oracle._covering_feasible(inst, frozenset({0, 1, 2}), 4)
+    assert oracle._minimal_masks(ok).tolist() == [0b1011, 0b1100]
+
+
+@pytest.mark.parametrize(
+    "weights, sigma, lam",
+    [
+        ([1.0, 1e-17, 0.9], 0.5, 2.0),  # a weight far below the others' rounding error
+        ([5e-324, 1.0], 0.5, 2.0),  # a subnormal weight
+        ([1.0, 1.5, 0.7], 1.0 - 1e-15, 2.0),  # exercising saves almost nothing over recourse
+        ([1.0, 2.0], 0.5, np.inf),
+        ([1.0, np.nan], 0.5, 2.0),
+        ([1e308, 1e308], 0.5, 2.0),  # the mass table overflows
+        ([1e305, 1e305], 0.5, 2.0),  # too close to overflow for the bound
+    ],
+)
+def test_certificate_refuses_where_rounding_could_decide(weights, sigma, lam):
+    assert not oracle._pruning_is_exact(np.array(weights), lam, lam - 1.0 + sigma)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.0, 2.0], [0.0, 0.0], [1.0, 1e-3, 7.5], [1e-300, 1e-300]])
+def test_certificate_accepts_zero_and_well_separated_weights(weights):
+    assert oracle._pruning_is_exact(np.array(weights), 2.0, 2.0 - 1.0 + 0.5)
+
+
+def test_zero_weight_items_are_pruned_and_tie_to_the_subset(monkeypatch):
+    # set 1 weighs 0: every cover with it has a cover without it at the same
+    # computed cost, and argmin must keep the subset
+    inst = cover_instance(
+        [1.0, 0.0, 2.0, 0.0],
+        [{0}, {0, 1}, {1}, {2}],
+        [(0.5, [0]), (0.3, [0, 1]), (0.2, [2])],
+        n_elements=3,
+    )
+    assert candidate_counts(inst) == [2, 2, 1]
+    assert oracle_records(inst) == unpruned_records(monkeypatch, inst)
+    assert brute_force_optimal(inst).optimal_solution.stages[1].bought == frozenset({1})
+
+
+# Instances where skipping the certificate changes the output: a superset's
+# computed value comes out one ulp below its subset's.
+INVERSIONS = [
+    # a tiny weight absorbed by the table but not by the discount
+    ([1.0 + 2**-52, 1e-16], [{0}, {1}], [(1.0, [0])], 0.9, 1.99),
+    ([0.7362693427570925, 5.506107222650988e-17], [{0, 2}, {0, 1}],
+     [(0.23019661760746515, [2]), (0.7698033823925349, [0, 1])], 0.9752046901799281, 2.6226251721122367),
+    # lambda - c = 1 - sigma within a few ulps of zero
+    ([1.4820375240680852, 1.979074945980562], [{1}, {0, 1}],
+     [(0.8589510351810798, [1]), (0.14104896481892015, [0])], 0.9999999999999999, 1.7244082489413408),
+]
+
+
+@pytest.mark.parametrize("weights, sets, pairs, sigma, lam", INVERSIONS)
+def test_certificate_falls_back_where_pruning_would_change_the_output(
+    monkeypatch, weights, sets, pairs, sigma, lam
+):
+    inst = cover_instance(weights, sets, pairs, sigma=sigma, lam=lam, n_elements=3)
+    reference = unpruned_records(monkeypatch, inst)
+    assert oracle_records(inst) == reference
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_pruning_is_exact", lambda *args: True)
+        forced = [oracle_records(inst)] + [
+            best_completion(inst, frozenset(r)) for r in ({0}, {1}, {0, 1})
+        ]
+    full = [reference] + [best_completion(inst, frozenset(r)) for r in ({0}, {1}, {0, 1})]
+    assert forced != full
+
+
+def test_candidate_counts_are_pinned():
+    # the exact workload's sizes; a change that widens the candidate lists
+    # again fails here, not only in a timing
+    cases = [
+        (generate_instance("set_cover", seed=1, n_elements=10, n_sets=11, scenarios=3), [4, 10, 8]),
+        (generate_instance("vertex_cover", seed=1, n_vertices=10, n_edges=16, scenarios=3), [6, 5, 9]),
+        (generate_instance("steiner", seed=1, n_vertices=7, n_edges=10, scenarios=3), [17, 5, 17]),
+        (generate_instance("ufl", seed=1, n_facilities=6, n_clients=5, scenarios=3), [64, 64, 64]),
+    ]
+    for inst, counts in cases:
+        assert candidate_counts(inst) == counts
