@@ -17,9 +17,12 @@ superset strictly cheaper than its subset in float arithmetic either (see
 UFL is not monotone (opening a facility can shorten connections), so it
 keeps every facility set.
 
-The tables and candidate lists are built as whole arrays, and the scan
-takes the sorted masks in blocks (8 rows, doubling, capped so that a block
-times the widest scenario's candidate count stays within BLOCK_ENTRIES).
+The tables and candidate lists are built as whole arrays.  A Steiner
+instance computes the root's reach under every edge mask once, and each
+scenario's connecting sets are the masks whose reach holds its terminals.
+The scan takes the sorted masks in blocks: the first holds a quarter of
+BLOCK_ENTRIES in entries (rows times the widest scenario's candidate
+count), and blocks double up to the whole of it.
 Every float is computed by the same operations in the same order as a scan
 of one mask at a time over every feasible set, and the stopping point is
 recovered from the running incumbent, so the cost, solution and node count
@@ -38,6 +41,7 @@ import numpy as np
 from .instances import (
     Instance,
     InstanceError,
+    MetricGraph,
     SetCoverInstance,
     SteinerInstance,
     UflInstance,
@@ -126,17 +130,9 @@ def _covering_feasible(inst, clients: frozenset[int], n: int) -> np.ndarray:
     return ok
 
 
-def _connecting_feasible(inst: SteinerInstance, clients: frozenset[int]) -> np.ndarray:
-    """Bitmap over all edge masks: does the mask connect every client to the root."""
-    g = inst.graph
+def _root_reach(g: MetricGraph) -> np.ndarray:
+    """Vertex bitmask of the root's component under the edges of each edge mask."""
     x = np.arange(1 << g.n_edges, dtype=np.int64)
-    need = 0
-    for t in clients:
-        if t != g.root:
-            need |= 1 << t
-    if not need:
-        return np.ones(x.size, dtype=bool)
-    # reach[x]: vertex bitmask of the root's component under the edges of x
     present = [(x >> e) & 1 == 1 for e in range(g.n_edges)]
     reach = np.full(x.size, 1 << g.root, dtype=np.int64)
     while True:
@@ -145,7 +141,14 @@ def _connecting_feasible(inst: SteinerInstance, clients: frozenset[int]) -> np.n
             uv = (1 << u) | (1 << v)
             reach |= np.where(present[e] & ((reach & uv) != 0), uv, 0)
         if np.array_equal(before, reach):
-            break
+            return reach
+
+
+def _connecting_feasible(reach: np.ndarray, clients: frozenset[int]) -> np.ndarray:
+    """Bitmap over all edge masks: does the mask connect every client to the root."""
+    need = 0
+    for t in clients:
+        need |= 1 << t
     ok = (reach & need) == need
     if not ok.any():
         raise InstanceError("no edge set connects the demanded terminals")
@@ -225,10 +228,12 @@ def _prepare(inst: Instance) -> _Prep:
         c = lam - 1.0 + sigma
         save_table = c * table
         prune = _pruning_is_exact(w, lam, c)
+        if steiner:
+            reach = _root_reach(inst.graph)
         tables = []
         for p, clients in scen:
             if steiner:
-                ok = _connecting_feasible(inst, clients)
+                ok = _connecting_feasible(reach, clients)
             else:
                 ok = _covering_feasible(inst, clients, n)
             masks = _minimal_masks(ok) if prune else np.flatnonzero(ok)
@@ -271,7 +276,8 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
     best_mask = 0
     best_xs: list[int] = []
     nodes = 0
-    start, size = 0, 8
+    # a first block of the whole cap would scan every row past an early stop
+    start, size = 0, max(1, cap // 4)
     while start < order.size:
         block = order[start : start + min(size, cap)]
         start, size = start + block.size, 2 * size

@@ -31,7 +31,6 @@ __all__ = [
     "BETA_DEFAULT",
     "THETA_DEFAULT",
     "GAMMA_DEFAULT",
-    "DET_UFL_FACTOR",
     "NeighborhoodProfile",
     "UflPlan",
     "UflCostBreakdown",
@@ -62,9 +61,8 @@ BETA_DEFAULT = 0.5
 # Expected rejection-sampling rounds when one round succeeds w.p. >= 1 - 1/e.
 RETRY_FACTOR = math.e / (math.e - 1.0)
 
-# Guarantee of deterministic_ufl_approx below; the tighter 1.52 is the best
-# published single-stage factor and only enters the bound evaluator.
-DET_UFL_FACTOR = 5.0
+# The best published single-stage factor; deterministic_ufl_approx below
+# guarantees only 5, and this value enters only the bound evaluator.
 DET_FACTOR_CITED = 1.52
 
 # Splitting threshold balancing the first-stage component (~2.29) against

@@ -273,7 +273,9 @@ def generated_instances():
     return out
 
 
-@pytest.mark.parametrize("block_entries", [None, 1, 3])
+# 1 << 40: the first block spans every reservation mask, so the stop is
+# recovered inside one over-long block
+@pytest.mark.parametrize("block_entries", [None, 1, 3, 1 << 40])
 def test_array_oracle_is_bit_identical_to_the_mask_at_a_time_scan(monkeypatch, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(oracle, "BLOCK_ENTRIES", block_entries)
@@ -312,10 +314,8 @@ def connected_graphs(draw):
 @given(g=connected_graphs(), data=st.data())
 def test_connecting_masks_agree_with_networkx(g, data):
     clients = frozenset(data.draw(st.sets(st.integers(0, g.n_vertices - 1))))
-    inst = SteinerInstance(
-        g, CostPolicy(0.5, 2.0, dict(enumerate(g.weights))), ScenarioSet.explicit([(1.0, clients)])
-    )
-    feasible = set(np.flatnonzero(oracle._connecting_feasible(inst, clients)).tolist())
+    ok = oracle._connecting_feasible(oracle._root_reach(g), clients)
+    feasible = set(np.flatnonzero(ok).tolist())
     for x in range(1 << g.n_edges):
         h = nx.Graph()
         h.add_nodes_from(range(g.n_vertices))
@@ -343,6 +343,23 @@ def test_covering_masks_are_exactly_the_covers(data):
     for x in range(1 << len(sets)):
         union = frozenset().union(*(sets[s] for s in range(len(sets)) if x >> s & 1))
         assert (x in feasible) == (clients <= union)
+
+
+def test_steiner_reach_table_is_built_once_per_prepare(monkeypatch):
+    inst = generate_instance("steiner", seed=1, n_vertices=7, n_edges=10, scenarios=4)
+    calls = []
+    real = oracle._root_reach
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(oracle, "_root_reach", counting)
+    oracle._prepare(inst)
+    assert len(calls) == 1
+    brute_force_optimal(inst)
+    best_completion(inst, frozenset({0}))
+    assert len(calls) == 3
 
 
 def test_block_scan_memory_stays_bounded():
