@@ -17,10 +17,9 @@ superset strictly cheaper than its subset in float arithmetic either (see
 UFL is not monotone (opening a facility can shorten connections), so it
 keeps every facility set.
 
-The tables and candidate lists are built as whole arrays.  A Steiner
-instance computes the root's reach under every edge mask once, and each
-scenario's connecting sets are the masks whose reach holds its terminals.
-The scan takes the sorted masks in blocks: the first holds a quarter of
+The tables and candidate lists are built as whole arrays: one (scenarios,
+masks) feasibility bitmap per instance, filtered for minimal sets in one
+pass.  The scan takes the sorted masks in blocks: the first holds a quarter of
 BLOCK_ENTRIES in entries (rows times the widest scenario's candidate
 count), and blocks double up to the whole of it.
 Every float is computed by the same operations in the same order as a scan
@@ -116,57 +115,60 @@ class _Prep:
     tables: list[_ScenarioTable]
 
 
-def _covering_feasible(inst, clients: frozenset[int], n: int) -> np.ndarray:
-    """Bitmap over all item masks: does the mask cover every client."""
-    x = np.arange(1 << n, dtype=np.int64)
-    ok = np.ones(x.size, dtype=bool)
-    for e in sorted(clients):
-        cm = 0
-        for s in inst.covering_items(e):
-            cm |= 1 << s
-        if cm == 0:
-            raise InstanceError(f"element {e} is uncoverable")
-        ok &= (x & cm) != 0
-    return ok
+def _bit_pairs(a: np.ndarray, k: int) -> np.ndarray:
+    """View a bool array over all masks (last axis) as (high bits, bit k, low
+    bits): [:, 0] lack bit k, [:, 1] have it.  Below bit 4 the low bits read as
+    one wider int (numpy walks rows of 2-8 bools slowly); & and | stay per bool."""
+    return a.view(f"u{1 << k}").reshape(-1, 2) if k < 4 else a.reshape(-1, 2, 1 << k)
+
+
+def _covering_feasible(inc: np.ndarray, client_sets: list[frozenset[int]]) -> np.ndarray:
+    """Bitmaps over all item masks, one row per client set: does the mask cover
+    it.  A mask misses element e iff it lies inside the complement of e's row of
+    the incidence ``inc``; each row marks those complements and their subsets."""
+    n = inc.shape[1]
+    cover_mask = (inc @ (1 << np.arange(n))).tolist()
+    missed = np.zeros((len(client_sets), 1 << n), dtype=bool)
+    for k, clients in enumerate(client_sets):
+        for e in sorted(clients):
+            if cover_mask[e] == 0:
+                raise InstanceError(f"element {e} is uncoverable")
+            missed[k, ((1 << n) - 1) ^ cover_mask[e]] = True
+    for k in range(n):
+        pairs = _bit_pairs(missed, k)
+        pairs[:, 0] |= pairs[:, 1]
+    return ~missed
 
 
 def _root_reach(g: MetricGraph) -> np.ndarray:
-    """Vertex bitmask of the root's component under the edges of each edge mask."""
-    x = np.arange(1 << g.n_edges, dtype=np.int64)
-    present = [(x >> e) & 1 == 1 for e in range(g.n_edges)]
-    reach = np.full(x.size, 1 << g.root, dtype=np.int64)
-    while True:
-        before = reach.copy()
-        for e, (u, v) in enumerate(g.edges):
-            uv = (1 << u) | (1 << v)
-            reach |= np.where(present[e] & ((reach & uv) != 0), uv, 0)
-        if np.array_equal(before, reach):
-            return reach
+    """Vertex bitmask of the root's component under the edges of each edge mask:
+    comp[mask, v] is v's component, and the masks whose highest edge is (u, v)
+    add it to a smaller mask, which merges the components of u and v."""
+    comp = np.empty((1 << g.n_edges, g.n_vertices), dtype=np.int64)
+    comp[0] = 1 << np.arange(g.n_vertices)
+    for e, (u, v) in enumerate(g.edges):
+        rest = comp[: 1 << e]
+        touch = (rest & ((1 << u) | (1 << v))) != 0
+        comp[1 << e : 2 << e] = np.where(touch, rest[:, u, None] | rest[:, v, None], rest)
+    return comp[:, g.root]
 
 
-def _connecting_feasible(reach: np.ndarray, clients: frozenset[int]) -> np.ndarray:
-    """Bitmap over all edge masks: does the mask connect every client to the root."""
-    need = 0
-    for t in clients:
-        need |= 1 << t
-    ok = (reach & need) == need
-    if not ok.any():
+def _connecting_feasible(reach: np.ndarray, client_sets: list[frozenset[int]]) -> np.ndarray:
+    """Bitmaps over all edge masks, one row per client set: does the mask connect it."""
+    need = np.array([sum(1 << t for t in clients) for clients in client_sets], dtype=np.int64)
+    ok = (reach & need[:, None]) == need[:, None]
+    if not ok.any(axis=1).all():
         raise InstanceError("no edge set connects the demanded terminals")
     return ok
 
 
 def _minimal_masks(ok: np.ndarray) -> np.ndarray:
-    """Ascending masks that are feasible and infeasible with any one bit removed.
-
-    For an upward-closed bitmap (covering, connecting) these are exactly the
-    inclusion-minimal feasible sets.
-    """
-    keep = ok.copy()
-    for k in range(ok.size.bit_length() - 1):
-        # viewed as (high bits, bit k, low bits): [:, 1] are the masks with
-        # bit k set and [:, 0] the same masks without it
-        keep.reshape(-1, 2, 1 << k)[:, 1] &= ~ok.reshape(-1, 2, 1 << k)[:, 0]
-    return np.flatnonzero(keep)
+    """Per row, the masks that are feasible and infeasible with any one bit removed:
+    for an upward-closed row (covering, connecting), the inclusion-minimal sets."""
+    keep, bad = ok.copy(), ~ok
+    for k in range(ok.shape[-1].bit_length() - 1):
+        _bit_pairs(keep, k)[:, 1] &= _bit_pairs(bad, k)[:, 0]
+    return keep
 
 
 def _pruning_is_exact(w: np.ndarray, lam: float, c: float) -> bool:
@@ -227,17 +229,15 @@ def _prepare(inst: Instance) -> _Prep:
         table = _mass_table(w)
         c = lam - 1.0 + sigma
         save_table = c * table
-        prune = _pruning_is_exact(w, lam, c)
+        client_sets = [clients for _, clients in scen]
         if steiner:
-            reach = _root_reach(inst.graph)
-        tables = []
-        for p, clients in scen:
-            if steiner:
-                ok = _connecting_feasible(reach, clients)
-            else:
-                ok = _covering_feasible(inst, clients, n)
-            masks = _minimal_masks(ok) if prune else np.flatnonzero(ok)
-            tables.append(_ScenarioTable(p, masks, lam * table[masks], save_table))
+            ok = _connecting_feasible(_root_reach(inst.graph), client_sets)
+        else:
+            ok = _covering_feasible(inst.incidence(), client_sets)
+        if _pruning_is_exact(w, lam, c):
+            ok = _minimal_masks(ok)
+        cand = [np.flatnonzero(row) for row in ok]
+        tables = [_ScenarioTable(p, m, lam * table[m], save_table) for (p, _), m in zip(scen, cand)]
         return _Prep(sigma * table, tables)
 
     if isinstance(inst, UflInstance):

@@ -1,5 +1,6 @@
 """Exhaustive ground-truth solver."""
 import tracemalloc
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -314,8 +315,9 @@ def connected_graphs(draw):
 @given(g=connected_graphs(), data=st.data())
 def test_connecting_masks_agree_with_networkx(g, data):
     clients = frozenset(data.draw(st.sets(st.integers(0, g.n_vertices - 1))))
-    ok = oracle._connecting_feasible(oracle._root_reach(g), clients)
-    feasible = set(np.flatnonzero(ok).tolist())
+    ok = oracle._connecting_feasible(oracle._root_reach(g), [clients])
+    assert ok.shape == (1, 1 << g.n_edges)
+    feasible = set(np.flatnonzero(ok[0]).tolist())
     for x in range(1 << g.n_edges):
         h = nx.Graph()
         h.add_nodes_from(range(g.n_vertices))
@@ -337,9 +339,11 @@ def test_covering_masks_are_exactly_the_covers(data):
     covered = frozenset().union(*sets)
     if not clients <= covered:
         with pytest.raises(InstanceError):
-            oracle._covering_feasible(inst, clients, len(sets))
+            oracle._covering_feasible(inst.incidence(), [clients])
         return
-    feasible = set(np.flatnonzero(oracle._covering_feasible(inst, clients, len(sets))).tolist())
+    ok = oracle._covering_feasible(inst.incidence(), [clients])
+    assert ok.shape == (1, 1 << len(sets))
+    feasible = set(np.flatnonzero(ok[0]).tolist())
     for x in range(1 << len(sets)):
         union = frozenset().union(*(sets[s] for s in range(len(sets)) if x >> s & 1))
         assert (x in feasible) == (clients <= union)
@@ -396,9 +400,13 @@ def oracle_records(inst):
     return out
 
 
+def keep_every_feasible_set(ok):
+    return ok
+
+
 def unpruned_records(monkeypatch, inst):
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_minimal_masks", np.flatnonzero)
+        m.setattr(oracle, "_minimal_masks", keep_every_feasible_set)
         return oracle_records(inst)
 
 
@@ -457,7 +465,7 @@ def test_minimal_candidates_give_the_records_of_every_feasible_set(monkeypatch):
         assert oracle_records(inst) == unpruned_records(monkeypatch, inst)
         if not isinstance(inst, UflInstance):
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_minimal_masks", np.flatnonzero)
+                m.setattr(oracle, "_minimal_masks", keep_every_feasible_set)
                 full = candidate_counts(inst)
             pruned += candidate_counts(inst) < full
     assert pruned == 96  # every cover, Steiner and odd-cycle instance was pruned
@@ -467,19 +475,24 @@ def test_minimal_candidates_give_the_records_of_every_feasible_set(monkeypatch):
 @given(data=st.data())
 def test_minimal_masks_are_feasible_with_no_feasible_one_bit_removal(data):
     n = data.draw(st.integers(0, 7))
-    ok = np.array(data.draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n)))
-    kept = oracle._minimal_masks(ok).tolist()
-    assert kept == sorted(kept)
-    for x in range(1 << n):
-        removals = [x ^ (1 << i) for i in range(n) if x >> i & 1]
-        assert (x in kept) == (ok[x] and not any(ok[y] for y in removals))
+    rows = data.draw(st.integers(1, 3))  # one row per scenario; rows must not mix
+    bits = st.lists(st.booleans(), min_size=rows << n, max_size=rows << n)
+    stack = np.array(data.draw(bits)).reshape(rows, 1 << n)
+    keep = oracle._minimal_masks(stack)
+    assert keep.shape == stack.shape
+    for ok, row in zip(stack, keep):
+        kept = np.flatnonzero(row).tolist()
+        assert kept == sorted(kept)
+        for x in range(1 << n):
+            removals = [x ^ (1 << i) for i in range(n) if x >> i & 1]
+            assert (x in kept) == (ok[x] and not any(ok[y] for y in removals))
 
 
 def test_minimal_masks_of_a_cover_are_its_inclusion_minimal_covers():
     # sets {0}, {1}, {0, 1}, {2}: element 0 or 1 and element 2 demanded
     inst = cover_instance([1.0] * 4, [{0}, {1}, {0, 1}, {2}], [(1.0, [0, 1, 2])], n_elements=3)
-    ok = oracle._covering_feasible(inst, frozenset({0, 1, 2}), 4)
-    assert oracle._minimal_masks(ok).tolist() == [0b1011, 0b1100]
+    ok = oracle._covering_feasible(inst.incidence(), [frozenset({0, 1, 2})])
+    assert np.flatnonzero(oracle._minimal_masks(ok)[0]).tolist() == [0b1011, 0b1100]
 
 
 @pytest.mark.parametrize(
@@ -557,3 +570,190 @@ def test_candidate_counts_are_pinned():
     ]
     for inst, counts in cases:
         assert candidate_counts(inst) == counts
+
+
+# ---------------------------------------------------------------------------
+# Batched preparation.  The reference is the per-scenario loop it replaced:
+# one covering bitmap built element by element per scenario, and one pass
+# of the minimal-set filter per scenario.  Candidate arrays and every record
+# must stay byte-equal.
+
+REAL_PREPARE = oracle._prepare
+
+
+def loop_covering_feasible(inst, clients, n):
+    x = np.arange(1 << n, dtype=np.int64)
+    ok = np.ones(x.size, dtype=bool)
+    for e in sorted(clients):
+        cm = 0
+        for s in inst.covering_items(e):
+            cm |= 1 << s
+        if cm == 0:
+            raise InstanceError(f"element {e} is uncoverable")
+        ok &= (x & cm) != 0
+    return ok
+
+
+def loop_connecting_feasible(reach, clients):
+    need = 0
+    for t in clients:
+        need |= 1 << t
+    ok = (reach & need) == need
+    if not ok.any():
+        raise InstanceError("no edge set connects the demanded terminals")
+    return ok
+
+
+def loop_minimal_masks(ok):
+    keep = ok.copy()
+    for k in range(ok.size.bit_length() - 1):
+        keep.reshape(-1, 2, 1 << k)[:, 1] &= ~ok.reshape(-1, 2, 1 << k)[:, 0]
+    return np.flatnonzero(keep)
+
+
+def loop_root_reach(g):
+    x = np.arange(1 << g.n_edges, dtype=np.int64)
+    present = [(x >> e) & 1 == 1 for e in range(g.n_edges)]
+    reach = np.full(x.size, 1 << g.root, dtype=np.int64)
+    while True:
+        before = reach.copy()
+        for e, (u, v) in enumerate(g.edges):
+            uv = (1 << u) | (1 << v)
+            reach |= np.where(present[e] & ((reach & uv) != 0), uv, 0)
+        if np.array_equal(before, reach):
+            return reach
+
+
+def loop_prepare(inst):
+    if isinstance(inst, UflInstance):
+        return REAL_PREPARE(inst)
+    sigma, lam = inst.policy.sigma, inst.policy.lam
+    steiner = isinstance(inst, SteinerInstance)
+    w = np.array(inst.graph.weights if steiner else inst.weights, dtype=float)
+    table = oracle._mass_table(w)
+    c = lam - 1.0 + sigma
+    save_table = c * table
+    prune = oracle._pruning_is_exact(w, lam, c)
+    if steiner:
+        reach = loop_root_reach(inst.graph)
+    tables = []
+    for p, clients in inst.scenarios.scenarios:
+        if steiner:
+            ok = loop_connecting_feasible(reach, clients)
+        else:
+            ok = loop_covering_feasible(inst, clients, inst.n_items)
+        masks = loop_minimal_masks(ok) if prune else np.flatnonzero(ok)
+        tables.append(oracle._ScenarioTable(p, masks, lam * table[masks], save_table))
+    return oracle._Prep(sigma * table, tables)
+
+
+def certificate_holds(inst):
+    g = getattr(inst, "graph", None)
+    w = np.array(g.weights if g else inst.weights, dtype=float)
+    sigma, lam = inst.policy.sigma, inst.policy.lam
+    return oracle._pruning_is_exact(w, lam, lam - 1.0 + sigma)
+
+
+def batched_corpus():
+    rng = np.random.default_rng(99)
+    out = []
+    for seed in range(8):
+        prices = {"sigma": float(rng.uniform(0.3, 0.7)), "lam": float(rng.uniform(1.5, 3.0))}
+        out += [
+            generate_instance("set_cover", seed=seed, n_elements=10, n_sets=11, scenarios=3, **prices),
+            generate_instance("vertex_cover", seed=seed, n_vertices=10, n_edges=16, scenarios=3, **prices),
+            generate_instance("steiner", seed=seed, n_vertices=7, n_edges=10, scenarios=3, **prices),
+        ]
+    out += [  # six scenarios
+        generate_instance("set_cover", seed=1, n_elements=9, n_sets=11, scenarios=6, lam=3.0),
+        generate_instance("vertex_cover", seed=2, n_vertices=9, n_edges=14, scenarios=6),
+        generate_instance("steiner", seed=3, n_vertices=7, n_edges=10, scenarios=6),
+    ]
+    out += [  # sixteen items
+        generate_instance("set_cover", seed=0, n_elements=24, n_sets=16, scenarios=6),
+        generate_instance("vertex_cover", seed=4, n_vertices=16, n_edges=24, scenarios=4),
+        generate_instance("steiner", seed=5, n_vertices=9, n_edges=16, scenarios=3),
+    ]
+    # an empty scenario and repeated client sets
+    pairs = [(0.2, []), (0.3, [0, 2]), (0.1, [1]), (0.25, [0, 2]), (0.15, [1])]
+    out.append(cover_instance([2.0, 1.5, 3.0, 1.0], [{0, 1}, {2}, {0, 1, 2}, {1}], pairs, n_elements=3))
+    vc = generate_instance("vertex_cover", seed=6, n_vertices=7, n_edges=10, scenarios=1)
+    out.append(VertexCoverInstance(vc.n_vertices, vc.edges, vc.weights, vc.policy, ScenarioSet.explicit(pairs)))
+    st_ = generate_instance("steiner", seed=7, n_vertices=6, n_edges=8, scenarios=1)
+    out.append(SteinerInstance(st_.graph, st_.policy, ScenarioSet.explicit(
+        [(0.3, []), (0.2, [3, 5]), (0.3, [0]), (0.2, [5, 3])])))
+    # zero-weight items
+    out.append(cover_instance(
+        [1.0, 0.0, 2.0, 0.0], [{0}, {0, 1}, {1}, {2}], [(0.5, [0]), (0.3, [0, 1]), (0.2, [2])],
+        n_elements=3,
+    ))
+    # the certificate refuses, so every feasible set stays a candidate
+    out += [
+        cover_instance(weights, sets, pairs, sigma=sigma, lam=lam, n_elements=3)
+        for weights, sets, pairs, sigma, lam in INVERSIONS
+    ]
+    return out
+
+
+def test_batched_prepare_is_byte_identical_to_the_per_scenario_loop(monkeypatch):
+    corpus = batched_corpus()
+    assert sum(not certificate_holds(inst) for inst in corpus) == len(INVERSIONS)
+    for inst in corpus:
+        if isinstance(inst, SteinerInstance):
+            assert oracle._root_reach(inst.graph).tolist() == loop_root_reach(inst.graph).tolist()
+        new, ref = oracle._prepare(inst), loop_prepare(inst)
+        assert new.first_vec.tobytes() == ref.first_vec.tobytes()
+        assert len(new.tables) == len(ref.tables)
+        for a, b in zip(new.tables, ref.tables):
+            assert a.prob == b.prob
+            assert a.masks.dtype == b.masks.dtype
+            assert a.masks.tobytes() == b.masks.tobytes()
+            assert a.base.tobytes() == b.base.tobytes()
+            assert a.save_table.tobytes() == b.save_table.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_prepare", loop_prepare)
+            reference = oracle_records(inst)
+        assert oracle_records(inst) == reference
+
+
+def test_uncoverable_element_is_reported_as_by_the_per_scenario_loop():
+    # elements 2, 3 and 4 are in no set; scenario 1 is the first to demand
+    # one, and 3 is its smallest
+    inst = cover_instance(
+        [1.0, 1.0], [{0}, {1}], [(0.4, [0, 1]), (0.3, [4, 3, 0]), (0.3, [2])], n_elements=5
+    )
+    with pytest.raises(InstanceError) as ref:
+        loop_prepare(inst)
+    for call in (brute_force_optimal, lambda i: best_completion(i, frozenset())):
+        with pytest.raises(InstanceError) as new:
+            call(inst)
+        assert str(new.value) == str(ref.value) == "element 3 is uncoverable"
+
+
+def test_unreachable_terminals_are_reported_as_by_the_per_scenario_loop():
+    # a graph object that skips MetricGraph's connectivity check: vertex 3
+    # never reaches the root
+    g = SimpleNamespace(n_vertices=4, n_edges=2, edges=((0, 1), (2, 3)), root=0)
+    reach = oracle._root_reach(g)
+    assert reach.tolist() == loop_root_reach(g).tolist() == [0b1, 0b11, 0b1, 0b11]
+    client_sets = [frozenset({1}), frozenset(), frozenset({1, 3})]
+    with pytest.raises(InstanceError) as ref:
+        for clients in client_sets:
+            loop_connecting_feasible(reach, clients)
+    with pytest.raises(InstanceError) as new:
+        oracle._connecting_feasible(reach, client_sets)
+    assert str(new.value) == str(ref.value)
+
+
+def test_batched_cover_bitmaps_stay_small():
+    # 16 sets, 6 scenarios over 23 demanded elements: one int64 row per
+    # demanded element would alone take 23 x 2^16 x 8 bytes, 11.5 MiB
+    inst = generate_instance("set_cover", seed=0, n_elements=24, n_sets=16, scenarios=6)
+    assert len(frozenset().union(*(c for _, c in inst.scenarios.scenarios))) == 23
+    tracemalloc.start()
+    try:
+        brute_force_optimal(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

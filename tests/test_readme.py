@@ -1,0 +1,60 @@
+"""Every README example runs: the Python quick start and each CLI line."""
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from twostage import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def fenced_block(heading, lang):
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def cli_lines():
+    text = fenced_block("Command line", "sh").replace("\\\n", " ")
+    return [line for line in text.splitlines() if line.startswith("twostage ")]
+
+
+def test_quick_start_runs(capsys):
+    exec(compile(fenced_block("Quick start", "python"), "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "exact" in out and "feasible: True" in out
+
+
+@pytest.fixture(scope="module")
+def exit_codes(tmp_path_factory):
+    """Run the CLI block top to bottom in one directory, as a reader would."""
+    work = tmp_path_factory.mktemp("readme")
+    with pytest.MonkeyPatch.context() as m:
+        m.chdir(work)
+        return [cli.main(shlex.split(line)[1:]) for line in cli_lines()]
+
+
+def test_cli_block_has_every_subcommand():
+    assert [shlex.split(line)[1] for line in cli_lines()] == [
+        "gen", "solve-lp", "round", "oracle", "saa", "bench"
+    ]
+
+
+SAA_ON_UFL = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: repeating_saa keeps UFL's per-scenario price rows while "
+    "swapping in the empirical scenarios, so `saa --algorithm ufl5` exits 1 with "
+    "'one scenario cost row per scenario required'",
+)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        pytest.param(i, marks=SAA_ON_UFL) if line.startswith("twostage saa") and "ufl5" in line else i
+        for i, line in enumerate(cli_lines())
+    ],
+)
+def test_cli_line_succeeds(exit_codes, index):
+    assert exit_codes[index] == 0, cli_lines()[index]
