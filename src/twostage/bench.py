@@ -9,20 +9,16 @@ which draws one plan and yields ``(cost, feasible, bound, basis)``.  An
 experiment solves the relaxation once, so that solve gives both ``lp_opt``
 and the prepared state every trial shares.
 
-Trials are sampled by a worker pool (capped by the RR_THREADS environment
-variable) and then sorted by (instance_id, algorithm, seed), so the output
-is canonical no matter how the pool schedules.  CSV output holds only the
-deterministic columns; wall-clock timings of the per-seed sample go to the
-JSON emission, keeping CSV reruns byte-identical.
+Trials are sampled one after another in the calling thread and sorted by
+(instance_id, algorithm, seed), so rows come out in canonical order.  CSV
+output holds only the deterministic columns; wall-clock timings of the
+per-seed sample go to the JSON emission, keeping CSV reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -53,7 +49,6 @@ __all__ = [
     "run_experiment",
     "rows_to_csv",
     "rows_to_json",
-    "worker_count",
 ]
 
 CSV_COLUMNS = (
@@ -295,11 +290,9 @@ def run_algorithm(
 
 
 def worker_count() -> int:
-    cap = os.environ.get("RR_THREADS", "")
-    workers = os.cpu_count() or 1
-    if cap.strip():
-        workers = max(1, min(workers, int(cap)))
-    return workers
+    """Always 1: trials run in the calling thread.  Kept only until
+    benchmark v2 (ROADMAP item 2) stops reporting it as ``bench.workers``."""
+    return 1
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
@@ -329,8 +322,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
             prepared=prepared,
         )
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(one, seeds))
+    rows = [one(seed) for seed in seeds]
     return sorted(rows, key=lambda r: (r.instance_id, r.algorithm, r.seed))
 
 

@@ -81,12 +81,13 @@ def _lowest_bit_fold(op, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Fill table[mask] = op(table[mask ^ low], rows[bit of low]) for mask > 0.
 
     low is the lowest set bit.  Bits are taken highest first, so the entry a
-    mask reads was written in an earlier pass.
+    mask reads was written in an earlier pass.  Pass k views the table as
+    (high bits, bit k, low bits): the masks whose lowest set bit is k sit at
+    bit k = 1 with low bits 0, and read the same slot at bit k = 0.
     """
-    n = len(rows)
-    for k in range(n - 1, -1, -1):
-        rest = np.arange(1 << (n - k - 1), dtype=np.int64) << (k + 1)
-        table[rest | (1 << k)] = op(table[rest], rows[k])
+    for k in range(len(rows) - 1, -1, -1):
+        t = table.reshape(-1, 2, 1 << k, *table.shape[1:])
+        t[:, 1, 0] = op(t[:, 0, 0], rows[k])
     return table
 
 

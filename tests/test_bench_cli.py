@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -146,22 +147,18 @@ def test_bench_spec_file_round_trips(tmp_path):
     assert all(r["instance_id"] == "vertex_cover-s2" for r in body)
 
 
-def test_bench_pool_cap_does_not_change_rows(tmp_path, monkeypatch):
+def test_bench_runs_trials_in_the_calling_thread(tmp_path, monkeypatch):
     spec = ["bench", "--instance", "vertex_cover", "--algorithm", "srini-vc",
             "--trials", "4", "--param", "n_vertices=5"]
-    out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
-    monkeypatch.setenv("RR_THREADS", "1")
+    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(spec + ["--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("RR_THREADS", "4")
+
+    def no_threads(self):
+        raise AssertionError("bench started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
     assert main(spec + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_worker_count_honors_the_env_cap(monkeypatch):
-    monkeypatch.setenv("RR_THREADS", "1")
-    assert bench.worker_count() == 1
-    monkeypatch.setenv("RR_THREADS", "")
-    assert bench.worker_count() >= 1
 
 
 def test_exit_codes_surface_infeasible_and_bound_violations(tmp_path, monkeypatch):

@@ -757,3 +757,32 @@ def test_batched_cover_bitmaps_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The lowest-set-bit fold.  The reference is the fold it replaced: each pass
+# gathers and scatters its masks through an index array.  The view-based fold
+# must do the same float operations in the same order, so the tables are
+# byte-equal.
+
+
+def arange_fold(op, table, rows):
+    n = len(rows)
+    for k in range(n - 1, -1, -1):
+        rest = np.arange(1 << (n - k - 1), dtype=np.int64) << (k + 1)
+        table[rest | (1 << k)] = op(table[rest], rows[k])
+    return table
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 11, 16])
+def test_lowest_bit_fold_is_byte_equal_to_the_index_array_fold(n):
+    rng = np.random.default_rng(n)
+    # magnitudes spread over many binades, so any change of summation order shows
+    weights = rng.random(n) * 10.0 ** rng.integers(-6, 7, size=n)
+    mass = oracle._lowest_bit_fold(np.add, np.zeros(1 << n), weights)
+    assert mass.tobytes() == arange_fold(np.add, np.zeros(1 << n), weights).tobytes()
+    assert mass.tobytes() == oracle._mass_table(weights).tobytes()
+    dist = rng.random((n, 8)) * 100.0
+    nearest = oracle._lowest_bit_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
+    ref = arange_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
+    assert nearest.tobytes() == ref.tobytes()
