@@ -1,7 +1,10 @@
 """Stochastic-relaxation builders: shapes, frozen optima, and invariants."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from twostage.cover import _recourse_cover_lp
 from twostage.instances import InstanceError, SetCoverInstance, UflInstance
 from twostage.lp import solve_lp
 from twostage.lp_builders import (
@@ -9,6 +12,7 @@ from twostage.lp_builders import (
     FractionalUflSolution,
     build_cover_lp,
     build_deterministic_ufl_lp,
+    build_relaxation,
     build_steiner_flow_lp,
     build_ufl_lp,
     lp_lower_bound,
@@ -16,7 +20,7 @@ from twostage.lp_builders import (
     solve_ufl_lp,
 )
 from twostage.model import CostPolicy, ScenarioSet
-from twostage.generators import generate_instance
+from twostage.generators import GENERATOR_KINDS, generate_instance
 from twostage.oracle import brute_force_optimal
 
 
@@ -60,15 +64,23 @@ def test_cover_lp_frozen_optimum():
 
 
 def test_uncoverable_element_rejected_before_solving():
-    inst = SetCoverInstance(
-        n_elements=2,
-        sets=(frozenset({0}),),
-        weights=(1.0,),
-        policy=CostPolicy(0.5, 2.0, {0: 1.0}),
-        scenarios=ScenarioSet.explicit([(1.0, [1])]),
-    )
-    with pytest.raises(InstanceError):
-        build_cover_lp(inst)
+    cases = [
+        ([(1.0, [1])], "element 1 of scenario 0 is uncoverable"),
+        # elements 1-3 are uncoverable in two scenarios: scenario order first
+        ([(0.5, [0, 3]), (0.5, [2, 1])], "element 3 of scenario 0 is uncoverable"),
+        ([(0.5, [0]), (0.5, [3, 2, 0])], "element 2 of scenario 1 is uncoverable"),
+    ]
+    for scenarios, message in cases:
+        inst = SetCoverInstance(
+            n_elements=4,
+            sets=(frozenset({0}),),
+            weights=(1.0,),
+            policy=CostPolicy(0.5, 2.0, {0: 1.0}),
+            scenarios=ScenarioSet.explicit(scenarios),
+        )
+        for build in (build_cover_lp, _recourse_cover_lp):
+            with pytest.raises(InstanceError, match=f"^{message}$"):
+                build(inst)
 
 
 def test_cover_solution_validates_linkage():
@@ -219,3 +231,44 @@ def test_steiner_flow_lp_is_positive_when_demand_exists():
     any_demand = any(c for _, c in inst.scenarios.scenarios)
     if any_demand:
         assert sol.objective_value > 0.0
+
+
+# SHA-256 of every builder's output on golden_builder_corpus(). A change to
+# it is an output change: declare it in CHANGES.md and paste the new value.
+GOLDEN_BUILDER_DIGEST = "364c8f512aad9e083aeb0f0b025f4d01681c5c92096f11c71e87cfe73932e720"
+
+
+def golden_builder_corpus():
+    """Every relaxation builder on all four generator kinds, at the default
+    policy and at one where lam * w and (1 - sigma) * w round differently."""
+    settings = [{}, {"lam": 2.7, "sigma": 0.35}, {"scenarios": 5, "client_prob": 0.8},
+                {"scenarios": 2, "client_prob": 0.0}]
+    for kind in GENERATOR_KINDS:
+        for seed in range(6):
+            for params in settings:
+                inst = generate_instance(kind, seed=seed, **params)
+                yield build_relaxation(inst)
+                if kind in ("set_cover", "vertex_cover"):
+                    yield _recourse_cover_lp(inst)
+                elif kind == "ufl":
+                    yield build_deterministic_ufl_lp(inst.open_cost, inst.dist)
+                    for _, clients in inst.scenarios.scenarios:
+                        yield build_deterministic_ufl_lp(
+                            inst.open_cost, inst.dist, tuple(sorted(clients))
+                        )
+
+
+def lp_digest(lps) -> str:
+    h = hashlib.sha256()
+    for lp in lps:
+        h.update(repr(lp.rows.shape).encode())
+        for arr in (lp.objective, lp.rows, lp.rhs):
+            h.update(arr.tobytes())
+        for strings in (lp.senses, lp.names, lp.row_names):
+            h.update("\x1f".join(strings).encode() + b"\x1e")
+    return h.hexdigest()
+
+
+def test_builders_match_the_golden_digest():
+    digest = lp_digest(golden_builder_corpus())
+    assert digest == GOLDEN_BUILDER_DIGEST, f'GOLDEN_BUILDER_DIGEST = "{digest}"'
