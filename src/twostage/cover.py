@@ -30,7 +30,13 @@ import numpy as np
 
 from .instances import InstanceError, SetCoverInstance, VertexCoverInstance
 from .lp import LinearProgram, solve_lp
-from .lp_builders import CoverInstance, FractionalCoverSolution, solve_cover_lp
+from .lp_builders import (
+    CoverInstance,
+    FractionalCoverSolution,
+    _cover_blocks,
+    _demand_lp,
+    solve_cover_lp,
+)
 from .model import StageDecision, TwoStageSolution
 
 __all__ = [
@@ -461,42 +467,27 @@ class RecoursePlan:
 
 
 def _recourse_cover_lp(inst: CoverInstance) -> LinearProgram:
-    """Relaxation of the plain-recourse model: x at ground price, z at lam."""
+    """Relaxation of the plain-recourse model: x at ground price, z at lam.
+
+    Columns x[s], then z[k,s] per scenario; one row cover[k,e] per demanded
+    element: x[s] + z[k,s] summed over the items s covering e is at least 1.
+    """
     n = inst.n_items
-    big_k = len(inst.scenarios.scenarios)
+    demand = [sorted(clients) for _, clients in inst.scenarios.scenarios]
+    blocks = _cover_blocks(inst, demand)
     w = np.asarray(inst.weights, dtype=float)
-    obj = np.zeros(n + big_k * n)
-    obj[:n] = w
-    for k, (p, _) in enumerate(inst.scenarios.scenarios):
-        obj[n + k * n : n + (k + 1) * n] = p * inst.policy.lam * w
-    rows_list = []
-    rhs = []
+    probs = np.array([p for p, _ in inst.scenarios.scenarios])
+    obj = np.concatenate([w, (probs[:, None] * inst.policy.lam * w).ravel()])
+    rows = np.zeros((sum(len(block) for block in blocks), obj.size))
+    r = 0
+    for k, block in enumerate(blocks):
+        rows[r : r + len(block), :n] = block
+        rows[r : r + len(block), n + k * n : n + (k + 1) * n] = block
+        r += len(block)
     names = [f"x[{s}]" for s in range(n)]
-    for k in range(big_k):
-        names += [f"z[{k},{s}]" for s in range(n)]
-    row_names = []
-    for k, (_, clients) in enumerate(inst.scenarios.scenarios):
-        for e in sorted(clients):
-            items = inst.covering_items(e)
-            if not items:
-                raise InstanceError(f"element {e} of scenario {k} is uncoverable")
-            row = np.zeros(n + big_k * n)
-            for s in items:
-                row[s] = 1.0
-                row[n + k * n + s] = 1.0
-            rows_list.append(row)
-            rhs.append(1.0)
-            row_names.append(f"cover[{k},{e}]")
-    rows = np.vstack(rows_list) if rows_list else np.zeros((0, n + big_k * n))
-    return LinearProgram(
-        obj,
-        rows,
-        tuple(">=" for _ in rhs),
-        np.array(rhs, dtype=float),
-        None,
-        tuple(names),
-        tuple(row_names),
-    )
+    names += [f"z[{k},{s}]" for k in range(len(demand)) for s in range(n)]
+    row_names = [f"cover[{k},{e}]" for k, elements in enumerate(demand) for e in elements]
+    return _demand_lp(obj, rows, len(rows), names, row_names)
 
 
 def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:

@@ -1,10 +1,17 @@
 """Linear relaxations of the covering, facility-location, and tree problems.
 
-Each builder returns a `LinearProgram` with a fixed, documented column
-layout plus an extractor that turns an optimal solution back into dense
-arrays the rounding code consumes.  Stage-1 variables carry the reservation
-price, exercise variables the remainder, and recourse variables the full
-late price, each weighted by scenario probability.
+Every two-stage relaxation shares one stage layout over n items (sets,
+vertices, facilities or edges) and K scenarios with probabilities p[k]:
+
+- columns: the reservation x[s] (named y0[i] for facilities), then per
+  scenario k the exercise block y[k,s] and the recourse block z[k,s]; a
+  builder's own columns follow;
+- objective: sigma*w on x, p[k]*(1-sigma)*w on y[k] and p[k] times the
+  scenario's late price on z[k];
+- link rows y[k,s] <= x[s] (named link[k,s], or open[k,i] for facilities).
+
+Each builder adds only its demand rows and columns.  The extractors turn an
+optimal solution back into the dense arrays the rounding code consumes.
 """
 from __future__ import annotations
 
@@ -14,13 +21,13 @@ import numpy as np
 
 from .instances import (
     InstanceError,
-    MetricGraph,
     SetCoverInstance,
     SteinerInstance,
     UflInstance,
     VertexCoverInstance,
 )
-from .lp import DualSolution, LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
+from .model import ScenarioSet
 
 __all__ = [
     "FractionalCoverSolution",
@@ -70,11 +77,6 @@ class FractionalCoverSolution:
                         f"element {e} undercovered in scenario {i}"
                     )
 
-    def mass(self, k: int, element: int) -> tuple[float, float]:
-        """(exercised, recourse) mass landing on one demanded element."""
-        items = list(self.instance.covering_items(element))
-        return float(self.y[k, items].sum()), float(self.z[k, items].sum())
-
 
 @dataclass(frozen=True)
 class FractionalUflSolution:
@@ -103,208 +105,166 @@ class FractionalUflSolution:
                     raise InstanceError(f"client {j} underserved in scenario {k}")
 
 
-def _scenario_rows(inst: CoverInstance) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(scenario, element, items covering it) for every demanded element."""
-    out = []
-    for k, (_, clients) in enumerate(inst.scenarios.scenarios):
-        for e in sorted(clients):
-            items = inst.covering_items(e)
-            if not items:
-                raise InstanceError(f"element {e} of scenario {k} is uncoverable")
-            out.append((k, e, items))
-    return out
+class _Stages:
+    """The stage layout of the module docstring over n items."""
+
+    def __init__(self, n: int, scenarios: ScenarioSet) -> None:
+        self.n = n
+        self.probs = np.array([p for p, _ in scenarios.scenarios])
+        self.big_k = len(self.probs)
+        self.demand = [sorted(clients) for _, clients in scenarios.scenarios]
+        self.width = n + 2 * self.big_k * n
+
+    def y(self, k: int) -> slice:
+        return slice((2 * k + 1) * self.n, (2 * k + 2) * self.n)
+
+    def z(self, k: int) -> slice:
+        return slice((2 * k + 2) * self.n, (2 * k + 3) * self.n)
+
+    def _blocks(self, v: np.ndarray) -> np.ndarray:
+        """(K, 2, n) view of the y and z blocks of a column vector."""
+        return v[self.n : self.width].reshape(self.big_k, 2, self.n)
+
+    def objective(self, n_vars: int, sigma: float, w, late_scale: float, late) -> np.ndarray:
+        """Stage costs with late price late_scale*late; late is one row for
+        every scenario or one row per scenario.  Other columns cost 0."""
+        obj = np.zeros(n_vars)
+        obj[: self.n] = sigma * w
+        blocks = self._blocks(obj)
+        # Products stay left to right: p * (lam * w) rounds some costs
+        # differently, and the relaxations' bytes are pinned.
+        blocks[:, 0] = self.probs[:, None] * (1.0 - sigma) * w
+        blocks[:, 1] = self.probs[:, None] * late_scale * late
+        return obj
+
+    def names(self, first: str) -> list[str]:
+        names = [f"{first}[{s}]" for s in range(self.n)]
+        for k in range(self.big_k):
+            names += [f"y[{k},{s}]" for s in range(self.n)]
+            names += [f"z[{k},{s}]" for s in range(self.n)]
+        return names
+
+    def link(self, rows: np.ndarray, r: int, name: str) -> list[str]:
+        """Write the K*n link rows from row r on; returns their names.
+
+        Negative diagonals go through np.fill_diagonal: -np.eye would also
+        store -0.0 off the diagonal."""
+        for k in range(self.big_k):
+            block = rows[r + k * self.n : r + (k + 1) * self.n]
+            np.fill_diagonal(block[:, self.y(k)], 1.0)
+            np.fill_diagonal(block[:, : self.n], -1.0)
+        return [f"{name}[{k},{s}]" for k in range(self.big_k) for s in range(self.n)]
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, z) copies of a solution's stage columns; y and z are (K, n)."""
+        blocks = self._blocks(v)
+        return v[: self.n].copy(), blocks[:, 0].copy(), blocks[:, 1].copy()
+
+
+def _cover_blocks(inst: CoverInstance, demand: list[list[int]]) -> list[np.ndarray]:
+    """0/1 incidence rows of each scenario's demanded elements, in order.
+
+    Raises on the first uncoverable element in (scenario, element) order.
+    """
+    incidence = inst.incidence().astype(float)
+    blocks = []
+    for k, elements in enumerate(demand):
+        block = incidence[elements]
+        bad = np.flatnonzero(~block.any(axis=1))
+        if bad.size:
+            raise InstanceError(f"element {elements[bad[0]]} of scenario {k} is uncoverable")
+        blocks.append(block)
+    return blocks
+
+
+def _demand_lp(
+    obj: np.ndarray, rows: np.ndarray, m: int, names: list[str], row_names: list[str]
+) -> LinearProgram:
+    """The program whose first m rows are demand rows (>= 1) and whose
+    other rows are <= 0."""
+    rhs = np.zeros(len(rows))
+    rhs[:m] = 1.0
+    senses = (">=",) * m + ("<=",) * (len(rows) - m)
+    return LinearProgram(obj, rows, senses, rhs, None, tuple(names), tuple(row_names))
 
 
 def build_cover_lp(inst: CoverInstance) -> LinearProgram:
-    """Fractional two-stage covering relaxation.
+    """Two-stage covering relaxation: the stage layout at late price lam*w.
 
-    Columns: x[s] for every item, then for each scenario the blocks
-    y[k,s] and z[k,s].  Rows: one coverage row per demanded element and
-    one link row y[k,s] <= x[s] per scenario/item pair.
+    Adds one row cover[k,e] per demanded element, ahead of the link rows:
+    y[k,s] + z[k,s] summed over the items s covering e is at least 1.
     """
-    n = inst.n_items
-    big_k = len(inst.scenarios.scenarios)
-    sigma = inst.policy.sigma
-    lam = inst.policy.lam
-    w = np.array([inst.weights[s] for s in range(n)], dtype=float)
-    probs = np.array([p for p, _ in inst.scenarios.scenarios])
-
-    def y_col(k: int, s: int) -> int:
-        return n + 2 * k * n + s
-
-    def z_col(k: int, s: int) -> int:
-        return n + 2 * k * n + n + s
-
-    n_vars = n + 2 * big_k * n
-    obj = np.zeros(n_vars)
-    obj[:n] = sigma * w
-    for k in range(big_k):
-        obj[y_col(k, 0) : y_col(k, 0) + n] = probs[k] * (1.0 - sigma) * w
-        obj[z_col(k, 0) : z_col(k, 0) + n] = probs[k] * lam * w
-
-    cover_rows = _scenario_rows(inst)
-    n_rows = len(cover_rows) + big_k * n
-    rows = np.zeros((n_rows, n_vars))
-    rhs = np.zeros(n_rows)
-    senses: list[str] = []
-    row_names: list[str] = []
+    st = _Stages(inst.n_items, inst.scenarios)
+    blocks = _cover_blocks(inst, st.demand)
+    m = sum(len(block) for block in blocks)
+    rows = np.zeros((m + st.big_k * st.n, st.width))
     r = 0
-    for k, e, items in cover_rows:
-        for s in items:
-            rows[r, y_col(k, s)] = 1.0
-            rows[r, z_col(k, s)] = 1.0
-        rhs[r] = 1.0
-        senses.append(">=")
-        row_names.append(f"cover[{k},{e}]")
-        r += 1
-    for k in range(big_k):
-        for s in range(n):
-            rows[r, y_col(k, s)] = 1.0
-            rows[r, s] = -1.0
-            senses.append("<=")
-            row_names.append(f"link[{k},{s}]")
-            r += 1
-
-    names = [f"x[{s}]" for s in range(n)]
-    for k in range(big_k):
-        names += [f"y[{k},{s}]" for s in range(n)]
-        names += [f"z[{k},{s}]" for s in range(n)]
-    return LinearProgram(obj, rows, tuple(senses), rhs, None, tuple(names), tuple(row_names))
+    for k, block in enumerate(blocks):
+        rows[r : r + len(block), st.y(k)] = block
+        rows[r : r + len(block), st.z(k)] = block
+        r += len(block)
+    row_names = [f"cover[{k},{e}]" for k, elements in enumerate(st.demand) for e in elements]
+    row_names += st.link(rows, m, "link")
+    w = np.asarray(inst.weights, dtype=float)
+    obj = st.objective(st.width, inst.policy.sigma, w, inst.policy.lam, w)
+    return _demand_lp(obj, rows, m, st.names("x"), row_names)
 
 
 def cover_solution_from_lp(inst: CoverInstance, sol: LpSolution) -> FractionalCoverSolution:
-    n = inst.n_items
-    big_k = len(inst.scenarios.scenarios)
-    v = sol.values
-    x = v[:n].copy()
-    y = np.zeros((big_k, n))
-    z = np.zeros((big_k, n))
-    for k in range(big_k):
-        base = n + 2 * k * n
-        y[k] = v[base : base + n]
-        z[k] = v[base + n : base + 2 * n]
+    x, y, z = _Stages(inst.n_items, inst.scenarios).split(sol.values)
     return FractionalCoverSolution(inst, x, y, z, sol.objective_value)
 
 
 def solve_cover_lp(inst: CoverInstance) -> FractionalCoverSolution:
-    lp = build_cover_lp(inst)
-    sol, _ = solve_lp(lp)
-    if sol.status != "optimal":
-        raise InstanceError(f"covering relaxation came back {sol.status}")
-    return cover_solution_from_lp(inst, sol)
-
-
-def _ufl_layout(inst: UflInstance) -> tuple[int, list[tuple[int, int]], dict[tuple[int, int], int]]:
-    """Column layout: y0 block, y block, z block, then x columns for
-    demanded (scenario, client) pairs only."""
-    n_i = inst.n_facilities
-    big_k = len(inst.scenarios.scenarios)
-    demanded = [
-        (k, j)
-        for k, (_, clients) in enumerate(inst.scenarios.scenarios)
-        for j in sorted(clients)
-    ]
-    x_base = n_i + 2 * big_k * n_i
-    x_offset = {pair: x_base + t * n_i for t, pair in enumerate(demanded)}
-    n_vars = x_base + len(demanded) * n_i
-    return n_vars, demanded, x_offset
+    return cover_solution_from_lp(inst, solve_relaxation(inst))
 
 
 def build_ufl_lp(inst: UflInstance) -> LinearProgram:
-    """Stochastic facility-location relaxation.
+    """Stochastic facility-location relaxation: the stage layout over
+    facilities at late price fk[k], the scenario's own opening price.
 
-    Reserved facilities cost sigma*f0, exercising costs the remaining
-    (1-sigma)*f0 in the realized scenario, recourse opening costs the
-    scenario's own price fk.  Service rows demand one unit per present
-    client; x[k,j,i] is capped by yk[k,i] + zk[k,i].
+    Adds service columns x[k,j,i] per demanded (scenario, client) pair, one
+    row serve[k,j] (sum over i of x[k,j,i] >= 1) per pair ahead of the open
+    rows, and after them rows route[k,j,i]: x[k,j,i] <= y[k,i] + z[k,i].
     """
     n_i = inst.n_facilities
-    big_k = len(inst.scenarios.scenarios)
-    sigma = inst.sigma
+    st = _Stages(n_i, inst.scenarios)
+    pairs = [(k, j) for k, clients in enumerate(st.demand) for j in clients]
+    n_vars = st.width + len(pairs) * n_i
     f0 = np.asarray(inst.open_cost, dtype=float)
-    fk = np.asarray(inst.scenario_open_cost, dtype=float)
+    fk = np.asarray(inst.scenario_open_cost, dtype=float).reshape(st.big_k, n_i)
+    obj = st.objective(n_vars, inst.sigma, f0, 1.0, fk)
     dist = inst.dist
-    probs = np.array([p for p, _ in inst.scenarios.scenarios])
-    n_vars, demanded, x_offset = _ufl_layout(inst)
-
-    def y_col(k: int, i: int) -> int:
-        return n_i + 2 * k * n_i + i
-
-    def z_col(k: int, i: int) -> int:
-        return n_i + 2 * k * n_i + n_i + i
-
-    obj = np.zeros(n_vars)
-    obj[:n_i] = sigma * f0
-    for k in range(big_k):
-        obj[y_col(k, 0) : y_col(k, 0) + n_i] = probs[k] * (1.0 - sigma) * f0
-        obj[z_col(k, 0) : z_col(k, 0) + n_i] = probs[k] * fk[k]
-    for (k, j), base in x_offset.items():
-        obj[base : base + n_i] = probs[k] * dist[:, j]
-
-    n_rows = len(demanded) + big_k * n_i + len(demanded) * n_i
-    rows = np.zeros((n_rows, n_vars))
-    rhs = np.zeros(n_rows)
-    senses: list[str] = []
-    row_names: list[str] = []
-    r = 0
-    for k, j in demanded:
-        base = x_offset[(k, j)]
-        rows[r, base : base + n_i] = 1.0
-        rhs[r] = 1.0
-        senses.append(">=")
-        row_names.append(f"serve[{k},{j}]")
-        r += 1
-    for k in range(big_k):
-        for i in range(n_i):
-            rows[r, y_col(k, i)] = 1.0
-            rows[r, i] = -1.0
-            senses.append("<=")
-            row_names.append(f"open[{k},{i}]")
-            r += 1
-    for k, j in demanded:
-        base = x_offset[(k, j)]
-        for i in range(n_i):
-            rows[r, base + i] = 1.0
-            rows[r, y_col(k, i)] = -1.0
-            rows[r, z_col(k, i)] = -1.0
-            senses.append("<=")
-            row_names.append(f"route[{k},{j},{i}]")
-            r += 1
-
-    names = [f"y0[{i}]" for i in range(n_i)]
-    for k in range(big_k):
-        names += [f"y[{k},{i}]" for i in range(n_i)]
-        names += [f"z[{k},{i}]" for i in range(n_i)]
-    for k, j in demanded:
-        names += [f"x[{k},{j},{i}]" for i in range(n_i)]
-    return LinearProgram(obj, rows, tuple(senses), rhs, None, tuple(names), tuple(row_names))
+    route = len(pairs) + st.big_k * n_i
+    rows = np.zeros((route + len(pairs) * n_i, n_vars))
+    for t, (k, j) in enumerate(pairs):
+        x = slice(st.width + t * n_i, st.width + (t + 1) * n_i)
+        obj[x] = st.probs[k] * dist[:, j]
+        rows[t, x] = 1.0
+        block = rows[route + t * n_i : route + (t + 1) * n_i]
+        np.fill_diagonal(block[:, x], 1.0)
+        np.fill_diagonal(block[:, st.y(k)], -1.0)
+        np.fill_diagonal(block[:, st.z(k)], -1.0)
+    row_names = [f"serve[{k},{j}]" for k, j in pairs]
+    row_names += st.link(rows, len(pairs), "open")
+    row_names += [f"route[{k},{j},{i}]" for k, j in pairs for i in range(n_i)]
+    names = st.names("y0") + [f"x[{k},{j},{i}]" for k, j in pairs for i in range(n_i)]
+    return _demand_lp(obj, rows, len(pairs), names, row_names)
 
 
 def ufl_solution_from_lp(inst: UflInstance, sol: LpSolution) -> FractionalUflSolution:
-    n_i = inst.n_facilities
-    n_j = inst.n_clients
-    big_k = len(inst.scenarios.scenarios)
-    v = sol.values
-    _, demanded, x_offset = _ufl_layout(inst)
-    y0 = v[:n_i].copy()
-    yk = np.zeros((big_k, n_i))
-    zk = np.zeros((big_k, n_i))
-    for k in range(big_k):
-        base = n_i + 2 * k * n_i
-        yk[k] = v[base : base + n_i]
-        zk[k] = v[base + n_i : base + 2 * n_i]
-    x = np.zeros((big_k, n_j, n_i))
-    for (k, j), base in x_offset.items():
-        x[k, j] = v[base : base + n_i]
+    st = _Stages(inst.n_facilities, inst.scenarios)
+    y0, yk, zk = st.split(sol.values)
+    pairs = [(k, j) for k, clients in enumerate(st.demand) for j in clients]
+    service = sol.values[st.width :].reshape(len(pairs), st.n)
+    x = np.zeros((st.big_k, inst.n_clients, st.n))
+    for (k, j), served in zip(pairs, service):
+        x[k, j] = served
     return FractionalUflSolution(inst, y0, yk, zk, x, sol.objective_value)
 
 
 def solve_ufl_lp(inst: UflInstance) -> FractionalUflSolution:
-    lp = build_ufl_lp(inst)
-    sol, _ = solve_lp(lp)
-    if sol.status != "optimal":
-        raise InstanceError(f"facility relaxation came back {sol.status}")
-    return ufl_solution_from_lp(inst, sol)
+    return ufl_solution_from_lp(inst, solve_relaxation(inst))
 
 
 def build_deterministic_ufl_lp(
@@ -313,8 +273,9 @@ def build_deterministic_ufl_lp(
     """Single-stage facility-location relaxation.
 
     Columns: y[i] for every facility, then x[j,i] per served client in the
-    order given.  The duals of the serve rows are the per-client budgets
-    the clustered rounding sorts on.
+    order given.  Rows: serve[j] (sum over i of x[j,i] >= 1) per client, then
+    route[j,i]: x[j,i] <= y[i].  The duals of the serve rows are the
+    per-client budgets the clustered rounding sorts on.
     """
     f = np.asarray(open_cost, dtype=float)
     dist = np.asarray(distance, dtype=float)
@@ -322,129 +283,61 @@ def build_deterministic_ufl_lp(
     if clients is None:
         clients = tuple(range(dist.shape[1]))
     n_j = len(clients)
-    n_vars = n_i + n_j * n_i
-    obj = np.zeros(n_vars)
-    obj[:n_i] = f
-    for t, j in enumerate(clients):
-        obj[n_i + t * n_i : n_i + (t + 1) * n_i] = dist[:, j]
-    n_rows = n_j + n_j * n_i
-    rows = np.zeros((n_rows, n_vars))
-    rhs = np.zeros(n_rows)
-    senses: list[str] = []
-    row_names: list[str] = []
-    for t, j in enumerate(clients):
-        rows[t, n_i + t * n_i : n_i + (t + 1) * n_i] = 1.0
-        rhs[t] = 1.0
-        senses.append(">=")
-        row_names.append(f"serve[{j}]")
-    r = n_j
-    for t, j in enumerate(clients):
-        for i in range(n_i):
-            rows[r, n_i + t * n_i + i] = 1.0
-            rows[r, i] = -1.0
-            senses.append("<=")
-            row_names.append(f"route[{j},{i}]")
-            r += 1
-    names = [f"y[{i}]" for i in range(n_i)]
-    for j in clients:
-        names += [f"x[{j},{i}]" for i in range(n_i)]
-    return LinearProgram(obj, rows, tuple(senses), rhs, None, tuple(names), tuple(row_names))
+    obj = np.concatenate([f, dist[:, list(clients)].T.ravel()])
+    rows = np.zeros((n_j + n_j * n_i, obj.size))
+    for t in range(n_j):
+        x = slice(n_i + t * n_i, n_i + (t + 1) * n_i)
+        rows[t, x] = 1.0
+        block = rows[n_j + t * n_i : n_j + (t + 1) * n_i]
+        np.fill_diagonal(block[:, x], 1.0)
+        np.fill_diagonal(block[:, :n_i], -1.0)
+    names = [f"y[{i}]" for i in range(n_i)] + [f"x[{j},{i}]" for j in clients for i in range(n_i)]
+    row_names = [f"serve[{j}]" for j in clients]
+    row_names += [f"route[{j},{i}]" for j in clients for i in range(n_i)]
+    return _demand_lp(obj, rows, n_j, names, row_names)
 
 
 def build_steiner_flow_lp(inst: SteinerInstance) -> LinearProgram:
-    """Flow relaxation of the two-stage tree problem, used as a lower bound.
+    """Flow relaxation of the two-stage tree problem, used as a lower bound:
+    the stage layout over edges at late price lam*w, link rows first.
 
-    One unit of flow must travel from the root to every demanded terminal
-    over capacities yk + zk, where yk <= x0 is the exercised reservation.
-    Any feasible integral plan embeds, so the optimum never exceeds it.
+    Adds per demanded (scenario, terminal) pair the arc flows f[k,t,e+]
+    (a->b on edge e = (a, b)) and f[k,t,e-] (b->a), rows flow[k,t,v]
+    sending one unit from the root to t, and rows cap[k,t,e] bounding both
+    arcs by y[k,e] + z[k,e].  Any feasible integral plan embeds, so the
+    optimum never exceeds it.
     """
-    g: MetricGraph = inst.graph
-    n_e = len(g.edges)
-    big_k = len(inst.scenarios.scenarios)
-    sigma = inst.policy.sigma
-    lam = inst.policy.lam
+    g = inst.graph
+    n_e, n_v = len(g.edges), g.n_vertices
+    st = _Stages(n_e, inst.scenarios)
+    pairs = [(k, t) for k, clients in enumerate(st.demand) for t in clients if t != g.root]
+    arcs = np.zeros((n_v, 2 * n_e))  # net flow out of each vertex
+    for e, (a, b) in enumerate(g.edges):
+        arcs[a, 2 * e : 2 * e + 2] = 1.0, -1.0
+        arcs[b, 2 * e : 2 * e + 2] = -1.0, 1.0
+    link = st.big_k * n_e
+    rows = np.zeros((link + len(pairs) * (n_v + n_e), st.width + len(pairs) * 2 * n_e))
+    rhs = np.zeros(len(rows))
+    row_names = st.link(rows, 0, "link")
+    names = st.names("x")
+    for p, (k, t) in enumerate(pairs):
+        col = st.width + p * 2 * n_e
+        r = link + p * (n_v + n_e)
+        rows[r : r + n_v, col : col + 2 * n_e] = arcs
+        rhs[r + g.root] = 1.0
+        rhs[r + t] = -1.0
+        cap = rows[r + n_v : r + n_v + n_e]
+        np.fill_diagonal(cap[:, col : col + 2 * n_e : 2], 1.0)
+        np.fill_diagonal(cap[:, col + 1 : col + 2 * n_e : 2], 1.0)
+        np.fill_diagonal(cap[:, st.y(k)], -1.0)
+        np.fill_diagonal(cap[:, st.z(k)], -1.0)
+        row_names += [f"flow[{k},{t},{v}]" for v in range(n_v)]
+        row_names += [f"cap[{k},{t},{e}]" for e in range(n_e)]
+        names += [f"f[{k},{t},{e}{arc}]" for e in range(n_e) for arc in "+-"]
     w = np.asarray(g.weights, dtype=float)
-    probs = np.array([p for p, _ in inst.scenarios.scenarios])
-    terminals = [sorted(t for t in clients if t != g.root) for _, clients in inst.scenarios.scenarios]
-
-    def y_col(k: int, e: int) -> int:
-        return n_e + 2 * k * n_e + e
-
-    def z_col(k: int, e: int) -> int:
-        return n_e + 2 * k * n_e + n_e + e
-
-    flow_base = n_e + 2 * big_k * n_e
-    flow_offset: dict[tuple[int, int], int] = {}
-    col = flow_base
-    for k in range(big_k):
-        for t in terminals[k]:
-            flow_offset[(k, t)] = col
-            col += 2 * n_e  # forward then backward arc per edge
-    n_vars = col
-
-    obj = np.zeros(n_vars)
-    obj[:n_e] = sigma * w
-    for k in range(big_k):
-        obj[y_col(k, 0) : y_col(k, 0) + n_e] = probs[k] * (1.0 - sigma) * w
-        obj[z_col(k, 0) : z_col(k, 0) + n_e] = probs[k] * lam * w
-
-    rows_list: list[np.ndarray] = []
-    rhs_list: list[float] = []
-    senses: list[str] = []
-    row_names: list[str] = []
-
-    for k in range(big_k):
-        for e in range(n_e):
-            row = np.zeros(n_vars)
-            row[y_col(k, e)] = 1.0
-            row[e] = -1.0
-            rows_list.append(row)
-            rhs_list.append(0.0)
-            senses.append("<=")
-            row_names.append(f"link[{k},{e}]")
-
-    for (k, t), base in flow_offset.items():
-        for v in range(g.n_vertices):
-            row = np.zeros(n_vars)
-            for e, (a, b) in enumerate(g.edges):
-                if v == a:
-                    row[base + 2 * e] += 1.0      # flow a->b leaves a
-                    row[base + 2 * e + 1] -= 1.0  # flow b->a enters a
-                elif v == b:
-                    row[base + 2 * e] -= 1.0
-                    row[base + 2 * e + 1] += 1.0
-            if v == g.root:
-                rhs_v = 1.0
-            elif v == t:
-                rhs_v = -1.0
-            else:
-                rhs_v = 0.0
-            rows_list.append(row)
-            rhs_list.append(rhs_v)
-            senses.append("==")
-            row_names.append(f"flow[{k},{t},{v}]")
-        for e in range(n_e):
-            row = np.zeros(n_vars)
-            row[base + 2 * e] = 1.0
-            row[base + 2 * e + 1] = 1.0
-            row[y_col(k, e)] = -1.0
-            row[z_col(k, e)] = -1.0
-            rows_list.append(row)
-            rhs_list.append(0.0)
-            senses.append("<=")
-            row_names.append(f"cap[{k},{t},{e}]")
-
-    names = [f"x[{e}]" for e in range(n_e)]
-    for k in range(big_k):
-        names += [f"y[{k},{e}]" for e in range(n_e)]
-        names += [f"z[{k},{e}]" for e in range(n_e)]
-    for (k, t) in flow_offset:
-        for e in range(n_e):
-            names += [f"f[{k},{t},{e}+]", f"f[{k},{t},{e}-]"]
-    rows = np.vstack(rows_list) if rows_list else np.zeros((0, n_vars))
-    return LinearProgram(
-        obj, rows, tuple(senses), np.array(rhs_list), None, tuple(names), tuple(row_names)
-    )
+    obj = st.objective(rows.shape[1], inst.policy.sigma, w, inst.policy.lam, w)
+    senses = ("<=",) * link + (("==",) * n_v + ("<=",) * n_e) * len(pairs)
+    return LinearProgram(obj, rows, senses, rhs, None, tuple(names), tuple(row_names))
 
 
 def build_relaxation(inst) -> LinearProgram:
