@@ -6,14 +6,10 @@ package is a different answer to that trade-off.  Run with no arguments.
 """
 import numpy as np
 
-from twostage.cover import (
-    half_mass_inflation_bound,
-    preprocess_half,
-    round_for_cover,
-)
+from twostage.bench import prepare
+from twostage.cover import half_mass_inflation_bound, preprocess_half
 from twostage.generators import generate_instance
 from twostage.lp_builders import solve_cover_lp
-from twostage.model import check_feasible, evaluate_objective
 from twostage.oracle import brute_force_optimal
 
 inst = generate_instance("set_cover", seed=7, n_elements=5, n_sets=6, scenarios=3)
@@ -38,12 +34,14 @@ assert np.array_equal(pre.y + pre.z, sol.y + sol.z)  # mass only moves between s
 
 print("\nalgorithm        cost    vs opt  first stage")
 for name in ("double", "srini-sc", "buyall"):
-    # average the randomized ones over a few seeds so the table is honest
+    # prepare once, then average the randomized ones over a few seeds so the
+    # table is honest
+    sample = prepare(inst, name).sample
     costs, reserved = [], None
     for seed in range(200):
-        out = round_for_cover(inst, name, seed=seed)
-        assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
-        costs.append(evaluate_objective(out, policy, inst.scenarios).total)
+        cost, feasible, _, _, out = sample(seed)
+        assert feasible
+        costs.append(cost)
         reserved = sorted(out.reserved)
         if name == "buyall":
             break  # deterministic

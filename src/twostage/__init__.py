@@ -54,7 +54,6 @@ from .cover import (
     double_randomized_round,
     half_mass_inflation_bound,
     preprocess_half,
-    round_for_cover,
     srinivasan_round_set_cover,
     srinivasan_round_vertex_cover,
     threshold_recourse_cover,

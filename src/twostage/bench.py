@@ -1,16 +1,19 @@
 """Experiment orchestration: run registered roundings over instances and
 emit ratio tables.
 
+``ALGORITHMS`` is the one table that maps an algorithm name to code; the
+CLI's ``round``, ``bench`` and ``saa`` all go through :func:`prepare`.
 Every registered algorithm has one shape: prepare once, sample per seed.
-Its prepare step reads the instance and the optimum of the instance's
-relaxation and does every piece of seed-independent work (deterministic
-schemes finish and price their plan there); it returns the per-seed sample,
-which draws one plan and yields ``(cost, feasible, bound, basis)``.  An
-experiment solves the relaxation once, so that solve gives both ``lp_opt``
-and the prepared state every trial shares.
+Its prepare step reads the instance, the optimum of the instance's
+relaxation and its knobs, and does every piece of seed-independent work
+(deterministic schemes finish and price their plan there); it returns the
+per-seed sample, which draws one plan and yields
+``(cost, feasible, bound, basis, plan)``.  An experiment solves the
+relaxation once, so that solve gives both ``lp_opt`` and the prepared state
+every trial shares.
 
-Trials are sampled one after another in the calling thread and sorted by
-(instance_id, algorithm, seed), so rows come out in canonical order.  CSV
+Trials are sampled one after another in the calling thread, in seed order,
+which is the canonical (instance_id, algorithm, seed) order.  CSV
 output holds only the deterministic columns; wall-clock timings of the
 per-seed sample go to the JSON emission, keeping CSV reruns byte-identical.
 """
@@ -120,11 +123,7 @@ class ExperimentSpec:
     alg_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"registered: {', '.join(sorted(ALGORITHMS))}"
-            )
+        _entry(self.algorithm)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -132,8 +131,10 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 # the algorithm registry
 #
-# Each entry maps (instance, relaxation optimum, params) to the per-seed
-# sample: seed -> (cost, feasible, bound, basis).
+# Each entry maps (instance, relaxation optimum, **knobs) to the per-seed
+# sample: seed -> (cost, feasible, bound, basis, plan), where plan is the
+# drawn TwoStageSolution.  The knobs an entry reads are its keyword-only
+# parameters.
 
 _COVER_KINDS = (SetCoverInstance, VertexCoverInstance)
 
@@ -143,55 +144,60 @@ def _fixed(outcome):
     return lambda seed: outcome
 
 
-def _priced(inst, sol: TwoStageSolution, bound, basis):
+def _priced(inst, sol: TwoStageSolution, bound=None, basis="lp"):
     """The row outcome of a cover or tree plan."""
     cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
     ok = check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
-    return cost, ok, bound, basis
+    return cost, ok, bound, basis, sol
 
 
 def _ufl_priced(inst, plan, bound):
     """The row outcome of a facility plan."""
     cost = ufl_mod.evaluate_ufl_cost(inst, plan).total
     ok = check_feasible(plan.solution, inst.scenarios, inst.covers_demand).feasible
-    return cost, ok, bound, "lp"
+    return cost, ok, bound, "lp", plan.solution
 
 
-def _cover(name):
-    def prepare(inst, relaxation, params):
-        if name == "buyall":
-            stats: dict = {}
-            plan = cover_mod.prepare_cover(inst, name, stats=stats)(0)
-            return _fixed(_priced(inst, plan, stats["factor"], "oracle"))
-        sample = cover_mod.prepare_cover(inst, name, cover_solution_from_lp(inst, relaxation))
-        if name == "threshold":
-            policy = inst.policy
-            bound = 4.0 * cover_mod.half_mass_inflation_bound(policy.sigma, policy.lam)
-            return _fixed(_priced(inst, sample(0), bound, "lp"))
-        return lambda seed: _priced(inst, sample(seed), None, "lp")
-
-    return prepare
+def _double(inst, relaxation):
+    pre, report = cover_mod.preprocess_half(cover_solution_from_lp(inst, relaxation))
+    sample = cover_mod._double_sampler(pre, report.heavy_elements)
+    return lambda seed: _priced(inst, sample(seed))
 
 
-def _ufl5(inst, relaxation, params):
-    plan = ufl_mod.round_5approx(
-        ufl_solution_from_lp(inst, relaxation),
-        alpha=params.get("alpha", ufl_mod.ALPHA_DEFAULT),
-        beta=params.get("beta", ufl_mod.BETA_DEFAULT),
-    )
+def _threshold(inst, relaxation):
+    pre, _ = cover_mod.preprocess_half(cover_solution_from_lp(inst, relaxation))
+    bound = 4.0 * cover_mod.half_mass_inflation_bound(inst.policy.sigma, inst.policy.lam)
+    return _fixed(_priced(inst, cover_mod.threshold_round_vertex_cover(pre), bound))
+
+
+def _srini_sc(inst, relaxation, *, psi=None):
+    sol = cover_solution_from_lp(inst, relaxation)
+    return lambda seed: _priced(inst, cover_mod.srinivasan_round_set_cover(sol, psi, seed))
+
+
+def _srini_vc(inst, relaxation):
+    sol = cover_solution_from_lp(inst, relaxation)
+    return lambda seed: _priced(inst, cover_mod.srinivasan_round_vertex_cover(sol, seed))
+
+
+def _buyall(inst, relaxation):
+    stats: dict = {}
+    plan = cover_mod.buy_all_reserved_reduction(cover_mod.threshold_recourse_cover, inst, stats)
+    return _fixed(_priced(inst, plan, stats["factor"], "oracle"))
+
+
+def _ufl5(inst, relaxation, *, alpha=ufl_mod.ALPHA_DEFAULT, beta=ufl_mod.BETA_DEFAULT):
+    plan = ufl_mod.round_5approx(ufl_solution_from_lp(inst, relaxation), alpha=alpha, beta=beta)
     return _fixed(_ufl_priced(inst, plan, 5.0))
 
 
-def _ufl_improved(inst, relaxation, params):
-    prep = ufl_mod.prepare_improved(
-        ufl_solution_from_lp(inst, relaxation),
-        theta=params.get("theta", ufl_mod.THETA_DEFAULT),
-        gamma=params.get("gamma", ufl_mod.GAMMA_DEFAULT),
-    )
+def _ufl_improved(inst, relaxation, *, theta=ufl_mod.THETA_DEFAULT, gamma=ufl_mod.GAMMA_DEFAULT):
+    sol = ufl_solution_from_lp(inst, relaxation)
+    prep = ufl_mod.prepare_improved(sol, theta=theta, gamma=gamma)
     return lambda seed: _ufl_priced(inst, ufl_mod.sample_improved(prep, seed), None)
 
 
-def _steiner_sample(inst, relaxation, params):
+def _steiner_sample(inst, relaxation):
     sigma = inst.policy.sigma
     bound = 4.0 + 2.0 * (1.0 - sigma) / sigma
 
@@ -202,18 +208,18 @@ def _steiner_sample(inst, relaxation, params):
     return sample
 
 
-def _steiner_buyall(inst, relaxation, params):
+def _steiner_buyall(inst, relaxation):
     stats: dict = {}
     sol = steiner_mod.ignore_revocation_steiner(inst, stats=stats)
     return _fixed(_priced(inst, sol, stats["factor"], "oracle"))
 
 
 ALGORITHMS = {
-    "double": (_cover("double"), _COVER_KINDS),
-    "threshold": (_cover("threshold"), (VertexCoverInstance,)),
-    "srini-sc": (_cover("srini-sc"), (SetCoverInstance,)),
-    "srini-vc": (_cover("srini-vc"), (VertexCoverInstance,)),
-    "buyall": (_cover("buyall"), _COVER_KINDS),
+    "double": (_double, _COVER_KINDS),
+    "threshold": (_threshold, (VertexCoverInstance,)),
+    "srini-sc": (_srini_sc, (SetCoverInstance,)),
+    "srini-vc": (_srini_vc, (VertexCoverInstance,)),
+    "buyall": (_buyall, _COVER_KINDS),
     "ufl5": (_ufl5, (UflInstance,)),
     "ufl-improved": (_ufl_improved, (UflInstance,)),
     "steiner-sample": (_steiner_sample, (SteinerInstance,)),
@@ -221,14 +227,20 @@ ALGORITHMS = {
 }
 
 
-def oracle_in_reach(inst) -> bool:
-    return inst.n_items <= MAX_ITEMS and len(inst.scenarios.scenarios) <= MAX_SCENARIOS
+def _entry(algorithm: str):
+    """The registry entry of a name; an unknown name is a ValueError."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; "
+            f"registered: {', '.join(sorted(ALGORITHMS))}"
+        )
+    return ALGORITHMS[algorithm]
 
 
 @dataclass(frozen=True)
 class Prepared:
     """One algorithm prepared on one instance: the relaxation value and the
-    per-seed sample, seed -> (cost, feasible, bound, basis)."""
+    per-seed sample, seed -> (cost, feasible, bound, basis, plan)."""
 
     lp_opt: float
     sample: Callable[[int], tuple]
@@ -236,57 +248,51 @@ class Prepared:
 
 def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
     """Solve the relaxation and run the seed-independent part of an
-    algorithm, once."""
-    build, kinds = ALGORITHMS[algorithm]
+    algorithm, once.  ``alg_params`` holds the algorithm's knobs; a knob it
+    does not read is a ValueError."""
+    build, kinds = _entry(algorithm)
     if not isinstance(inst, kinds):
         raise ValueError(f"algorithm {algorithm!r} does not apply to {inst.kind!r}")
+    params = alg_params or {}
+    knobs = build.__kwdefaults__ or {}
+    unread = sorted(set(params) - set(knobs))
+    if unread:
+        raise ValueError(
+            f"algorithm {algorithm!r} reads no knob {', '.join(unread)}; "
+            f"its knobs: {', '.join(sorted(knobs)) or 'none'}"
+        )
     relaxation = solve_relaxation(inst)
-    return Prepared(relaxation.objective_value, build(inst, relaxation, alg_params or {}))
+    return Prepared(relaxation.objective_value, build(inst, relaxation, **params))
 
 
-def run_algorithm(
-    inst,
-    instance_id: str,
-    algorithm: str,
-    seed: int,
-    alg_params: dict | None = None,
-    lp_opt: float | None = None,
-    oracle_opt: float | None = None,
-    prepared: Prepared | None = None,
-) -> RunRow:
-    """One row: run the algorithm and compare against the relaxation and,
-    when the instance is small enough, the exact optimum.
+def _oracle_opt(inst) -> float | None:
+    """The exact optimum, or None beyond the oracle's reach."""
+    if inst.n_items > MAX_ITEMS or len(inst.scenarios.scenarios) > MAX_SCENARIOS:
+        return None
+    return brute_force_optimal(inst).optimal_cost
 
-    ``prepared`` is the algorithm's state from :func:`prepare` on this
-    instance and these params; without it the row prepares its own.
-    ``runtime_ms`` times the per-seed sample only.
-    """
-    if prepared is None:
-        prepared = prepare(inst, algorithm, alg_params)
-    if lp_opt is None:
-        lp_opt = prepared.lp_opt
-    if oracle_opt is None and oracle_in_reach(inst):
-        oracle_opt = brute_force_optimal(inst).optimal_cost
+
+def _row(inst, instance_id, algorithm, seed, prepared: Prepared, oracle_opt) -> RunRow:
+    """One row from a prepared algorithm; ``runtime_ms`` times the per-seed
+    sample only."""
     start = time.perf_counter()
-    cost, feasible, bound, basis = prepared.sample(seed)
+    cost, feasible, bound, basis, _ = prepared.sample(seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     sigma = inst.policy.sigma if hasattr(inst, "policy") else inst.sigma
     lam = inst.policy.lam if hasattr(inst, "policy") else inst.lam
     return RunRow(
-        instance_id,
-        inst.kind,
-        sigma,
-        lam,
-        algorithm,
-        seed,
-        lp_opt,
-        oracle_opt,
-        cost,
-        feasible,
-        elapsed,
-        bound,
-        basis,
+        instance_id, inst.kind, sigma, lam, algorithm, seed, prepared.lp_opt, oracle_opt,
+        cost, feasible, elapsed, bound, basis,
     )
+
+
+def run_algorithm(
+    inst, instance_id: str, algorithm: str, seed: int, alg_params: dict | None = None
+) -> RunRow:
+    """One row: run the algorithm and compare against the relaxation and,
+    when the instance is small enough, the exact optimum."""
+    prepared = prepare(inst, algorithm, alg_params)
+    return _row(inst, instance_id, algorithm, seed, prepared, _oracle_opt(inst))
 
 
 def worker_count() -> int:
@@ -296,7 +302,8 @@ def worker_count() -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
-    """All trials of a spec, in canonical row order."""
+    """All trials of a spec, in canonical row order (one instance and one
+    algorithm, so seed order)."""
     from .generators import GENERATOR_KINDS, generate_instance
 
     if spec.instance in GENERATOR_KINDS:
@@ -306,24 +313,11 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
         inst = load_instance(spec.instance)
         instance_id = Path(spec.instance).stem
     prepared = prepare(inst, spec.algorithm, spec.alg_params)
-    oracle_opt = (
-        brute_force_optimal(inst).optimal_cost if oracle_in_reach(inst) else None
-    )
-    seeds = [spec.seed + t for t in range(spec.trials)]
-
-    def one(seed: int) -> RunRow:
-        return run_algorithm(
-            inst,
-            instance_id,
-            spec.algorithm,
-            seed,
-            spec.alg_params,
-            oracle_opt=oracle_opt,
-            prepared=prepared,
-        )
-
-    rows = [one(seed) for seed in seeds]
-    return sorted(rows, key=lambda r: (r.instance_id, r.algorithm, r.seed))
+    oracle_opt = _oracle_opt(inst)
+    return [
+        _row(inst, instance_id, spec.algorithm, spec.seed + t, prepared, oracle_opt)
+        for t in range(spec.trials)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,10 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import cover as cover_mod
 from .generators import GENERATOR_KINDS, generate_instance
 from .instances import instance_to_dict, load_instance
 from .lp import solve_lp
 from .lp_builders import build_relaxation
-from .model import evaluate_objective
 from .oracle import brute_force_optimal
 from .saa import InnerSolverError, SaaConfig, repeating_saa
 
@@ -64,18 +62,18 @@ def _table_exit(rows, args) -> int:
     return EXIT_OK
 
 
+# ``round``'s per-algorithm knobs; each registered algorithm reads its own.
+_KNOBS = ("alpha", "beta", "theta", "gamma", "psi")
+
+
 def _round_params(args) -> dict:
-    params = {}
-    for name in ("alpha", "beta", "theta", "gamma", "psi"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return params
+    return {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
 
 
 def _inner_solver(name: str):
-    """Inner solvers for the SAA driver: exact enumeration or a registered
-    cover rounding; either way the estimate is the empirical objective."""
+    """Inner solvers for the SAA driver: exact enumeration or the seed-0 plan
+    of a registered algorithm; either way the estimate is the plan's
+    empirical objective."""
     if name == "exact":
         def exact(inst):
             res = brute_force_optimal(inst)
@@ -83,12 +81,11 @@ def _inner_solver(name: str):
 
         return exact
 
-    def rounded(inst):
-        sol = cover_mod.round_for_cover(inst, name, seed=0)
-        cost = evaluate_objective(sol, inst.policy, inst.scenarios).total
-        return sol.reserved, cost
+    def registered(inst):
+        cost, _, _, _, plan = bench_mod.prepare(inst, name).sample(0)
+        return plan.reserved, cost
 
-    return rounded
+    return registered
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +129,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", parents=[common], help="run one rounding algorithm")
     p.add_argument("--instance", required=True, type=Path)
     p.add_argument("--algorithm", required=True, choices=sorted(bench_mod.ALGORITHMS))
-    for knob in ("alpha", "beta", "theta", "gamma", "psi"):
+    for knob in _KNOBS:
         p.add_argument(f"--{knob}", type=float, default=None)
 
     p = sub.add_parser("oracle", parents=[common], help="exact optimum (tiny instances)")
@@ -142,7 +139,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, type=Path)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--algorithm", default="exact")
+    p.add_argument(
+        "--algorithm", default="exact", choices=["exact", *sorted(bench_mod.ALGORITHMS)]
+    )
     p.add_argument("--c-k", dest="c_k", type=float, default=1.0)
     p.add_argument("--c-n", dest="c_n", type=float, default=1.0)
 

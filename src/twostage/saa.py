@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .instances import UflInstance
 from .model import ScenarioSet
 
 __all__ = [
@@ -133,7 +134,16 @@ def repeating_saa(
     by an empirical one and must return (first-stage set, estimated
     objective).  Repetition r draws with seed + r, so runs are reproducible
     and repetitions embarrassingly parallel.
+
+    Facility location is refused: its per-scenario opening prices are
+    indexed by the original scenarios and cannot follow an empirical sample.
     """
+    if isinstance(instance, UflInstance):
+        raise ValueError(
+            "SAA does not run on facility location: the per-scenario opening "
+            "prices (scenario_open_cost) cannot follow an empirical sample "
+            "(ROADMAP item 4)"
+        )
     candidates: list[frozenset[int]] = []
     estimates: list[float] = []
     for rep in range(cfg.k_reps):

@@ -16,7 +16,7 @@ from twostage.instances import (
     load_instance,
     save_instance,
 )
-from twostage.model import CostPolicy, ScenarioSet
+from twostage.model import CostPolicy, ScenarioSet, evaluate_objective
 
 
 def gen_file(tmp_path, kind, name, *extra):
@@ -339,3 +339,87 @@ def test_experiment_solves_each_relaxation_once(tmp_path, monkeypatch, algorithm
     assert len(bench.run_experiment(spec)) == 4
     # the relaxation, plus the plain-recourse relaxation behind buyall
     assert len(calls) == (2 if algorithm == "buyall" else 1)
+
+
+# -- knobs, names and the SAA inner solver through the registry ----------------
+
+
+def test_round_passes_psi_to_srini_sc(tmp_path):
+    # x is fractional here, so psi moves the scale and changes the plan
+    path = tmp_path / "sc.json"
+    inst = generate_instance("set_cover", seed=6, n_elements=8, n_sets=8, scenarios=3)
+    save_instance(inst, path)
+    sol = lp_builders.solve_cover_lp(inst)
+    base = ["round", "--instance", str(path), "--algorithm", "srini-sc"]
+    for seed in range(3):
+        default, tuned = tmp_path / f"d{seed}.csv", tmp_path / f"p{seed}.csv"
+        assert main(base + ["--seed", str(seed), "--out", str(default)]) == EXIT_OK
+        assert main(base + ["--seed", str(seed), "--psi", "-5", "--out", str(tuned)]) == EXIT_OK
+        plan = cover.srinivasan_round_set_cover(sol, psi=-5.0, seed=seed)
+        cost = evaluate_objective(plan, inst.policy, inst.scenarios).total
+        assert float(read_csv(tuned)[0]["cost"]) == cost
+        assert tuned.read_bytes() != default.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "algorithm,knob",
+    [("srini-sc", "--alpha"), ("double", "--psi"), ("ufl5", "--theta"), ("ufl-improved", "--beta")],
+)
+def test_round_refuses_a_knob_the_algorithm_does_not_read(tmp_path, capsys, algorithm, knob):
+    kind = "ufl" if algorithm.startswith("ufl") else "set_cover"
+    inst = gen_file(tmp_path, kind, kind)
+    argv = ["round", "--instance", str(inst), "--algorithm", algorithm, knob, "3"]
+    assert main(argv) == EXIT_ERROR
+    assert f"error: algorithm {algorithm!r} reads no knob {knob[2:]}" in capsys.readouterr().err
+
+
+def test_spec_with_an_unread_knob_is_refused(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"instance": "vertex_cover", "algorithm": "srini-vc", "alg_params": {"psi": 1.0}}
+    ))
+    assert main(["bench", "--spec", str(spec)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: algorithm 'srini-vc' reads no knob psi; its knobs: none\n"
+    )
+
+
+def test_run_algorithm_refuses_an_unknown_name_with_a_value_error():
+    inst = generate_instance("set_cover", seed=0)
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'; registered: buyall"):
+        bench.run_algorithm(inst, "x", "nope", 0)
+
+
+SAA_SIZES = {
+    "set_cover": ["n_elements=5", "n_sets=6", "scenarios=3"],
+    "vertex_cover": ["n_vertices=5", "n_edges=7", "scenarios=3"],
+    "ufl": ["n_facilities=4", "n_clients=5", "scenarios=3"],
+    "steiner": ["n_vertices=5", "n_edges=7", "scenarios=3"],
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(bench.ALGORITHMS))
+def test_saa_runs_every_registered_algorithm(tmp_path, capsys, algorithm):
+    kind = next(src for alg, src in CASES if alg == algorithm)
+    params = [arg for size in SAA_SIZES[kind] for arg in ("--param", size)]
+    inst = gen_file(tmp_path, kind, kind, *params)
+    out = tmp_path / "saa.json"
+    argv = ["saa", "--instance", str(inst), "--algorithm", algorithm, "--epsilon", "0.5",
+            "--delta", "0.3", "--c-n", "0.01", "--seed", "2", "--out", str(out)]
+    code = main(argv)
+    if kind == "ufl":
+        assert code == EXIT_ERROR
+        assert "cannot follow an empirical sample" in capsys.readouterr().err
+        return
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert len(payload["estimates"]) == payload["k_reps"] == 3
+    assert payload["estimates"][payload["chosen_rep"]] == min(payload["estimates"])
+
+
+def test_saa_refuses_an_unknown_algorithm_at_parse_time(tmp_path, capsys):
+    inst = gen_file(tmp_path, "set_cover", "sc")
+    with pytest.raises(SystemExit) as exc:
+        main(["saa", "--instance", str(inst), "--algorithm", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from twostage import bench
 from twostage.cover import (
     RecoursePlan,
+    _double_sampler,
     buy_all_reserved_reduction,
     classify_heavy,
     default_psi,
     double_randomized_round,
     half_mass_inflation_bound,
-    prepare_cover,
     preprocess_half,
-    round_for_cover,
     scale_factor,
     srinivasan_round_set_cover,
     srinivasan_round_vertex_cover,
@@ -179,16 +179,19 @@ def test_double_round_always_feasible():
     ids=["set_cover", "vertex_cover", "triangle"],
 )
 def test_prepared_double_sample_equals_one_shot_rounding(inst):
-    # prepare_cover takes the heavy set from preprocess_half's report and
-    # builds the per-scenario replay odds once; one shared sampler must give
-    # the plans and stats of rounding from scratch on every seed.
+    # The registered double takes the heavy set from preprocess_half's report
+    # and builds the per-scenario replay odds once; one shared sampler must
+    # give the plans and stats of rounding from scratch on every seed.
     sol = solve_cover_lp(inst)
-    pre, _ = preprocess_half(sol)
+    pre, report = preprocess_half(sol)
+    registered = bench.prepare(inst, "double").sample
     stats = {}
-    sample = prepare_cover(inst, "double", sol, stats=stats)
+    sample = _double_sampler(pre, report.heavy_elements)
     for seed in range(50):
         alone = {}
-        assert sample(seed) == double_randomized_round(pre, seed=seed, stats=alone)
+        expected = double_randomized_round(pre, seed=seed, stats=alone)
+        assert registered(seed)[4] == expected
+        assert sample(seed, stats) == expected
         assert stats == alone
 
 
@@ -198,13 +201,15 @@ def test_each_rounding_builds_the_incidence_once(monkeypatch):
     builds = []
     real = SetCoverInstance.incidence
     monkeypatch.setattr(SetCoverInstance, "incidence", lambda self: builds.append(1) or real(self))
-    sample = prepare_cover(inst, "double", sol)
+    sample = bench.prepare(inst, "double").sample
+    prepared = len(builds)
+    assert prepared == 2  # the relaxation's rows and the sampler's, once each
     for seed in range(5):
         sample(seed)
-    assert len(builds) == 1
+    assert len(builds) == prepared
     for seed in range(5):
         srinivasan_round_set_cover(sol, seed=seed)
-    assert len(builds) == 6
+    assert len(builds) == prepared + 5
 
 
 # -- threshold rounding -------------------------------------------------------
@@ -396,7 +401,7 @@ def test_reduction_ratio_vs_oracle_within_beta_over_sigma():
             "vertex_cover", seed=seed, n_vertices=6, n_edges=8, scenarios=3, sigma=0.5
         )
         stats = {}
-        out = round_for_cover(inst, "buyall", stats=stats)
+        out = buy_all_reserved_reduction(threshold_recourse_cover, inst, stats)
         cost = evaluate_objective(out, inst.policy, inst.scenarios).total
         opt = brute_force_optimal(inst).optimal_cost
         assert cost <= stats["factor"] * opt + 1e-9
@@ -405,13 +410,13 @@ def test_reduction_ratio_vs_oracle_within_beta_over_sigma():
 
 def test_single_scenario_reduction_is_deterministic_play():
     inst = generate_instance("set_cover", seed=1, n_elements=4, n_sets=5, scenarios=1)
-    a = round_for_cover(inst, "buyall")
-    b = round_for_cover(inst, "buyall")
+    a = buy_all_reserved_reduction(threshold_recourse_cover, inst)
+    b = buy_all_reserved_reduction(threshold_recourse_cover, inst)
     assert a == b
     assert len(a.stages) == 1
 
 
-def test_round_for_cover_rejects_unknown_name():
+def test_prepare_rejects_unknown_name():
     inst = generate_instance("set_cover", seed=0, n_elements=4, n_sets=5, scenarios=2)
-    with pytest.raises(ValueError):
-        round_for_cover(inst, "nope")
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'; registered: buyall, double"):
+        bench.prepare(inst, "nope")

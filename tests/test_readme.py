@@ -43,9 +43,9 @@ def test_cli_block_has_every_subcommand():
 
 SAA_ON_UFL = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: repeating_saa keeps UFL's per-scenario price rows while "
-    "swapping in the empirical scenarios, so `saa --algorithm ufl5` exits 1 with "
-    "'one scenario cost row per scenario required'",
+    reason="ROADMAP item 4: UFL's per-scenario price rows cannot follow an empirical "
+    "sample, so repeating_saa refuses facility location and `saa --algorithm ufl5` "
+    "exits 1",
 )
 
 

@@ -121,3 +121,34 @@ def test_empirical_lp_value_converges_to_the_true_one():
         gaps.append(float(np.median(per_seed)))
     assert gaps[1] <= gaps[0] + 1e-9
     assert gaps[1] <= 0.25 * (1.0 + true_value)
+
+
+UFL_REFUSAL = (
+    "error: SAA does not run on facility location: the per-scenario opening prices "
+    "(scenario_open_cost) cannot follow an empirical sample (ROADMAP item 4)\n"
+)
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "ufl5"])
+def test_saa_refuses_facility_location_before_any_repetition(tmp_path, capsys, algorithm):
+    # With exactly K distinct draws nothing else would raise, and every price
+    # row of scenario_open_cost would be paired with a reordered scenario.
+    from twostage import cli
+    from twostage.instances import save_instance
+
+    inst = generate_instance("ufl", seed=11, n_facilities=5, n_clients=6, scenarios=3)
+    calls = []
+
+    def counting(inst_hat):
+        calls.append(1)
+        return frozenset(), 0.0
+
+    with pytest.raises(ValueError, match="cannot follow an empirical sample"):
+        repeating_saa(inst, counting, SaaConfig(0.5, 0.3, k_reps=3, n_samples=5), seed=2)
+    assert calls == []
+    path = tmp_path / "ufl.json"
+    save_instance(inst, path)
+    argv = ["saa", "--instance", str(path), "--algorithm", algorithm, "--epsilon", "0.5",
+            "--delta", "0.3", "--c-n", "0.01", "--seed", "2"]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == UFL_REFUSAL
