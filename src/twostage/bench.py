@@ -246,14 +246,12 @@ class Prepared:
     sample: Callable[[int], tuple]
 
 
-def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
-    """Solve the relaxation and run the seed-independent part of an
-    algorithm, once.  ``alg_params`` holds the algorithm's knobs; a knob it
-    does not read is a ValueError."""
+def _checked_build(inst, algorithm: str, params: dict):
+    """The build of a registered algorithm that applies to the instance's
+    kind and reads every knob in ``params``; anything else is a ValueError."""
     build, kinds = _entry(algorithm)
     if not isinstance(inst, kinds):
         raise ValueError(f"algorithm {algorithm!r} does not apply to {inst.kind!r}")
-    params = alg_params or {}
     knobs = build.__kwdefaults__ or {}
     unread = sorted(set(params) - set(knobs))
     if unread:
@@ -261,6 +259,15 @@ def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
             f"algorithm {algorithm!r} reads no knob {', '.join(unread)}; "
             f"its knobs: {', '.join(sorted(knobs)) or 'none'}"
         )
+    return build
+
+
+def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
+    """Solve the relaxation and run the seed-independent part of an
+    algorithm, once.  ``alg_params`` holds the algorithm's knobs; a knob it
+    does not read is a ValueError."""
+    params = alg_params or {}
+    build = _checked_build(inst, algorithm, params)
     relaxation = solve_relaxation(inst)
     return Prepared(relaxation.objective_value, build(inst, relaxation, **params))
 

@@ -219,6 +219,9 @@ def _run(argv: list[str] | None) -> int:
 
     if args.command == "saa":
         inst = load_instance(args.instance)
+        if args.algorithm != "exact":
+            # Refuse a wrong-kind algorithm before the first draw.
+            bench_mod._checked_build(inst, args.algorithm, {})
         lam = inst.policy.lam if hasattr(inst, "policy") else inst.lam
         cfg = SaaConfig.from_eps_delta(
             args.epsilon, args.delta, lam, inst.n_items, c_k=args.c_k, c_n=args.c_n

@@ -1,14 +1,15 @@
-"""Two-phase primal simplex on a dense tableau, with dual extraction.
+"""Two-phase primal simplex on a dense column-major tableau, with duals.
 
 Small LPs only (hundreds of variables); everything the rounding algorithms
-need fits comfortably.  The tableau is stored dense with one column per
-structural and slack variable and none for the phase-1 artificials: an
-artificial never re-enters the basis, so it is only a basis id past the
-last column.  Each pivot updates only the rows whose pivot-column entry is
-nonzero, and in them only the columns where the pivot row is nonzero: the
-relaxations are sparse, and a skipped entry could only lose the sign of a
-zero.  Minimization form with row senses '<=', '>=', '=='
-and per-variable lower bounds (default 0, shifted out internally).
+need fits comfortably.  Row j of the array ``T`` is tableau column j of a
+structural or slack variable, with that column's reduced cost as its last
+entry; the last row is the rhs, ending in minus the objective value.  The
+phase-1 artificials get no column: an artificial never re-enters the basis,
+so it is only a basis id past the last column.  A pivot is one block
+update of the columns where the pivot row is nonzero; the relaxations are
+sparse, and a skipped column could only lose the sign of a zero.
+Minimization form with row senses '<=', '>=', '==' and per-variable lower
+bounds (default 0, shifted out internally).
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
 '<=' rows get duals <= 0, equality rows are free.  At optimal status the
@@ -30,7 +31,6 @@ FEAS_TOL = 1e-7
 DUALITY_TOL = 1e-6
 
 Sense = Literal["<=", ">=", "=="]
-_FLIPPED = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
 @dataclass(frozen=True)
@@ -104,35 +104,24 @@ class DualSolution:
     objective_value: float
 
 
-@dataclass
-class _Tableau:
-    body: np.ndarray          # (m, n_enter + 1), C-contiguous; last column is the rhs
-    basis: list[int]          # ids >= n_enter are artificials, which have no column
-    n_enter: int              # columns [0, n_enter) are eligible to enter
-    n_cols: int               # n_enter plus the artificials
-
-    def pivot(self, row: int, col: int, obj: np.ndarray) -> None:
-        body = self.body
-        body[row] /= body[row, col]
-        pivot_row = body[row]
-        # Outside the hit rows x the pivot row's support the update would only
-        # subtract zeros, which can change nothing but the sign of a zero.
-        nz = pivot_row.nonzero()[0]
-        hit = body[:, col].nonzero()[0]
-        hit = hit[hit != row]
-        support = pivot_row[nz]
-        idx = (hit * body.shape[1])[:, None] + nz
-        body.reshape(-1)[idx] -= body[hit, col, None] * support
-        obj[nz] -= obj[col] * support
-        self.basis[row] = col
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    pr = T[:, row] / T[col, row]
+    # Only the pivot row's support changes; in the rows the pivot column
+    # misses this subtracts p * 0.0, which can change nothing but the sign
+    # of a zero.
+    nz = pr.nonzero()[0]
+    T[nz] -= pr[nz, None] * T[col]
+    T[:, row] = pr
 
 
-def _run_simplex(tab: _Tableau, obj: np.ndarray, max_iter: int) -> Literal["optimal", "unbounded", "failed"]:
+def _run_simplex(
+    T: np.ndarray, basis: np.ndarray, n_cols: int, max_iter: int
+) -> Literal["optimal", "unbounded", "failed"]:
+    m = T.shape[1] - 1
     # The Bland threshold counts the artificials, as if each had a column.
-    bland_after = 2 * (tab.body.shape[0] + tab.n_cols + 1)
-    reduced = obj[:tab.n_enter]
-    rhs = tab.body[:, -1]
-    basis = np.array(tab.basis, dtype=np.intp)
+    bland_after = 2 * (m + n_cols + 1)
+    reduced = T[:-1, m]
+    rhs = T[-1, :m]
     degenerate_streak = 0
     bland = False
     for _ in range(max_iter):
@@ -145,22 +134,26 @@ def _run_simplex(tab: _Tableau, obj: np.ndarray, max_iter: int) -> Literal["opti
             col = int(reduced.argmin())
             if reduced[col] >= -PIVOT_TOL:
                 return "optimal"
-        column = tab.body[:, col]
+        column = T[col, :m]
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded"
-        ratios = rhs[eligible] / column[eligible]
-        best = np.minimum.reduce(ratios)
-        ties = eligible[ratios <= best + PIVOT_TOL]
-        # Smallest basis index among ties keeps Bland's guarantee intact.
-        row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
+        if eligible.size == 1:
+            row = int(eligible[0])
+            best = rhs[row] / column[row]
+        else:
+            ratios = rhs[eligible] / column[eligible]
+            best = np.minimum.reduce(ratios)
+            ties = eligible[ratios <= best + PIVOT_TOL]
+            # Smallest basis index among ties keeps Bland's guarantee intact.
+            row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         if best <= PIVOT_TOL:
             degenerate_streak += 1
             if degenerate_streak > bland_after:
                 bland = True
         else:
             degenerate_streak = 0
-        tab.pivot(row, col, obj)
+        _pivot(T, row, col)
         basis[row] = col
     return "failed"
 
@@ -178,102 +171,90 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
 
     # Normalize to nonnegative rhs, remembering sign flips for dual recovery.
     flips = np.where(rhs < 0, -1.0, 1.0)
-    rows = lp.rows * flips[:, None]
     rhs *= flips
-    senses = [_FLIPPED[s] if f < 0 else s for s, f in zip(lp.senses, flips)]
+    sense = np.array(lp.senses, dtype="<U2")
+    le = np.where(flips < 0, sense == ">=", sense == "<=")
+    ge = np.where(flips < 0, sense == "<=", sense == ">=")
 
-    slack_rows = [i for i, s in enumerate(senses) if s == "<="]
-    surplus_rows = [i for i, s in enumerate(senses) if s == ">="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    n_ext = n + len(slack_rows) + len(surplus_rows)
-    n_cols = n_ext + len(art_rows)
+    # Slacks first, then surpluses; every row but a '<=' one starts on an
+    # artificial.
+    slack_rows = np.concatenate([le.nonzero()[0], ge.nonzero()[0]])
+    art_rows = (~le).nonzero()[0]
+    n_ext = n + slack_rows.size
+    n_cols = n_ext + art_rows.size
 
-    body = np.zeros((m, n_ext + 1))
-    body[:, :n] = rows
-    body[:, -1] = rhs
-    basis = [0] * m
-    for k, i in enumerate(slack_rows + surplus_rows):
-        body[i, n + k] = 1.0 if senses[i] == "<=" else -1.0
-        basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        basis[i] = n_ext + k
-    # The constraint matrix with slacks, for the duals at the end.
-    A_ext = body[:, :n_ext].copy()
-
-    tab = _Tableau(body=body, basis=basis, n_enter=n_ext, n_cols=n_cols)
+    T = np.zeros((n_ext + 1, m + 1))
+    T[:n, :m] = (lp.rows * flips[:, None]).T
+    T[n + np.arange(slack_rows.size), slack_rows] = np.where(le[slack_rows], 1.0, -1.0)
+    T[-1, :m] = rhs
+    basis = np.empty(m, dtype=np.intp)
+    basis[slack_rows] = n + np.arange(slack_rows.size)
+    basis[art_rows] = n_ext + np.arange(art_rows.size)
+    # The constraint matrix with slacks, column-wise, for the duals at the end.
+    A_ext = T[:n_ext, :m].copy()
     max_iter = 2000 + 40 * (m + n_cols)
 
-    def reduced_row(costs: np.ndarray) -> np.ndarray:
-        obj = np.zeros(n_ext + 1)
-        obj[:n_ext] = costs[:n_ext]
-        for r, b in enumerate(tab.basis):
-            if costs[b] != 0.0:
-                obj -= costs[b] * tab.body[r]
-        return obj
+    def reduced_row(costs: np.ndarray) -> None:
+        # c - sum of c_b times basic row b, folded left to right in row order.
+        c_basic = costs[basis]
+        rows = c_basic.nonzero()[0]
+        terms = np.zeros((rows.size + 1, n_ext + 1))
+        terms[0, :n_ext] = costs[:n_ext]
+        terms[1:] = c_basic[rows, None] * T[:, rows].T
+        T[:, -1] = np.subtract.reduce(terms)
 
     def fail() -> tuple[LpSolution, None]:
         return LpSolution("failed", None, float("nan"), lp.names), None
 
+    kept = np.arange(m)
     if m > 0:
         phase1_costs = np.zeros(n_cols)
         phase1_costs[n_ext:] = 1.0
-        obj1 = reduced_row(phase1_costs)
-        status = _run_simplex(tab, obj1, max_iter)
+        reduced_row(phase1_costs)
+        status = _run_simplex(T, basis, n_cols, max_iter)
         if status == "failed":
             return fail()
-        if -obj1[-1] > FEAS_TOL:
+        if -T[-1, -1] > FEAS_TOL:
             return LpSolution("infeasible", None, float("nan"), lp.names), None
 
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and dropped.
-        drop: list[int] = []
-        for r in range(m):
-            if tab.basis[r] >= n_ext:
-                options = np.flatnonzero(np.abs(tab.body[r, :n_ext]) > FEAS_TOL)
-                if options.size:
-                    tab.pivot(r, int(options[0]), obj1)
-                else:
-                    drop.append(r)
-        kept = [r for r in range(m) if r not in drop]
-        if drop:
-            tab.body = tab.body[kept]
-            tab.basis = [tab.basis[r] for r in kept]
-    else:
-        kept = []
+        for r in (basis >= n_ext).nonzero()[0]:
+            options = np.flatnonzero(np.abs(T[:n_ext, r]) > FEAS_TOL)
+            if options.size:
+                _pivot(T, r, int(options[0]))
+                basis[r] = options[0]
+        kept = (basis < n_ext).nonzero()[0]
+        if kept.size < m:
+            T = T[:, np.append(kept, m)]
+            basis = basis[kept]
 
     phase2_costs = np.zeros(n_ext)
     phase2_costs[:n] = lp.objective
-    obj2 = reduced_row(phase2_costs)
-    status = _run_simplex(tab, obj2, max_iter)
+    reduced_row(phase2_costs)
+    status = _run_simplex(T, basis, n_cols, max_iter)
     if status == "failed":
         return fail()
     if status == "unbounded":
         return LpSolution("unbounded", None, float("-inf"), lp.names), None
 
     values_ext = np.zeros(n_ext)
-    for r, b in enumerate(tab.basis):
-        values_ext[b] = tab.body[r, -1]
-    u = np.clip(values_ext[:n], 0.0, None)
-    x = u + lb
+    values_ext[basis] = T[-1, :-1]
+    x = np.clip(values_ext[:n], 0.0, None) + lb
 
-    resid_hi = lp.rows @ x - lp.rhs
-    for i, s in enumerate(lp.senses):
-        bad = (
-            (s == "<=" and resid_hi[i] > FEAS_TOL)
-            or (s == ">=" and resid_hi[i] < -FEAS_TOL)
-            or (s == "==" and abs(resid_hi[i]) > FEAS_TOL)
-        )
-        if bad:
-            return fail()
+    resid = lp.rows @ x - lp.rhs
+    if np.any((resid > FEAS_TOL) & (sense != ">=")) or np.any(
+        (resid < -FEAS_TOL) & (sense != "<=")
+    ):
+        return fail()
 
     objective_value = float(lp.objective @ x)
 
     if m > 0:
         # y solves B^T y = c_B over the kept rows; dropped (redundant) rows
         # get dual 0, and flipped rows get their sign restored.
-        B = A_ext[kept][:, tab.basis]
         try:
-            y_kept = np.linalg.solve(B.T, phase2_costs[tab.basis])
+            y_kept = np.linalg.solve(A_ext[basis][:, kept], phase2_costs[basis])
         except np.linalg.LinAlgError:
             return fail()
         y = np.zeros(m)

@@ -423,3 +423,14 @@ def test_saa_refuses_an_unknown_algorithm_at_parse_time(tmp_path, capsys):
         main(["saa", "--instance", str(inst), "--algorithm", "nope"])
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_saa_refuses_a_wrong_kind_algorithm_before_sampling(tmp_path, capsys, monkeypatch):
+    inst = gen_file(tmp_path, "set_cover", "sc")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("repeating_saa ran")
+
+    monkeypatch.setattr("twostage.cli.repeating_saa", no_draws)
+    assert main(["saa", "--instance", str(inst), "--algorithm", "ufl5"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: algorithm 'ufl5' does not apply to 'set_cover'\n"

@@ -1,16 +1,26 @@
 """Simplex engine checked against hand vertices and scipy's solver.
 
 The scipy comparison is the independent route: both solvers see the same
-random feasible bounded programs and must land on the same optimum.  Two
-older forms of the solver are kept here as references, and the output must
-be byte-equal to both: the dense rank-one update the sparse pivot replaced,
-and the whole solver as it was before the artificial columns were dropped
-from the tableau and the update narrowed to the pivot row's support.
+programs (random feasible bounded ones, and hypothesis-drawn degenerate,
+redundant, infeasible and unbounded ones) and must agree on the status and
+the optimum.  A golden digest pins the solver's output bytes on a fixed
+corpus.  Two older forms of the solver are kept here as references, and the
+output must be byte-equal to both: the full rank-one update of every
+tableau entry, and the whole solver as it was before the artificial columns
+were dropped from the tableau and the update narrowed to the pivot row's
+support.
 """
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import twostage.lp
@@ -148,6 +158,73 @@ def test_complementary_slackness_on_random_programs():
         assert np.all(np.abs(reduced * sol.values) <= 1e-6 * (1.0 + np.abs(lp.objective)))
 
 
+def highs(lp):
+    """scipy's HiGHS on the same program: (status, objective)."""
+    le = np.array([s == "<=" for s in lp.senses], dtype=bool)
+    ge = np.array([s == ">=" for s in lp.senses], dtype=bool)
+    eq = ~(le | ge)
+    res = linprog(
+        lp.objective,
+        A_ub=np.vstack([lp.rows[le], -lp.rows[ge]]),
+        b_ub=np.concatenate([lp.rhs[le], -lp.rhs[ge]]),
+        A_eq=lp.rows[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        method="highs",
+    )
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message), res.fun
+
+
+@st.composite
+def hard_programs(draw):
+    """Small integer programs of four shapes: degenerate (every row but
+    the bounding one with zero rhs), redundant equalities (scaled and summed copies), infeasible
+    (a row asked to be both <= t and >= t + 1) and unbounded (x_0 costs -1
+    and only loosens every row)."""
+    shape = draw(st.sampled_from(["degenerate", "redundant", "infeasible", "unbounded"]))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 6))
+    ints = lambda lo, hi, size: np.array(draw(st.lists(
+        st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+    rows = ints(-3, 3, m * n).reshape(m, n)
+    senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
+    x0 = ints(0, 2, n)
+    rhs = rows @ x0
+    costs = ints(-2, 3, n)
+    if shape == "degenerate":
+        rhs[:] = 0.0
+    elif shape == "redundant":
+        senses[0] = senses[-1] = "=="
+        rows = np.vstack([rows, 2.0 * rows[0], rows[0] + rows[-1]])
+        rhs = np.append(rhs, [2.0 * rhs[0], rhs[0] + rhs[-1]])
+        senses += ["==", "=="]
+    elif shape == "infeasible":
+        t = float(draw(st.integers(-2, 2)))
+        rows = np.vstack([rows, rows[0], rows[0]])
+        rhs = np.append(rhs, [t, t + 1.0])
+        senses += ["<=", ">="]
+    else:
+        sign = {"<=": -1.0, ">=": 1.0, "==": 0.0}
+        rows[:, 0] = np.abs(rows[:, 0]) * [sign[s] for s in senses]
+        rhs = rows @ x0
+        costs[0] = -1.0
+    if shape != "unbounded":
+        # Keeps every feasible program bounded; x = 0 meets it.
+        rows = np.vstack([rows, np.ones(n)])
+        rhs = np.append(rhs, float(x0.sum() + 2))
+        senses.append("<=")
+    return LinearProgram(costs, rows, tuple(senses), rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=hard_programs())
+def test_agrees_with_highs_on_degenerate_redundant_infeasible_and_unbounded(lp):
+    sol, _ = solve_lp(lp)
+    status, objective = highs(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.objective_value - objective) <= 1e-6 * (1.0 + abs(objective))
+
+
 def test_dual_signs_follow_row_senses():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -168,17 +245,27 @@ def test_shape_mismatch_rejected():
         LinearProgram([1.0], [[1.0]], (">=", "<="), [1.0])
 
 
-def record_pivots(monkeypatch, tableau=twostage.lp._Tableau):
-    """Log (row, col) of every pivot made on the given tableau class."""
+def record_pivots(monkeypatch, owner=twostage.lp, name="_pivot"):
+    """Log (row, col) of every pivot made through ``owner.name``: the
+    solver's ``_pivot(T, row, col)`` or a reference ``pivot(self, row, col, obj)``."""
     pivots = []
-    pivot = tableau.pivot
+    pivot = getattr(owner, name)
 
-    def logged(self, row, col, obj):
-        pivots.append((row, col))
-        pivot(self, row, col, obj)
+    def logged(*args):
+        pivots.append(tuple(args[1:3]))
+        pivot(*args)
 
-    monkeypatch.setattr(tableau, "pivot", logged)
+    monkeypatch.setattr(owner, name, logged)
     return pivots
+
+
+def beale_lp():
+    return LinearProgram(
+        [-0.75, 20.0, -0.5, 6.0],
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        ("<=", "<=", "<="),
+        [0.0, 0.0, 1.0],
+    )
 
 
 def test_bland_switch_breaks_beales_cycle(monkeypatch):
@@ -186,13 +273,7 @@ def test_bland_switch_breaks_beales_cycle(monkeypatch):
     # reached only once the degenerate streak exceeds 2 * (m + columns + 1)
     # = 2 * (3 + 7 + 1) = 22 and the entering rule switches to Bland's.
     pivots = record_pivots(monkeypatch)
-    lp = LinearProgram(
-        [-0.75, 20.0, -0.5, 6.0],
-        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-        ("<=", "<=", "<="),
-        [0.0, 0.0, 1.0],
-    )
-    sol, dual = solve_lp(lp)
+    sol, dual = solve_lp(beale_lp())
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-1.25)
     assert sol.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
@@ -220,14 +301,11 @@ def test_redundant_equality_rows_are_dropped_with_zero_dual(monkeypatch):
     assert dual.objective_value == pytest.approx(2.0)
 
 
-def dense_pivot(self, row, col, obj):
-    """Reference pivot: the full m x (n+1) rank-one update."""
-    self.body[row] /= self.body[row, col]
-    factors = self.body[:, col].copy()
-    factors[row] = 0.0
-    self.body -= np.outer(factors, self.body[row])
-    obj -= obj[col] * self.body[row]
-    self.basis[row] = col
+def dense_pivot(T, row, col):
+    """Reference pivot: the full rank-one update of every entry of T."""
+    pr = T[:, row] / T[col, row]
+    T -= np.outer(pr, T[col])
+    T[:, row] = pr
 
 
 def solution_bytes(lp, solve=solve_lp):
@@ -255,7 +333,7 @@ def differential_corpus():
 def test_sparse_row_pivot_is_bit_identical_to_dense_update(monkeypatch):
     corpus = list(differential_corpus())
     sparse = [solution_bytes(lp) for lp in corpus]
-    monkeypatch.setattr(twostage.lp._Tableau, "pivot", dense_pivot)
+    monkeypatch.setattr(twostage.lp, "_pivot", dense_pivot)
     dense = [solution_bytes(lp) for lp in corpus]
     assert all(s[0] == "optimal" for s in sparse)
     assert sparse == dense
@@ -525,6 +603,52 @@ def lean_tableau_corpus():
     yield LinearProgram([-1.0], np.zeros((0, 1)), (), [])
 
 
+# SHA-256 of solve_lp's output on golden_solve_corpus(). A change to it is an
+# output change: declare it in CHANGES.md and paste the new value. Dual bytes
+# depend on the BLAS thread count, so a child process pinned to one thread
+# takes the digest.
+GOLDEN_SOLVE_DIGEST = "28d36abe631c88080f3ffb5f95b14d251daaa8dbc0426aeca8c2e4b96aa99e70"
+
+
+def golden_solve_corpus():
+    from test_lp_builders import golden_builder_corpus
+
+    yield from golden_builder_corpus()
+    yield from lean_tableau_corpus()
+    # Only these two cycle long enough to reach the Bland switch.
+    yield beale_lp()
+    yield beale_with_artificials()
+
+
+def solve_digest(lps) -> str:
+    """Status, values, objective, dual values and dual objective bytes."""
+    h = hashlib.sha256()
+    for lp in lps:
+        sol, dual = solve_lp(lp)
+        h.update(sol.status.encode())
+        parts = [np.float64(sol.objective_value)]
+        if sol.values is not None:
+            parts.append(sol.values)
+        if dual is not None:
+            parts += [dual.values, np.float64(dual.objective_value)]
+        for part in parts:
+            data = part.tobytes()
+            h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def test_solve_lp_matches_the_golden_digest():
+    src = str(Path(twostage.lp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    digest = child.stdout.strip()
+    assert digest == GOLDEN_SOLVE_DIGEST, f'GOLDEN_SOLVE_DIGEST = "{digest}"'
+
+
 def test_lean_tableau_is_bit_identical_to_the_artificial_column_reference():
     corpus = list(lean_tableau_corpus())
     lean = [solution_bytes(lp) for lp in corpus]
@@ -556,7 +680,7 @@ def test_bland_switch_with_artificials_matches_the_reference(monkeypatch):
     lp = beale_with_artificials()
     lean_pivots = record_pivots(monkeypatch)
     sol, dual = solve_lp(lp)
-    ref_pivots = record_pivots(monkeypatch, RefTableau)
+    ref_pivots = record_pivots(monkeypatch, RefTableau, "pivot")
     ref_sol, ref_dual = ref_solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(0.75)
@@ -572,3 +696,7 @@ def test_bland_switch_with_artificials_matches_the_reference(monkeypatch):
     cycle = phase2[:6]
     assert phase2[:40] == (cycle * 7)[:40]
     assert phase2[40] != cycle[40 % 6]
+
+
+if __name__ == "__main__":
+    print(solve_digest(golden_solve_corpus()))
