@@ -206,7 +206,6 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     def fail() -> tuple[LpSolution, None]:
         return LpSolution("failed", None, float("nan"), lp.names), None
 
-    kept = np.arange(m)
     if m > 0:
         phase1_costs = np.zeros(n_cols)
         phase1_costs[n_ext:] = 1.0

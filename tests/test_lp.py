@@ -176,15 +176,18 @@ def highs(lp):
 
 @st.composite
 def hard_programs(draw):
-    """Small integer programs of four shapes: degenerate (every row but
-    the bounding one with zero rhs), redundant equalities (scaled and summed copies), infeasible
-    (a row asked to be both <= t and >= t + 1) and unbounded (x_0 costs -1
-    and only loosens every row)."""
+    """Small integer programs of four shapes: degenerate (every row but the
+    bounding one with zero rhs), redundant equalities (a scaled and a summed
+    copy), infeasible (a row asked to be both <= t and >= t + 1) and
+    unbounded (x_0 costs -1 and only loosens every row)."""
     shape = draw(st.sampled_from(["degenerate", "redundant", "infeasible", "unbounded"]))
     n = draw(st.integers(2, 6))
     m = draw(st.integers(1, 6))
-    ints = lambda lo, hi, size: np.array(draw(st.lists(
-        st.integers(lo, hi), min_size=size, max_size=size)), dtype=float)
+
+    def ints(lo, hi, size):
+        values = st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+        return np.array(draw(values), dtype=float)
+
     rows = ints(-3, 3, m * n).reshape(m, n)
     senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
     x0 = ints(0, 2, n)
@@ -607,17 +610,23 @@ def lean_tableau_corpus():
 # output change: declare it in CHANGES.md and paste the new value. Dual bytes
 # depend on the BLAS thread count, so a child process pinned to one thread
 # takes the digest.
-GOLDEN_SOLVE_DIGEST = "28d36abe631c88080f3ffb5f95b14d251daaa8dbc0426aeca8c2e4b96aa99e70"
+GOLDEN_SOLVE_DIGEST = "07c44dbcabaff79ec05329784fa80b526f9b728d96593a2f54821d494ff03e4c"
 
 
 def golden_solve_corpus():
     from test_lp_builders import golden_builder_corpus
+    from test_oracle import odd_cycle_vc
 
     yield from golden_builder_corpus()
     yield from lean_tableau_corpus()
     # Only these two cycle long enough to reach the Bland switch.
     yield beale_lp()
     yield beale_with_artificials()
+    # Half-integral odd-cycle relaxations: a reduced-cost fold in another
+    # order changes their output bytes, and those of no LP above.
+    rng = np.random.default_rng(7)
+    for n, k in ((15, 4), (21, 5), (17, 4), (19, 5)):
+        yield build_relaxation(odd_cycle_vc(rng, n, k))
 
 
 def solve_digest(lps) -> str:
