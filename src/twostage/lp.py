@@ -190,8 +190,6 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     basis = np.empty(m, dtype=np.intp)
     basis[slack_rows] = n + np.arange(slack_rows.size)
     basis[art_rows] = n_ext + np.arange(art_rows.size)
-    # The constraint matrix with slacks, column-wise, for the duals at the end.
-    A_ext = T[:n_ext, :m].copy()
     max_iter = 2000 + 40 * (m + n_cols)
 
     def reduced_row(costs: np.ndarray) -> None:
@@ -251,9 +249,16 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
 
     if m > 0:
         # y solves B^T y = c_B over the kept rows; dropped (redundant) rows
-        # get dual 0, and flipped rows get their sign restored.
+        # get dual 0, and flipped rows get their sign restored.  B^T is
+        # gathered from the flipped rows and the slack signs: the entries
+        # the tableau started from.
+        Bt = np.zeros((basis.size, m))
+        struct = basis < n
+        Bt[struct] = (lp.rows[:, basis[struct]] * flips[:, None]).T
+        slack_at = slack_rows[basis[~struct] - n]
+        Bt[~struct, slack_at] = np.where(le[slack_at], 1.0, -1.0)
         try:
-            y_kept = np.linalg.solve(A_ext[basis][:, kept], phase2_costs[basis])
+            y_kept = np.linalg.solve(Bt[:, kept], phase2_costs[basis])
         except np.linalg.LinAlgError:
             return fail()
         y = np.zeros(m)

@@ -11,6 +11,7 @@ with F1 a subset of F0 and F1 | F2 feasible for the realized scenario.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -117,11 +118,11 @@ class ScenarioSet:
         return cls.black_box(explicit.sample)
 
     @functools.cached_property
-    def _cdf(self) -> np.ndarray:
+    def _cdf(self) -> list[float]:
         """Normalised CDF of the probabilities, built as ``Generator.choice`` builds it."""
         cdf = np.array([p for p, _ in self.scenarios]).cumsum()
         cdf /= cdf[-1]
-        return cdf
+        return cdf.tolist()
 
     @property
     def is_black_box(self) -> bool:
@@ -136,7 +137,9 @@ class ScenarioSet:
         if not self.scenarios:
             raise ValueError("an empty scenario set has nothing to sample")
         # the draw of rng.choice(len(self), p=probs): one uniform, inverted
-        return self.scenarios[int(self._cdf.searchsorted(rng.random(), side="right"))][1]
+        # (bisect_right is searchsorted's side="right", without numpy's
+        # per-call overhead on a scalar)
+        return self.scenarios[bisect.bisect_right(self._cdf, rng.random())][1]
 
     def sample_many(self, seed: int, count: int) -> list[frozenset[int]]:
         """Same seed, same sequence; the reproducibility contract for SAA."""

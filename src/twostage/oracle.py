@@ -14,8 +14,19 @@ hundreds).  That is done only when a certificate, checked once per instance
 from the weights, lambda and sigma, proves that rounding cannot make a
 superset strictly cheaper than its subset in float arithmetic either (see
 ``_pruning_is_exact``); otherwise every feasible set stays a candidate.
-UFL is not monotone (opening a facility can shorten connections), so it
-keeps every facility set.
+UFL is not monotone (opening a facility can shorten connections), but a
+facility that is no demanded client's strictly nearest one only adds its
+price, so each UFL scenario keeps only its irredundant facility sets (a
+median of about 110 of 2,048 at 11 facilities and 8 clients), under a
+per-scenario certificate
+(``_ufl_pruning_is_exact``); the owner flags come from the same fold as the
+nearest distances.
+
+Inside ``_shared_preparation``, where ``repeating_saa`` runs its
+repetitions, the covering and Steiner weight tables, certificate verdict,
+reach table and each client set's candidates are built once, keyed by the
+bytes they come from, and kept read-only.  Outside it nothing is kept from
+one call to the next.
 
 The tables and candidate lists are built as whole arrays: one (scenarios,
 masks) feasibility bitmap per instance, filtered for minimal sets in one
@@ -32,6 +43,8 @@ with more than MAX_ITEMS items or MAX_SCENARIOS scenarios.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -215,6 +228,88 @@ def _pruning_is_exact(w: np.ndarray, lam: float, c: float) -> bool:
     return (lam - c) * float(positive.min()) > 4.0 * err and (lam + c) * total < 2.0**1000
 
 
+def _ufl_pruning_is_exact(fk: np.ndarray, save: np.ndarray, dist: np.ndarray) -> bool:
+    """Can dropping a UFL scenario's redundant facility sets change its argmin?
+
+    A set X is redundant if some facility of X is no demanded client's
+    strictly nearest facility of X.  Dropping such a facility leaves every
+    client's nearest distance the same float, so dropping them one at a time
+    reaches an irredundant Y inside X whose summed distances C[Y] are the
+    same bytes as C[X].  Under reservation R the scan computes X's value as
+    fl(fl(O[X] + C[X]) - S[X & R]), with O and S the mass tables of the
+    scenario prices fk and of save = fk - (1 - sigma)*f0, as ``_prepare``
+    computes them.  In exact arithmetic on those floats,
+
+        V(X) - V(Y) = sum over i in X - Y of p_i(R),
+
+    with p_i = fk_i outside R and fk_i - save_i inside R.  O and S sum at
+    most n entries and C at most c, so with F the sum of fk, B the sum of
+    |save| and D the sum over demanded clients of the largest |distance|,
+
+        |fl value(X) - V(X)| <= E = gamma_{n+c+2}*(F + B + D).
+
+    If every price exceeds 2E, Y's computed value is strictly smaller than
+    X's, so no redundant set is a minimum and the first minimum over all
+    sets is the first over the irredundant ones.  The check runs in floats
+    and asks for 4E, as ``_pruning_is_exact`` does; it also asks for normal
+    prices and keeps every sum clear of overflow.
+    """
+    prices = np.concatenate([fk, fk - save])  # finite only if save is
+    if not (np.isfinite(prices).all() and np.isfinite(dist).all()):
+        return False
+    k = (dist.shape[0] + dist.shape[1] + 2) * 2.0**-53
+    nearest_bound = np.abs(dist).max(axis=0, initial=0.0)
+    total = sum(fk.tolist()) + sum(np.abs(save).tolist()) + sum(nearest_bound.tolist())
+    low = float(prices.min(initial=math.inf))
+    return low >= 2.0**-1022 and low > 4.0 * k / (1.0 - k) * total and total < 2.0**1000
+
+
+def _nearest_fold(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (facility mask, client): the nearest facility's distance, and the bit
+    of that facility if it is strictly nearer than the mask's others, else 0.
+
+    The fold of ``_lowest_bit_fold``: a mask adds its lowest facility k to
+    the mask without it.  k takes the client if strictly nearer, the old
+    owner keeps it if k is strictly farther, and a tie leaves no owner.
+    """
+    n, c = dist.shape
+    minc = np.full((1 << n, c), np.inf)
+    owner = np.zeros((1 << n, c), dtype=np.uint16)  # n <= MAX_ITEMS bits
+    for k in range(n - 1, -1, -1):
+        m, o = minc.reshape(-1, 2, 1 << k, c), owner.reshape(-1, 2, 1 << k, c)
+        near, row = m[:, 0, 0], dist[k]
+        m[:, 1, 0] = np.minimum(near, row)
+        o[:, 1, 0] = np.where(row < near, 1 << k, np.where(row > near, o[:, 0, 0], 0))
+    return minc, owner
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Inside ``_shared_preparation`` the covering and Steiner branches of
+# ``_prepare`` keep their scenario-independent tables and each client set's
+# candidates here, keyed by the bytes they are built from.  Outside it every
+# call starts from an empty dict, so nothing outlives the call.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("oracle_shared", default=None)
+
+
+@contextlib.contextmanager
+def _shared_preparation():
+    """Share one preparation across the oracle calls of the block.
+
+    ``repeating_saa`` runs its repetitions here: their empirical instances
+    differ only in their scenarios, and most client sets repeat.  UFL is
+    never shared, since its price rows follow the scenario index.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _prepare(inst: Instance) -> _Prep:
     n = inst.n_items
     scen = inst.scenarios.scenarios
@@ -227,34 +322,56 @@ def _prepare(inst: Instance) -> _Prep:
         sigma, lam = inst.policy.sigma, inst.policy.lam
         steiner = isinstance(inst, SteinerInstance)
         w = np.array(inst.graph.weights if steiner else inst.weights, dtype=float)
-        table = _mass_table(w)
-        c = lam - 1.0 + sigma
-        save_table = c * table
-        client_sets = [clients for _, clients in scen]
         if steiner:
-            ok = _connecting_feasible(_root_reach(inst.graph), client_sets)
+            g = inst.graph
+            source = (g.n_vertices, g.root, g.edges)
         else:
-            ok = _covering_feasible(inst.incidence(), client_sets)
-        if _pruning_is_exact(w, lam, c):
-            ok = _minimal_masks(ok)
-        cand = [np.flatnonzero(row) for row in ok]
-        tables = [_ScenarioTable(p, m, lam * table[m], save_table) for (p, _), m in zip(scen, cand)]
-        return _Prep(sigma * table, tables)
+            inc = inst.incidence()
+            source = (inc.shape, inc.tobytes())
+        key = (steiner, source, w.tobytes(), np.array([sigma, lam]).tobytes())
+        shared = _SHARED.get()
+        if shared is None:
+            shared = {}
+        if key not in shared:
+            table = _mass_table(w)
+            c = lam - 1.0 + sigma
+            shared[key] = (
+                _frozen(table), _frozen(c * table), _frozen(sigma * table),
+                _pruning_is_exact(w, lam, c), _frozen(_root_reach(g)) if steiner else inc,
+            )
+        table, save_table, first_vec, prune, structure = shared[key]
+        distinct = dict.fromkeys(clients for _, clients in scen)
+        missing = [clients for clients in distinct if (key, clients) not in shared]
+        if missing:
+            feasible = _connecting_feasible if steiner else _covering_feasible
+            ok = feasible(structure, missing)
+            if prune:
+                ok = _minimal_masks(ok)
+            for clients, row in zip(missing, ok):
+                m = np.flatnonzero(row)
+                shared[key, clients] = (_frozen(m), _frozen(lam * table[m]))
+        tables = [_ScenarioTable(p, *shared[key, clients], save_table) for p, clients in scen]
+        return _Prep(first_vec, tables)
 
     if isinstance(inst, UflInstance):
         sigma = inst.sigma
         f0 = np.array(inst.open_cost, dtype=float)
         f0_table = _mass_table(f0)
-        # nearest-open-facility distance per (mask, client)
-        minc = _lowest_bit_fold(np.minimum, np.full((1 << n, inst.n_clients), np.inf), inst.dist)
+        dist = inst.dist
+        minc, owner = _nearest_fold(dist)
         all_masks = np.arange(1 << n, dtype=np.int64)
         tables = []
         for k, (p, clients) in enumerate(scen):
             fk = np.array(inst.scenario_open_cost[k], dtype=float)
-            open_table = _mass_table(fk)
-            conn = minc[:, sorted(clients)].sum(axis=1) if clients else np.zeros(1 << n)
-            save_table = _mass_table(fk - (1.0 - sigma) * f0)
-            tables.append(_ScenarioTable(p, all_masks, open_table + conn, save_table))
+            cols = sorted(clients)
+            conn = minc[:, cols].sum(axis=1) if clients else np.zeros(1 << n)
+            save = fk - (1.0 - sigma) * f0
+            masks = all_masks
+            if _ufl_pruning_is_exact(fk, save, dist[:, cols]):
+                # irredundant: every facility strictly nearest to a demanded client
+                masks = np.flatnonzero(np.bitwise_or.reduce(owner[:, cols], axis=1) == all_masks)
+            base = _mass_table(fk)[masks] + conn[masks]
+            tables.append(_ScenarioTable(p, masks, base, _mass_table(save)))
         return _Prep(sigma * f0_table, tables)
 
     raise InstanceError(f"unsupported instance type {type(inst).__name__}")

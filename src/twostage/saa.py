@@ -18,6 +18,7 @@ import numpy as np
 
 from .instances import UflInstance
 from .model import ScenarioSet
+from .oracle import _shared_preparation
 
 __all__ = [
     "SaaConfig",
@@ -93,16 +94,17 @@ def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:
 
     Scenarios keep their first-appearance order and carry multiplicity / n
     as probability; the largest class absorbs the last-ulp float slack so
-    the probabilities add to exactly 1.0.  Explicit inputs are wrapped
-    behind a sampler first, so the draw stream depends only on the seed.
+    the probabilities add to exactly 1.0.  An explicit input draws through
+    ``ScenarioSet.sample``, the stream a black box of it gives, so the draws
+    depend only on the seed.
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    source = scen if scen.is_black_box else ScenarioSet.black_box_of(scen)
+    draw = scen.sampler if scen.is_black_box else scen.sample
     rng = np.random.default_rng(seed)
     counts: dict[frozenset[int], int] = {}
     for _ in range(n):
-        s = source.sample(rng)
+        s = draw(rng)
         counts[s] = counts.get(s, 0) + 1
     probs = [c / n for c in counts.values()]
     slack = 1.0 - math.fsum(probs)
@@ -135,6 +137,11 @@ def repeating_saa(
     objective).  Repetition r draws with seed + r, so runs are reproducible
     and repetitions embarrassingly parallel.
 
+    The repetitions run inside one oracle scope: an exact inner solver
+    builds the weight tables, the certificate verdict, the Steiner reach
+    table and each distinct client set's candidates once per call instead
+    of once per repetition.  The scope ends with the call.
+
     Facility location is refused: its per-scenario opening prices are
     indexed by the original scenarios and cannot follow an empirical sample.
     """
@@ -146,15 +153,16 @@ def repeating_saa(
         )
     candidates: list[frozenset[int]] = []
     estimates: list[float] = []
-    for rep in range(cfg.k_reps):
-        empirical = saa_build(instance.scenarios, cfg.n_samples, seed + rep)
-        inst_hat = dataclasses.replace(instance, scenarios=empirical)
-        try:
-            first_stage, estimate = inner_solver(inst_hat)
-        except Exception as exc:
-            raise InnerSolverError(rep, str(exc)) from exc
-        candidates.append(frozenset(first_stage))
-        estimates.append(float(estimate))
+    with _shared_preparation():
+        for rep in range(cfg.k_reps):
+            empirical = saa_build(instance.scenarios, cfg.n_samples, seed + rep)
+            inst_hat = dataclasses.replace(instance, scenarios=empirical)
+            try:
+                first_stage, estimate = inner_solver(inst_hat)
+            except Exception as exc:
+                raise InnerSolverError(rep, str(exc)) from exc
+            candidates.append(frozenset(first_stage))
+            estimates.append(float(estimate))
     best = min(range(cfg.k_reps), key=lambda r: (estimates[r], r))
     return SaaResult(
         candidates[best], best, tuple(candidates), tuple(estimates), cfg

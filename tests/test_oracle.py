@@ -1,4 +1,6 @@
 """Exhaustive ground-truth solver."""
+import dataclasses
+import hashlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from twostage.instances import (
 )
 from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
 from twostage.oracle import MAX_ITEMS, MAX_SCENARIOS, best_completion, brute_force_optimal
+from twostage.saa import SaaConfig, repeating_saa
 from twostage.generators import generate_instance
 
 
@@ -367,8 +370,9 @@ def test_steiner_reach_table_is_built_once_per_prepare(monkeypatch):
 
 
 def test_block_scan_memory_stays_bounded():
-    # every UFL scenario keeps all 2^16 facility sets as candidates, so an
-    # uncapped block would hold rows x 65536 entries per scenario
+    # a UFL scenario keeps up to all 2^16 facility sets as candidates, so an
+    # uncapped block would hold rows x 65536 entries per scenario; the
+    # nearest-distance and owner tables take 4 MiB and 1 MiB of it
     inst = generate_instance("ufl", seed=0, n_facilities=16, n_clients=8, scenarios=6)
     tracemalloc.start()
     try:
@@ -404,9 +408,14 @@ def keep_every_feasible_set(ok):
     return ok
 
 
+def refuse(*args):
+    return False
+
+
 def unpruned_records(monkeypatch, inst):
     with monkeypatch.context() as m:
         m.setattr(oracle, "_minimal_masks", keep_every_feasible_set)
+        m.setattr(oracle, "_ufl_pruning_is_exact", refuse)
         return oracle_records(inst)
 
 
@@ -430,17 +439,17 @@ def odd_cycle_vc(rng, n, k):
     )
 
 
-def odd_cycle_ufl(sigma, fk):
-    """Clients at distance 1 from two facilities of a 3-cycle."""
-    dist = [[3.0] * 3 for _ in range(3)]
-    for j in range(3):
-        dist[j][j] = dist[(j + 1) % 3][j] = 1.0
+def odd_cycle_ufl(sigma, fk, n=3):
+    """Facility i at position 2i and client j at 2j + 1 of a 2n-cycle, hop
+    distances: every client ties between two facilities at distance 1."""
+    dist = [[float(min(abs(2 * i - 2 * j - 1), 2 * n - abs(2 * i - 2 * j - 1))) for j in range(n)]
+            for i in range(n)]
     return UflInstance(
-        open_cost=(2.0,) * 3,
-        scenario_open_cost=((fk,) * 3,) * 2,
+        open_cost=(2.0,) * n,
+        scenario_open_cost=((fk,) * n,) * 2,
         distance=tuple(tuple(r) for r in dist),
         sigma=sigma,
-        scenarios=ScenarioSet.explicit([(0.5, [0, 1, 2]), (0.5, [0])]),
+        scenarios=ScenarioSet.explicit([(0.5, range(n)), (0.5, [0])]),
     )
 
 
@@ -459,16 +468,67 @@ def pruning_corpus():
     return out
 
 
+def ufl_pruning_corpus():
+    rng = np.random.default_rng(2025)
+    out = [odd_cycle_ufl(0.6, 3.0, n) for n in (5, 7, 9)]
+    for seed in range(6):
+        sigma = float(rng.uniform(0.1, 0.9))
+        out += [
+            generate_instance("ufl", seed=seed, n_facilities=6, n_clients=5, scenarios=3, sigma=sigma),
+            generate_instance("ufl", seed=seed, n_facilities=9, n_clients=7, scenarios=4, sigma=sigma),
+            generate_instance("ufl", seed=seed, n_facilities=11, n_clients=8, scenarios=3),
+        ]
+    return out
+
+
 def test_minimal_candidates_give_the_records_of_every_feasible_set(monkeypatch):
     pruned = 0
-    for inst in pruning_corpus():
+    corpus = pruning_corpus() + ufl_pruning_corpus()
+    for inst in corpus:
         assert oracle_records(inst) == unpruned_records(monkeypatch, inst)
-        if not isinstance(inst, UflInstance):
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_minimal_masks", keep_every_feasible_set)
-                full = candidate_counts(inst)
-            pruned += candidate_counts(inst) < full
-    assert pruned == 96  # every cover, Steiner and odd-cycle instance was pruned
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_minimal_masks", keep_every_feasible_set)
+            m.setattr(oracle, "_ufl_pruning_is_exact", refuse)
+            full = candidate_counts(inst)
+        pruned += candidate_counts(inst) < full
+    # every instance was pruned: 90 cover and Steiner, 6 odd-cycle vertex
+    # cover, 2 + 3 odd-cycle UFL and 18 generated UFL
+    assert pruned == len(corpus) == 119
+
+
+def irredundant_sets(dist, clients):
+    """Per-mask brute force: every facility of the set is strictly nearer to
+    some demanded client than each other facility of the set."""
+    n = len(dist)
+    out = []
+    for x in range(1 << n):
+        members = [i for i in range(n) if x >> i & 1]
+        if all(
+            any(all(dist[i][j] < dist[o][j] for o in members if o != i) for j in clients)
+            for i in members
+        ):
+            out.append(x)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ufl_candidates_are_exactly_the_irredundant_sets(data):
+    n = data.draw(st.integers(1, 6))
+    n_clients = data.draw(st.integers(1, 4))
+    # distances within [1, 3] meet the triangle rule; few values give many ties
+    values = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+    dist = [[data.draw(values) for _ in range(n_clients)] for _ in range(n)]
+    client_sets = [data.draw(st.sets(st.integers(0, n_clients - 1))) for _ in range(2)]
+    inst = UflInstance(
+        open_cost=(1.0,) * n,
+        scenario_open_cost=((2.0,) * n,) * 2,
+        distance=tuple(tuple(r) for r in dist),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(0.5, c) for c in client_sets]),
+    )
+    for tab, clients in zip(oracle._prepare(inst).tables, client_sets):
+        assert tab.masks.tolist() == irredundant_sets(dist, sorted(clients))
 
 
 @settings(max_examples=200, deadline=None)
@@ -559,6 +619,62 @@ def test_certificate_falls_back_where_pruning_would_change_the_output(
     assert forced != full
 
 
+@pytest.mark.parametrize(
+    "f0, fk, dist",
+    [
+        ([1.0, 0.0], [2.0, 0.0], [[1.0], [2.0]]),  # a free facility
+        ([1.0, 0.0], [2.0, 1.0], [[1.0], [2.0]]),  # free once reserved
+        ([1.0, 1e-17], [2.0, 1e-17], [[1.0], [2.0]]),  # a price far below the rounding error
+        ([1.0, 5e-324], [2.0, 5e-324], [[1.0], [2.0]]),  # a subnormal price
+        ([1e-310, 1e-310], [2e-310, 2e-310], [[1e-310], [2e-310]]),  # subnormal, though separated
+        ([1.0, 1.0], [2.0, np.nan], [[1.0], [2.0]]),
+        ([1.0, 1.0], [2.0, 2.0], [[1.0], [np.nan]]),
+        ([1.0, 1.0], [2.0, 2.0], [[1.0], [np.inf]]),
+        ([1e305, 1e305], [2e305, 2e305], [[1.0], [2.0]]),  # too close to overflow for the bound
+        ([1.0, 1.0], [2.0, 2.0], [[1e303], [2e303]]),  # so are the distances
+    ],
+)
+def test_ufl_certificate_refuses_where_rounding_could_decide(f0, fk, dist):
+    f0, fk = np.array(f0), np.array(fk)
+    assert not oracle._ufl_pruning_is_exact(fk, fk - 0.5 * f0, np.array(dist))
+
+
+@pytest.mark.parametrize(
+    "f0, fk, dist",
+    [
+        ([1.0, 2.0], [2.5, 3.0], [[1.0, 2.0], [2.0, 1.0]]),
+        ([1.0, 1e-3], [1.5, 7.5], [[0.0, 1e3], [5.0, 0.0]]),
+        ([1.0], [1.0], np.zeros((1, 0))),  # no demanded client
+    ],
+)
+def test_ufl_certificate_accepts_well_separated_prices(f0, fk, dist):
+    f0, fk = np.array(f0), np.array(fk)
+    assert oracle._ufl_pruning_is_exact(fk, fk - 0.5 * f0, np.array(dist))
+
+
+def test_ufl_certificate_falls_back_where_pruning_would_change_the_output(monkeypatch):
+    # Facility 1 is farther and nearly free.  Reserving both, {0, 1} costs
+    # fl(fl(fl(1.5e-16 + 1.5) + 1.0) - fl(1.25e-16 + 1.0)), one ulp below
+    # {0}'s 2.5 - 1.0: its price vanishes from the first sum, not the second.
+    inst = UflInstance(
+        open_cost=(1.0, 0.5e-16),
+        scenario_open_cost=((1.5, 1.5e-16),),
+        distance=((1.0,), (3.0,)),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(1.0, [0])]),
+    )
+    assert candidate_counts(inst) == [4]
+    reference = unpruned_records(monkeypatch, inst)
+    assert oracle_records(inst) == reference
+    sol, cost = best_completion(inst, frozenset({0, 1}))
+    assert sol.stages[0].bought == frozenset({0, 1}) and cost == 2.0 - 2.0**-52
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_ufl_pruning_is_exact", lambda *args: True)
+        assert candidate_counts(inst) == [3]
+        sol, cost = best_completion(inst, frozenset({0, 1}))
+    assert sol.stages[0].bought == frozenset({0}) and cost == 2.0
+
+
 def test_candidate_counts_are_pinned():
     # the exact workload's sizes; a change that widens the candidate lists
     # again fails here, not only in a timing
@@ -566,7 +682,8 @@ def test_candidate_counts_are_pinned():
         (generate_instance("set_cover", seed=1, n_elements=10, n_sets=11, scenarios=3), [4, 10, 8]),
         (generate_instance("vertex_cover", seed=1, n_vertices=10, n_edges=16, scenarios=3), [6, 5, 9]),
         (generate_instance("steiner", seed=1, n_vertices=7, n_edges=10, scenarios=3), [17, 5, 17]),
-        (generate_instance("ufl", seed=1, n_facilities=6, n_clients=5, scenarios=3), [64, 64, 64]),
+        (generate_instance("ufl", seed=1, n_facilities=6, n_clients=5, scenarios=3), [7, 16, 20]),
+        (generate_instance("ufl", seed=1, n_facilities=11, n_clients=8, scenarios=3), [372, 166, 76]),
     ]
     for inst, counts in cases:
         assert candidate_counts(inst) == counts
@@ -786,3 +903,64 @@ def test_lowest_bit_fold_is_byte_equal_to_the_index_array_fold(n):
     nearest = oracle._lowest_bit_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
     ref = arange_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
     assert nearest.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Golden oracle records.  One SHA-256 over the oracle's records (cost bytes,
+# nodes, solution, best_completion at four reservations) and over
+# repeating_saa records with the exact inner solver.  A change to it is an
+# output change: declare it in CHANGES.md and paste the new value.
+GOLDEN_ORACLE_DIGEST = "4f91c52d8f0d228c2b820e6951d7db69c9ca8b5aca852624e8895dc2bf6c8fdf"
+
+
+def golden_oracle_corpus():
+    yield from generated_instances()
+    yield from edge_case_instances()
+    yield from pruning_corpus()
+    yield from (odd_cycle_ufl(sigma, fk, n) for sigma, fk, n in ((0.6, 3.0, 5), (0.4, 5.5, 9), (0.5, 2.5, 11)))
+    for seed in range(4):  # the exact workload's UFL size
+        yield generate_instance("ufl", seed=seed, n_facilities=11, n_clients=8, scenarios=3)
+    yield generate_instance("ufl", seed=0, n_facilities=16, n_clients=8, scenarios=3)
+
+
+def exact_inner(inst):
+    res = brute_force_optimal(inst)
+    return res.optimal_solution.reserved, res.optimal_cost
+
+
+def golden_saa_inputs():
+    """Set cover and Steiner behind black-box samplers, with the exact inner solver."""
+    for seed in range(3):
+        for inst in (
+            generate_instance("set_cover", seed=seed, n_elements=8, n_sets=8, scenarios=5),
+            generate_instance("steiner", seed=seed, n_vertices=6, n_edges=8, scenarios=4),
+        ):
+            box = ScenarioSet.black_box_of(inst.scenarios)
+            yield dataclasses.replace(inst, scenarios=box), SaaConfig(0.5, 0.1, 4, 40), 7 * seed
+
+
+def plain(x):
+    """Records as nested tuples of str and int: sets sorted, dataclasses by field."""
+    if isinstance(x, frozenset):
+        return tuple(sorted(x))
+    if dataclasses.is_dataclass(x):
+        return tuple(plain(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(plain(v) for v in x)
+    return x
+
+
+def oracle_digest() -> str:
+    h = hashlib.sha256()
+    for inst in golden_oracle_corpus():
+        h.update(repr(plain(oracle_records(inst))).encode() + b"\n")
+    for inst, cfg, seed in golden_saa_inputs():
+        res = repeating_saa(inst, exact_inner, cfg, seed=seed)
+        rec = ([e.hex() for e in res.estimates], res.chosen_rep, res.candidates)
+        h.update(repr(plain(rec)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_oracle_matches_the_golden_digest():
+    digest = oracle_digest()
+    assert digest == GOLDEN_ORACLE_DIGEST, f'GOLDEN_ORACLE_DIGEST = "{digest}"'

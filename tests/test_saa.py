@@ -1,4 +1,6 @@
 """Sample-average reduction: empirical scenario sets and repeated selection."""
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -152,3 +154,80 @@ def test_saa_refuses_facility_location_before_any_repetition(tmp_path, capsys, a
             "--delta", "0.3", "--c-n", "0.01", "--seed", "2"]
     assert cli.main(argv) == cli.EXIT_ERROR
     assert capsys.readouterr().err == UFL_REFUSAL
+
+
+# ---------------------------------------------------------------------------
+# One oracle preparation per repeating_saa call.
+
+
+def exact_saa_inputs():
+    from test_oracle import golden_saa_inputs
+
+    return list(golden_saa_inputs())
+
+
+def counting(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        log.append((name, args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_shared_preparation_gives_the_result_of_a_fresh_one_per_repetition(monkeypatch):
+    from test_oracle import exact_inner
+
+    from twostage import saa
+
+    for inst, cfg, seed in exact_saa_inputs():
+        shared = repeating_saa(inst, exact_inner, cfg, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(saa, "_shared_preparation", contextlib.nullcontext)
+            fresh = repeating_saa(inst, exact_inner, cfg, seed=seed)
+        assert shared == fresh
+        assert [e.hex() for e in shared.estimates] == [e.hex() for e in fresh.estimates]
+
+
+def test_each_structure_is_built_once_per_call_and_dropped_after_it(monkeypatch):
+    from test_oracle import exact_inner
+
+    from twostage import oracle
+
+    for inst, cfg, seed in exact_saa_inputs():
+        log = []
+        with monkeypatch.context() as m:
+            for name in ("_mass_table", "_pruning_is_exact", "_root_reach",
+                         "_covering_feasible", "_connecting_feasible"):
+                counting(m, oracle, name, log)
+            repeating_saa(inst, exact_inner, cfg, seed=seed)
+            names = [name for name, _ in log]
+            steiner = hasattr(inst, "graph")
+            assert names.count("_mass_table") == names.count("_pruning_is_exact") == 1
+            assert names.count("_root_reach") == int(steiner)
+            # each client set's feasibility row is built once, in the first
+            # repetition that draws it
+            rows = [c for name, args in log if name.endswith("_feasible") for c in args[1]]
+            assert len(rows) == len(set(rows)) > 0
+            assert oracle._SHARED.get() is None
+            # outside the call nothing is kept: each oracle call builds again
+            log.clear()
+            oracle.brute_force_optimal(dataclasses.replace(inst, scenarios=saa_build(inst.scenarios, 9)))
+            oracle.brute_force_optimal(dataclasses.replace(inst, scenarios=saa_build(inst.scenarios, 9)))
+            assert [name for name, _ in log].count("_mass_table") == 2
+
+
+def test_the_scope_ends_when_an_inner_solver_fails():
+    from twostage import oracle
+
+    inst, cfg, seed = exact_saa_inputs()[0]
+
+    def failing(inst_hat):
+        oracle.brute_force_optimal(inst_hat)
+        assert oracle._SHARED.get()
+        raise RuntimeError("boom")
+
+    with pytest.raises(InnerSolverError):
+        repeating_saa(inst, failing, cfg, seed=seed)
+    assert oracle._SHARED.get() is None
