@@ -254,14 +254,12 @@ def _ufl_pruning_is_exact(fk: np.ndarray, save: np.ndarray, dist: np.ndarray) ->
     and asks for 4E, as ``_pruning_is_exact`` does; it also asks for normal
     prices and keeps every sum clear of overflow.
     """
-    prices = np.concatenate([fk, fk - save])  # finite only if save is
-    if not (np.isfinite(prices).all() and np.isfinite(dist).all()):
-        return False
     k = (dist.shape[0] + dist.shape[1] + 2) * 2.0**-53
-    nearest_bound = np.abs(dist).max(axis=0, initial=0.0)
-    total = sum(fk.tolist()) + sum(np.abs(save).tolist()) + sum(nearest_bound.tolist())
-    low = float(prices.min(initial=math.inf))
-    return low >= 2.0**-1022 and low > 4.0 * k / (1.0 - k) * total and total < 2.0**1000
+    # NaN and inf propagate into both, and then fail every comparison below
+    nearest = np.abs(dist).max(axis=0, initial=0.0)
+    total = float(np.abs(fk).sum() + np.abs(save).sum() + nearest.sum())
+    low = float(np.minimum(fk, fk - save).min(initial=math.inf))
+    return total < 2.0**1000 and low >= 2.0**-1022 and low > 4.0 * k / (1.0 - k) * total
 
 
 def _nearest_fold(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +335,7 @@ def _prepare(inst: Instance) -> _Prep:
             c = lam - 1.0 + sigma
             shared[key] = (
                 _frozen(table), _frozen(c * table), _frozen(sigma * table),
-                _pruning_is_exact(w, lam, c), _frozen(_root_reach(g)) if steiner else inc,
+                _pruning_is_exact(w, lam, c), _frozen(_root_reach(g) if steiner else inc),
             )
         table, save_table, first_vec, prune, structure = shared[key]
         distinct = dict.fromkeys(clients for _, clients in scen)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from twostage import oracle, saa
 from twostage.generators import generate_instance
 from twostage.lp_builders import solve_cover_lp
 from twostage.model import ScenarioSet
@@ -179,8 +180,6 @@ def counting(monkeypatch, module, name, log):
 def test_shared_preparation_gives_the_result_of_a_fresh_one_per_repetition(monkeypatch):
     from test_oracle import exact_inner
 
-    from twostage import saa
-
     for inst, cfg, seed in exact_saa_inputs():
         shared = repeating_saa(inst, exact_inner, cfg, seed=seed)
         with monkeypatch.context() as m:
@@ -192,8 +191,6 @@ def test_shared_preparation_gives_the_result_of_a_fresh_one_per_repetition(monke
 
 def test_each_structure_is_built_once_per_call_and_dropped_after_it(monkeypatch):
     from test_oracle import exact_inner
-
-    from twostage import oracle
 
     for inst, cfg, seed in exact_saa_inputs():
         log = []
@@ -219,8 +216,6 @@ def test_each_structure_is_built_once_per_call_and_dropped_after_it(monkeypatch)
 
 
 def test_the_scope_ends_when_an_inner_solver_fails():
-    from twostage import oracle
-
     inst, cfg, seed = exact_saa_inputs()[0]
 
     def failing(inst_hat):
