@@ -142,7 +142,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm", default="exact", choices=["exact", *sorted(bench_mod.ALGORITHMS)]
     )
-    p.add_argument("--c-k", dest="c_k", type=float, default=1.0)
     p.add_argument("--c-n", dest="c_n", type=float, default=1.0)
 
     p = sub.add_parser("bench", parents=[common], help="run an experiment table")
@@ -223,9 +222,7 @@ def _run(argv: list[str] | None) -> int:
             # Refuse a wrong-kind algorithm before the first draw.
             bench_mod._checked_build(inst, args.algorithm, {})
         lam = inst.policy.lam if hasattr(inst, "policy") else inst.lam
-        cfg = SaaConfig.from_eps_delta(
-            args.epsilon, args.delta, lam, inst.n_items, c_k=args.c_k, c_n=args.c_n
-        )
+        cfg = SaaConfig.from_eps_delta(args.epsilon, args.delta, lam, inst.n_items, c_n=args.c_n)
         result = repeating_saa(inst, _inner_solver(args.algorithm), cfg, seed=args.seed)
         payload = {
             "instance_id": args.instance.stem,

@@ -12,9 +12,10 @@ over many sets.  This module turns it into an integral plan four ways:
   cover, buying everything above a fixed mass threshold.
 * ``srinivasan_round_set_cover`` / ``srinivasan_round_vertex_cover``:
   scale-and-sample roundings applied directly to the raw optimum.
-* ``buy_all_reserved_reduction``: forwards any plain-recourse approximation
-  and exercises its whole first stage, trading a 1/sigma factor for
-  simplicity.
+* ``buy_all_reserved_reduction``: reserves the first stage of a
+  plain-recourse plan (``threshold_recourse_cover`` here, or
+  ``steiner.mst_recourse_steiner`` for trees) and exercises all of it in
+  every scenario, trading a 1/sigma factor for simplicity.
 
 Randomized routines take an integer seed and optionally fill a caller
 supplied ``stats`` dict with round counts, repair flags, and pre-repair
@@ -39,18 +40,12 @@ from .lp_builders import (
 from .model import StageDecision, TwoStageSolution
 
 __all__ = [
-    "HalfMassReport",
     "RecoursePlan",
     "half_mass_inflation_bound",
-    "classify_heavy",
-    "fractional_cover_value",
     "preprocess_half",
-    "double_randomized_round",
     "threshold_round_vertex_cover",
     "srinivasan_round_set_cover",
     "srinivasan_round_vertex_cover",
-    "default_psi",
-    "scale_factor",
     "threshold_recourse_cover",
     "buy_all_reserved_reduction",
 ]
@@ -78,18 +73,16 @@ class HalfMassReport:
 
 
 def half_mass_inflation_bound(sigma: float, lam: float) -> float:
-    """Certified cap on the preprocessing inflation ratio.
+    """Certified cap on the preprocessing inflation ratio,
+    (lam + 1 - sigma) / (2 - 2*sigma).
 
-    Moving half a unit of exercise mass to recourse price can cost at most
-    (lam + 1 - sigma)/(2 - 2*sigma) times the original; the companion
-    formula (lam + sigma - 1)/(2 - 2*sigma) is kept inside the max so the
-    bound is safe under either reading.
+    Each halving moves p*w*y/2 of exercise mass, priced at (1 - sigma)*w,
+    onto recourse at lam*w, adding at most (lam - 1 + sigma)/(2 - 2*sigma)
+    times the exercise cost it moves; so the ratio after/before is at most
+    1 + ``HalfMassReport.k_bound``, which is this value.  With lam > 1 it
+    is at least 1.
     """
-    return max(
-        (lam + sigma - 1.0) / (2.0 - 2.0 * sigma),
-        (lam + 1.0 - sigma) / (2.0 - 2.0 * sigma),
-        1.0,
-    )
+    return (lam + 1.0 - sigma) / (2.0 - 2.0 * sigma)
 
 
 def fractional_cover_value(
@@ -540,27 +533,18 @@ def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
     )
 
 
-def buy_all_reserved_reduction(
-    recourse_algorithm: Callable[..., RecoursePlan],
-    instance,
-    stats: dict | None = None,
-) -> TwoStageSolution:
-    """Turn a plain-recourse approximation into a reservation plan.
+def buy_all_reserved_reduction(plan: RecoursePlan) -> TwoStageSolution:
+    """Turn a plain-recourse plan into a reservation plan.
 
-    The recourse solver buys its first stage outright; here the same sets
+    The recourse solver buys its first stage outright; here the same items
     are merely reserved and then exercised in every scenario, so the total
-    price per first-stage set is unchanged while the guarantee degrades from
-    beta to beta/sigma, because committing to exercise everything forfeits
-    the option value the optimum may extract.
+    price per first-stage item is unchanged while the guarantee degrades
+    from ``plan.beta`` to ``plan.beta / sigma``, because committing to
+    exercise everything forfeits the option value the optimum may extract.
     """
-    plan = recourse_algorithm(instance)
     reserved = plan.first_stage
     stages = tuple(
         StageDecision(reserved, frozenset(extra) - reserved)
         for extra in plan.per_scenario
     )
-    if stats is not None:
-        stats["beta"] = plan.beta
-        stats["factor"] = plan.beta / instance.policy.sigma
     return TwoStageSolution(reserved, stages)
-

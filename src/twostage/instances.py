@@ -28,7 +28,6 @@ __all__ = [
     "SteinerInstance",
     "load_instance",
     "save_instance",
-    "instance_from_dict",
     "instance_to_dict",
 ]
 
@@ -37,6 +36,16 @@ GEOM_TOL = 1e-9
 
 class InstanceError(ValueError):
     """Instance data violates its structural invariants."""
+
+
+def _check_finite(field: str, values) -> None:
+    """Refuse NaN and +-inf, naming the field and the first bad index."""
+    arr = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        index = "".join(f"[{i}]" for i in at)
+        raise InstanceError(f"{field}{index} must be finite, got {arr[at]}")
 
 
 def _check_scenarios(scen: ScenarioSet, limit: int, what: str) -> None:
@@ -159,6 +168,9 @@ class UflInstance:
         for k, row in enumerate(self.scenario_open_cost):
             if len(row) != n_i:
                 raise InstanceError(f"scenario {k} cost row has wrong arity")
+        for field in ("open_cost", "scenario_open_cost", "distance"):
+            _check_finite(field, getattr(self, field))
+        for k, row in enumerate(self.scenario_open_cost):
             for i, (f0, fk) in enumerate(zip(self.open_cost, row)):
                 if f0 < 0 or fk < f0 - GEOM_TOL:
                     raise InstanceError(

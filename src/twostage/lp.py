@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "DualSolution", "solve_lp"]
+__all__ = ["LinearProgram", "LpSolution", "solve_lp"]
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7

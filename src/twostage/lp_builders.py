@@ -32,10 +32,7 @@ from .model import ScenarioSet
 __all__ = [
     "FractionalCoverSolution",
     "FractionalUflSolution",
-    "build_cover_lp",
-    "build_ufl_lp",
     "build_deterministic_ufl_lp",
-    "build_steiner_flow_lp",
     "solve_cover_lp",
     "solve_ufl_lp",
     "build_relaxation",

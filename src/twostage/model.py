@@ -21,16 +21,12 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "StructureError",
     "CostPolicy",
     "ScenarioSet",
     "StageDecision",
     "TwoStageSolution",
-    "ObjectiveBreakdown",
-    "FeasibilityReport",
     "evaluate_objective",
     "check_feasible",
-    "monte_carlo_cost",
 ]
 
 PROB_TOL = 1e-9
@@ -56,8 +52,8 @@ class CostPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-        if not self.lam > 1.0:
-            raise ValueError(f"lambda must exceed 1, got {self.lam}")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and exceed 1, got {self.lam}")
         bad = {i: w for i, w in self.ground_weight.items() if w < 0 or not math.isfinite(w)}
         if bad:
             raise ValueError(f"ground weights must be finite and nonnegative: {bad}")

@@ -20,13 +20,7 @@ from .instances import UflInstance
 from .model import ScenarioSet
 from .oracle import _shared_preparation
 
-__all__ = [
-    "SaaConfig",
-    "SaaResult",
-    "InnerSolverError",
-    "saa_build",
-    "repeating_saa",
-]
+__all__ = ["SaaConfig", "InnerSolverError", "saa_build", "repeating_saa"]
 
 
 class InnerSolverError(RuntimeError):
@@ -41,16 +35,16 @@ class InnerSolverError(RuntimeError):
 class SaaConfig:
     """Sampling plan: how many repetitions, how many draws per repetition.
 
-    ``from_eps_delta`` derives both counts; the leading constants are not
-    pinned by any theory here and default to 1, which is far more than a
-    desk-scale box needs — pass a smaller ``c_n`` to keep runs fast.
+    ``from_eps_delta`` derives both counts.  Its one tunable constant,
+    ``c_n``, scales the sample count; it is not pinned by any theory here
+    and defaults to 1, which is far more than a desk-scale box needs, so
+    pass a smaller ``c_n`` to keep runs fast.
     """
 
     epsilon: float
     delta: float
     k_reps: int
     n_samples: int
-    c_k: float = 1.0
     c_n: float = 1.0
 
     def __post_init__(self) -> None:
@@ -66,19 +60,22 @@ class SaaConfig:
         delta: float,
         recourse_ratio: float,
         first_stage_bits: int,
-        c_k: float = 1.0,
         c_n: float = 1.0,
     ) -> "SaaConfig":
         """Counts from the accuracy targets.
 
-        k_reps = ceil(c_k / epsilon * ln(1/delta)); at epsilon = 0.5,
-        delta = 0.1, c_k = 1 that is ceil(2 ln 10) = 5.  The per-repetition
-        sample count scales with the squared recourse ratio, epsilon^-4,
-        k_reps, the log of the first-stage space (bits * ln 2) and
-        ln(1/delta).  Both counts are clamped to at least 1.
+        k_reps = ceil(ln(1/delta) / epsilon); at epsilon = 0.5, delta = 0.1
+        that is ceil(2 ln 10) = 5.  The per-repetition sample count is
+        ``c_n`` times the squared recourse ratio, epsilon^-4, k_reps, the
+        log of the first-stage space (bits * ln 2) and ln(1/delta).  Both
+        counts are clamped to at least 1.  A recourse ratio that is not
+        finite (facility location with a free ground opening price and a
+        priced recourse one) is a ValueError.
         """
+        if not math.isfinite(recourse_ratio):
+            raise ValueError(f"recourse ratio must be finite, got {recourse_ratio}")
         confidence = math.log(1.0 / delta)
-        k = max(1, math.ceil(c_k / epsilon * confidence))
+        k = max(1, math.ceil(1.0 / epsilon * confidence))
         ln_x = max(first_stage_bits, 1) * math.log(2.0)
         n = max(
             1,
@@ -86,7 +83,7 @@ class SaaConfig:
                 c_n * recourse_ratio**2 * epsilon**-4 * k * ln_x * confidence
             ),
         )
-        return cls(epsilon, delta, k, n, c_k, c_n)
+        return cls(epsilon, delta, k, n, c_n)
 
 
 def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:

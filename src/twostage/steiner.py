@@ -2,60 +2,28 @@
 
 Everything here reduces to one primitive: connect a terminal set to the
 root with the metric-closure MST, which costs at most twice the optimal
-tree.  On top of that sit Prim-order cost shares (used to argue about
-sampled terminal sets), the draw-union-and-reserve heuristic for black-box
-scenario models, and the buy-all-reserved fallback that ignores revocation
-entirely.
+tree.  On top of that sit the draw-union-and-reserve heuristic for
+black-box scenario models and the plain-recourse tree plan that the
+buy-all-reserved fallback (``cover.buy_all_reserved_reduction``) exercises
+in full.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import RecoursePlan, buy_all_reserved_reduction
+from .cover import RecoursePlan
 from .instances import InstanceError, MetricGraph, SteinerInstance
 from .model import CostPolicy, ScenarioSet, StageDecision, TwoStageSolution
 
-__all__ = [
-    "mst_steiner_approx",
-    "CostShareLedger",
-    "prim_cost_shares",
-    "SamplingPlan",
-    "sampling_heuristic",
-    "mst_recourse_steiner",
-    "ignore_revocation_steiner",
-    "MST_FACTOR",
-]
+__all__ = ["sampling_heuristic", "mst_recourse_steiner"]
 
 # The closure-MST argument: doubling the optimal tree gives an Euler tour
 # that the closure MST never exceeds.
 MST_FACTOR = 2.0
-
-
-def _closure_prim(
-    d: np.ndarray, root: int, nodes: list[int]
-) -> list[tuple[int, int, float]]:
-    """Prim on the metric closure restricted to ``nodes``; returns join
-    events (vertex, closure parent, distance).  Ties go to the lowest
-    vertex id, so the order is a pure function of the distances."""
-    pending = [v for v in nodes if v != root]
-    best = {v: (float(d[root, v]), root) for v in pending}
-    joined: list[tuple[int, int, float]] = []
-    while pending:
-        v = min(pending, key=lambda t: (best[t][0], t))
-        dist, parent = best[v]
-        if not math.isfinite(dist):
-            raise InstanceError(f"terminal {v} is unreachable from the root")
-        joined.append((v, parent, dist))
-        pending.remove(v)
-        for t in pending:
-            if d[v, t] < best[t][0]:
-                best[t] = (float(d[v, t]), v)
-    return joined
 
 
 def mst_steiner_approx(
@@ -67,53 +35,26 @@ def mst_steiner_approx(
     cheapest such tree under the given prices.
 
     The closure MST is built by Prim from the root (ties to the lowest
-    vertex id) and its closure edges are expanded into shortest paths.  No
-    terminals means no edges; one terminal buys its shortest root path.
+    vertex id, so the tree is a pure function of the distances) and its
+    closure edges are expanded into shortest paths.  No terminals means no
+    edges; one terminal buys its shortest root path.
     """
     want = sorted(set(terminals) - {g.root})
     if not want:
         return frozenset()
     d, nxt = g.shortest_paths(edge_price)
+    best = {v: (float(d[g.root, v]), g.root) for v in want}
     bought: set[int] = set()
-    for v, parent, _ in _closure_prim(d, g.root, want):
+    while best:
+        v = min(best, key=lambda t: (best[t][0], t))
+        dist, parent = best.pop(v)
+        if not math.isfinite(dist):
+            raise InstanceError(f"terminal {v} is unreachable from the root")
         bought.update(g.path_edges(nxt, v, parent, edge_price))
+        for t in best:
+            if d[v, t] < best[t][0]:
+                best[t] = (float(d[v, t]), v)
     return frozenset(bought)
-
-
-@dataclass(frozen=True)
-class CostShareLedger:
-    """Per-terminal shares of the closure MST the root grows toward them.
-
-    Each terminal owns half the closure edge that first connected it, so
-    the shares always add up to exactly half the closure tree cost; the
-    constructor refuses ledgers that do not.
-    """
-
-    shares: dict[int, float]
-    closure_cost: float
-
-    def __post_init__(self) -> None:
-        total = math.fsum(self.shares.values())
-        if abs(total - self.closure_cost / 2.0) > 1e-9:
-            raise ArithmeticError(
-                f"shares sum to {total!r}, expected {self.closure_cost / 2.0!r}"
-            )
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.shares.values())
-
-
-def prim_cost_shares(g: MetricGraph, terminals: frozenset[int] | set[int]) -> CostShareLedger:
-    """Grow the ground-weight closure MST from the root and hand every
-    terminal half of its joining edge."""
-    want = sorted(set(terminals) - {g.root})
-    if not want:
-        return CostShareLedger({}, 0.0)
-    d, _ = g.shortest_paths()
-    joined = _closure_prim(d, g.root, want)
-    closure_cost = math.fsum(dist for _, _, dist in joined)
-    return CostShareLedger({v: dist / 2.0 for v, _, dist in joined}, closure_cost)
 
 
 @dataclass(frozen=True)
@@ -153,13 +94,13 @@ def sampling_heuristic(
     Draws that many terminal sets from the sampler (lambda = 1.5 at
     sigma = 0.75 draws 2, lambda = 3 at sigma = 0.5 draws 6), reserves the
     approximate tree of their union at ground prices, and leaves stage 2 to
-    :meth:`SamplingPlan.decide`.  Explicit scenario sets are wrapped behind
-    a sampler first, so the draw stream depends only on the seed.
+    :meth:`SamplingPlan.decide`.  Explicit and black-box scenario sets draw
+    through ``ScenarioSet.sample``, so the draw stream depends only on the
+    seed.
     """
     m = math.ceil(policy.lam / policy.sigma)
-    source = ScenarioSet.black_box_of(scen) if not scen.is_black_box else scen
     rng = np.random.default_rng(seed)
-    draws = tuple(source.sample(rng) for _ in range(m))
+    draws = tuple(scen.sample(rng) for _ in range(m))
     union: set[int] = set()
     for s in draws:
         union |= s
@@ -196,11 +137,3 @@ def mst_recourse_steiner(inst: SteinerInstance) -> RecoursePlan:
         return RecoursePlan(up_front, empty, beta)
     return RecoursePlan(frozenset(), per_scenario, beta)
 
-
-def ignore_revocation_steiner(
-    inst: SteinerInstance, stats: dict | None = None
-) -> TwoStageSolution:
-    """Buy-all-reserved specialization for trees: solve the plain-recourse
-    problem, then exercise every reservation in every scenario.  The
-    reported factor is beta / sigma for the recourse solver above."""
-    return buy_all_reserved_reduction(mst_recourse_steiner, inst, stats=stats)

@@ -31,27 +31,11 @@ __all__ = [
     "BETA_DEFAULT",
     "THETA_DEFAULT",
     "GAMMA_DEFAULT",
-    "NeighborhoodProfile",
-    "UflPlan",
-    "UflCostBreakdown",
-    "CompleteUfl",
-    "PairBall",
-    "FilteredUfl",
-    "ClusterPlan",
     "evaluate_ufl_cost",
     "round_5approx",
-    "deterministic_ufl_approx",
-    "split_assignment",
-    "SplitAssignment",
-    "classify_pairs",
-    "make_complete",
-    "swamy_filter",
     "round_improved",
-    "PreparedImproved",
     "prepare_improved",
     "sample_improved",
-    "cs_round_deterministic_ufl",
-    "solve_deterministic_ufl_lp",
     "clustered_approx_factor",
 ]
 

@@ -222,6 +222,28 @@ def test_errors_exit_one_with_a_message(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [("ufl", "open_cost", float("nan"), "error: open_cost[0] must be finite, got nan\n"),
+     ("ufl", "distance", float("nan"), "error: distance[0][0] must be finite, got nan\n"),
+     ("set_cover", "lambda", float("inf"), "error: lambda must be finite and exceed 1, got inf\n")],
+    ids=["ufl-open_cost", "ufl-distance", "set_cover-lambda"],
+)
+def test_oracle_refuses_non_finite_instance_data(tmp_path, capsys, kind, field, value, message):
+    raw = instance_to_dict(generate_instance(kind, seed=1))
+    if field == "lambda":
+        raw[field] = value
+    elif field == "distance":
+        raw[field][0][0] = value
+    else:
+        raw[field][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["oracle", "--instance", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_csv_parses_with_stdlib_reader(tmp_path):
     inst = gen_file(tmp_path, "set_cover", "sc")
     out = tmp_path / "t.csv"

@@ -8,7 +8,6 @@ import pytest
 
 from twostage import bench
 from twostage.cover import (
-    RecoursePlan,
     _double_sampler,
     buy_all_reserved_reduction,
     classify_heavy,
@@ -54,8 +53,26 @@ def triangle_vc(sigma=0.5, lam=2.0, pairs=((0.5, (0, 1, 2)), (0.5, (0,)))):
 
 def test_inflation_bound_frozen_value():
     assert half_mass_inflation_bound(0.5, 2.0) == pytest.approx(2.5)
-    # the companion formula alone gives 1.5 at these prices
+    # the transfer cap k_bound = (lam + sigma - 1)/(2 - 2 sigma) is 1.5 here
     assert (2.0 + 0.5 - 1.0) / (2.0 - 2.0 * 0.5) == pytest.approx(1.5)
+
+
+def test_inflation_bound_has_the_bytes_of_the_three_way_max():
+    # The bound was once the max of both formulas and 1; in floats the one
+    # formula left always wins it, from subnormal sigma to lam near 1e308.
+    rng = np.random.default_rng(0)
+    sigmas = [5e-324, 1e-300, 1e-17, 2.0**-53, 1e-9, 0.1, 0.5, 0.9, 1 - 1e-9, 1 - 2.0**-53]
+    sigmas += [float(x) for x in rng.uniform(0.0, 1.0, 190) if x > 0.0]
+    lams = [math.nextafter(1.0, 2.0), 1.0000001, 1.5, 2.0, 3.0, 1e3, 1e16, 1e100, 1e308]
+    lams += [float(x) for x in np.exp(rng.uniform(0.0, math.log(1e308), 191))]
+    for sigma in sigmas:
+        for lam in lams:
+            old = max(
+                (lam + sigma - 1.0) / (2.0 - 2.0 * sigma),
+                (lam + 1.0 - sigma) / (2.0 - 2.0 * sigma),
+                1.0,
+            )
+            assert half_mass_inflation_bound(sigma, lam).hex() == old.hex(), (sigma, lam)
 
 
 def test_uniform_solution_passes_through():
@@ -375,21 +392,19 @@ def test_vc_sampling_triangle_mean_within_twice_lp():
 
 def test_reduction_factor_arithmetic():
     inst = generate_instance("vertex_cover", seed=2, n_vertices=5, n_edges=6, scenarios=2, sigma=0.9)
-
-    def stub_solver(instance):
-        plan = threshold_recourse_cover(instance)
-        return RecoursePlan(plan.first_stage, plan.per_scenario, beta=2.0)
-
-    stats = {}
-    buy_all_reserved_reduction(stub_solver, inst, stats)
-    assert stats["factor"] == pytest.approx(2.0 / 0.9)
-    assert stats["factor"] <= 2.23
+    plan = threshold_recourse_cover(inst)
+    assert plan.beta == 2.0
+    # the registry certifies beta / sigma per run, against the optimum
+    _, _, bound, basis, sol = bench.prepare(inst, "buyall").sample(0)
+    assert bound == pytest.approx(2.0 / 0.9)
+    assert bound <= 2.23
+    assert basis == "oracle"
+    assert sol == buy_all_reserved_reduction(plan)
 
 
 def test_reduction_exercises_everything_it_reserved():
     inst = generate_instance("set_cover", seed=6, n_elements=5, n_sets=6, scenarios=3)
-    stats = {}
-    out = buy_all_reserved_reduction(threshold_recourse_cover, inst, stats)
+    out = buy_all_reserved_reduction(threshold_recourse_cover(inst))
     for stage in out.stages:
         assert stage.exercised == out.reserved
     assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
@@ -400,18 +415,18 @@ def test_reduction_ratio_vs_oracle_within_beta_over_sigma():
         inst = generate_instance(
             "vertex_cover", seed=seed, n_vertices=6, n_edges=8, scenarios=3, sigma=0.5
         )
-        stats = {}
-        out = buy_all_reserved_reduction(threshold_recourse_cover, inst, stats)
+        plan = threshold_recourse_cover(inst)
+        out = buy_all_reserved_reduction(plan)
         cost = evaluate_objective(out, inst.policy, inst.scenarios).total
         opt = brute_force_optimal(inst).optimal_cost
-        assert cost <= stats["factor"] * opt + 1e-9
-        assert stats["beta"] == 2.0  # every vertex-cover element has frequency 2
+        assert cost <= plan.beta / inst.policy.sigma * opt + 1e-9
+        assert plan.beta == 2.0  # every vertex-cover element has frequency 2
 
 
 def test_single_scenario_reduction_is_deterministic_play():
     inst = generate_instance("set_cover", seed=1, n_elements=4, n_sets=5, scenarios=1)
-    a = buy_all_reserved_reduction(threshold_recourse_cover, inst)
-    b = buy_all_reserved_reduction(threshold_recourse_cover, inst)
+    a = buy_all_reserved_reduction(threshold_recourse_cover(inst))
+    b = buy_all_reserved_reduction(threshold_recourse_cover(inst))
     assert a == b
     assert len(a.stages) == 1
 

@@ -1,4 +1,7 @@
 """Instance generators and the JSON round-trip."""
+import math
+import re
+
 import pytest
 
 from twostage.generators import GENERATOR_KINDS, generate_instance
@@ -80,3 +83,30 @@ def test_from_dict_reports_missing_keys():
         instance_from_dict({"kind": "set_cover"})
     with pytest.raises(InstanceError):
         instance_from_dict({"kind": "martian", "scenarios": []})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, index",
+    [("open_cost", (0,)), ("open_cost", (3,)), ("scenario_open_cost", (0, 0)),
+     ("scenario_open_cost", (2, 1)), ("distance", (0, 0)), ("distance", (3, 5))],
+    ids=["open_cost[0]", "open_cost[3]", "scenario_open_cost[0][0]",
+         "scenario_open_cost[2][1]", "distance[0][0]", "distance[3][5]"],
+)
+def test_ufl_refuses_non_finite_data_naming_field_and_index(field, index, bad):
+    raw = instance_to_dict(generate_instance("ufl", seed=1))
+    leaf = raw[field]
+    for i in index[:-1]:
+        leaf = leaf[i]
+    leaf[index[-1]] = bad
+    label = field + "".join(f"[{i}]" for i in index)
+    with pytest.raises(InstanceError, match=re.escape(label) + " must be finite"):
+        instance_from_dict(raw)
+
+
+@pytest.mark.parametrize("kind", ["set_cover", "vertex_cover", "steiner"])
+def test_an_infinite_lambda_is_refused(kind):
+    raw = instance_to_dict(generate_instance(kind, seed=1))
+    raw["lambda"] = math.inf
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        instance_from_dict(raw)

@@ -231,6 +231,9 @@ def test_policy_validation():
         CostPolicy(1.0, 2.0, {})
     with pytest.raises(ValueError):
         CostPolicy(0.5, 1.0, {})
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda must be finite and exceed 1"):
+            CostPolicy(0.5, lam, {})
     with pytest.raises(ValueError):
         CostPolicy(0.5, 2.0, {0: -1.0})
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Every README example runs: the Python quick start and each CLI line."""
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import twostage
 from twostage import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -58,3 +60,23 @@ SAA_ON_UFL = pytest.mark.xfail(
 )
 def test_cli_line_succeeds(exit_codes, index):
     assert exit_codes[index] == 0, cli_lines()[index]
+
+
+# What the README documents, plus what a hand-built instance needs; the rest
+# is imported from its module.  A new package export is a visible decision.
+PACKAGE_NAMES = {
+    "CostPolicy", "ExperimentSpec", "InstanceError", "MetricGraph", "SaaConfig",
+    "ScenarioSet", "SetCoverInstance", "SteinerInstance", "UflInstance",
+    "VertexCoverInstance", "best_completion", "brute_force_optimal",
+    "clustered_approx_factor", "generate_instance", "half_mass_inflation_bound",
+    "load_instance", "lp_lower_bound", "repeating_saa", "run_algorithm",
+    "run_experiment", "saa_build", "save_instance",
+}
+
+
+def test_package_exports_exactly_the_documented_names():
+    public = {
+        name for name, value in vars(twostage).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PACKAGE_NAMES

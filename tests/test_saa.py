@@ -33,6 +33,37 @@ def test_config_counts_frozen():
     assert cfg2.k_reps == math.ceil(5 * math.log(10)) == 12
 
 
+@pytest.mark.parametrize("ratio", [math.inf, math.nan])
+def test_config_refuses_a_non_finite_recourse_ratio(ratio):
+    with pytest.raises(ValueError, match="recourse ratio must be finite"):
+        SaaConfig.from_eps_delta(0.5, 0.1, ratio, 4, c_n=1e-3)
+
+
+def test_saa_cli_refuses_a_free_ufl_opening_with_a_message(tmp_path, capsys):
+    # A zero ground price next to a positive recourse price makes
+    # UflInstance.lam infinite, and with it the sample count.
+    from twostage import cli
+    from twostage.instances import instance_from_dict, instance_to_dict, save_instance
+
+    raw = instance_to_dict(generate_instance("ufl", seed=1))
+    raw["open_cost"][0] = 0.0
+    inst = instance_from_dict(raw)
+    assert inst.lam == math.inf
+    path = tmp_path / "ufl.json"
+    save_instance(inst, path)
+    assert cli.main(["saa", "--instance", str(path), "--c-n", "0.001"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: recourse ratio must be finite, got inf\n"
+
+
+def test_saa_cli_has_no_c_k_flag(tmp_path, capsys):
+    from twostage import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["saa", "--instance", str(tmp_path / "any.json"), "--c-k", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c-k 2" in capsys.readouterr().err
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SaaConfig(0.0, 0.1, 1, 1)

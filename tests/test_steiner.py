@@ -1,18 +1,20 @@
-"""Tree reservation: closure-MST rounding, cost shares, sampled unions."""
+"""Tree reservation: closure-MST rounding, sampled unions, buy-all plans."""
+import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from twostage import bench
+from twostage.cover import buy_all_reserved_reduction
 from twostage.generators import generate_instance
 from twostage.instances import InstanceError, MetricGraph
 from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
 from twostage.steiner import (
     MST_FACTOR,
-    ignore_revocation_steiner,
     mst_recourse_steiner,
     mst_steiner_approx,
-    prim_cost_shares,
     sampling_heuristic,
 )
 
@@ -24,6 +26,36 @@ def path_graph(*weights):
 
 def tree_cost(g, edges):
     return math.fsum(g.weights[e] for e in edges)
+
+
+def nx_graph(g, price=None):
+    """The graph as networkx sees it: the cheapest of each set of parallel
+    edges, under the given edge prices (ground weights by default)."""
+    price = g.weights if price is None else price
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n_vertices))
+    for (u, v), w in zip(g.edges, price):
+        if not out.has_edge(u, v) or w < out[u][v]["weight"]:
+            out.add_edge(u, v, weight=float(w))
+    return out
+
+
+def closure_mst_cost(g, terminals):
+    """Weight of the minimum spanning tree of the metric closure on the
+    root and the terminals, computed by networkx."""
+    dist = dict(nx.all_pairs_dijkstra_path_length(nx_graph(g)))
+    closure = nx.Graph()
+    nodes = sorted(set(terminals) | {g.root})
+    closure.add_nodes_from(nodes)
+    closure.add_weighted_edges_from((a, b, dist[a][b]) for a, b in itertools.combinations(nodes, 2))
+    return nx.minimum_spanning_tree(closure).size(weight="weight")
+
+
+def twelve_instances_and_terminals():
+    for seed in range(12):
+        inst = generate_instance("steiner", seed=seed, n_vertices=9)
+        rng = np.random.default_rng(seed)
+        yield inst, {int(v) for v in rng.choice(inst.graph.n_vertices, size=4)}
 
 
 def test_no_terminals_no_edges():
@@ -42,39 +74,36 @@ def test_shared_stem_is_bought_once():
     g = MetricGraph(4, ((0, 1), (1, 2), (1, 3)), (2.0, 1.0, 1.0))
     bought = mst_steiner_approx(g, {2, 3})
     assert bought == frozenset({0, 1, 2})
-    ledger = prim_cost_shares(g, {2, 3})
     # closure tree pays the stem twice (3 + 2); the expansion shares it
-    assert ledger.closure_cost == pytest.approx(5.0)
+    assert closure_mst_cost(g, {2, 3}) == pytest.approx(5.0)
     assert tree_cost(g, bought) == pytest.approx(4.0)
 
 
-def test_two_leaf_path_shares():
-    g = path_graph(1.0, 1.0)
-    ledger = prim_cost_shares(g, {1, 2})
-    assert ledger.shares == pytest.approx({1: 0.5, 2: 0.5})
-    assert ledger.total == pytest.approx(1.0)
-    assert ledger.closure_cost == pytest.approx(2.0)
-
-
-def test_share_total_is_half_the_closure_tree():
-    for seed in range(12):
-        inst = generate_instance("steiner", seed=seed, n_vertices=9)
+def test_mst_expansion_covers_terminals_within_the_closure_mst():
+    for inst, terms in twelve_instances_and_terminals():
         g = inst.graph
-        rng = np.random.default_rng(seed)
-        terms = {int(v) for v in rng.choice(g.n_vertices, size=4)}
-        ledger = prim_cost_shares(g, terms)
-        assert abs(ledger.total - ledger.closure_cost / 2.0) <= 1e-9
         bought = mst_steiner_approx(g, terms)
         assert inst.covers_demand(frozenset(terms), bought)
         # path expansion never exceeds the closure tree it came from
-        assert tree_cost(g, bought) <= ledger.closure_cost + 1e-9
+        assert tree_cost(g, bought) <= closure_mst_cost(g, terms) + 1e-9
 
 
-def test_share_ledger_rejects_wrong_totals():
-    with pytest.raises(ArithmeticError):
-        from twostage.steiner import CostShareLedger
-
-        CostShareLedger({1: 1.0}, 1.0)
+def test_shortest_paths_match_networkx():
+    parallel = MetricGraph(
+        4, ((0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 3)), (3.0, 2.0, 1.0, 1.5, 2.5, 9.0)
+    )
+    graphs = [inst.graph for inst, _ in twelve_instances_and_terminals()] + [parallel]
+    for i, g in enumerate(graphs):
+        rng = np.random.default_rng(i)
+        for price in (None, rng.uniform(0.0, 3.0, g.n_edges)):
+            d, nxt = g.shortest_paths(price)
+            ref = dict(nx.all_pairs_dijkstra_path_length(nx_graph(g, price)))
+            p = g.weights if price is None else price
+            for u, v in itertools.product(range(g.n_vertices), repeat=2):
+                assert d[u, v] == pytest.approx(ref[u][v], abs=1e-9)
+                # the reconstructed path costs what the distance says
+                path = g.path_edges(nxt, u, v, price)
+                assert math.fsum(p[e] for e in path) == pytest.approx(d[u, v], abs=1e-9)
 
 
 def test_unpriced_edge_is_unreachable():
@@ -147,10 +176,12 @@ def test_ignore_revocation_exercises_everything():
     from twostage.instances import SteinerInstance
 
     inst = SteinerInstance(g, policy, scen)
-    stats = {}
-    sol = ignore_revocation_steiner(inst, stats=stats)
-    assert stats["beta"] == pytest.approx(4.0)
-    assert stats["factor"] == pytest.approx(4.0 / 0.9)
+    plan = mst_recourse_steiner(inst)
+    sol = buy_all_reserved_reduction(plan)
+    assert plan.beta == pytest.approx(4.0)
+    # the registry certifies beta / sigma per run, against the optimum
+    _, _, bound, basis, registered = bench.prepare(inst, "steiner-buyall").sample(0)
+    assert (bound, basis, registered) == (pytest.approx(4.0 / 0.9), "oracle", sol)
     for stage in sol.stages:
         assert stage.exercised == sol.reserved
     assert check_feasible(sol, scen, inst.covers_demand).feasible
