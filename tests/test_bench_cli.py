@@ -1,14 +1,20 @@
 """Benchmark tables and the command-line front end."""
+import contextlib
 import csv
 import dataclasses
+import hashlib
+import io
 import json
+import runpy
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twostage import bench, cover, lp, lp_builders, ufl
 from twostage.cli import EXIT_BOUND, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from twostage.generators import generate_instance
+from twostage.generators import GENERATOR_KINDS, generate_instance
 from twostage.instances import (
     UflInstance,
     VertexCoverInstance,
@@ -456,3 +462,114 @@ def test_saa_refuses_a_wrong_kind_algorithm_before_sampling(tmp_path, capsys, mo
     monkeypatch.setattr("twostage.cli.repeating_saa", no_draws)
     assert main(["saa", "--instance", str(inst), "--algorithm", "ufl5"]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: algorithm 'ufl5' does not apply to 'set_cover'\n"
+
+
+# ---------------------------------------------------------------------------
+# Golden plan stream.  One SHA-256 over the bench JSON rows minus runtime_ms
+# (all nine algorithms on generator seeds 0-11, 4 trials, plus the odd-cycle
+# cases), every per-seed plan, the UFL assignments in their insertion order
+# with the roundings' traces, the gen JSON bytes and both Python demos'
+# stdout.  A change to it is an output change: declare it in CHANGES.md and
+# paste the new value.
+GOLDEN_PLAN_DIGEST = "4c2496cc5c03fe995be8681cb7d516789a11805cee16601e83d94329475e1e81"
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def plan_record(x):
+    """Records as nested tuples of str and int: floats as hex, sets sorted,
+    dicts as their items in iteration order, dataclasses by field."""
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, np.ndarray):
+        return plan_record(x.tolist())
+    if isinstance(x, frozenset):
+        return tuple(sorted(x))
+    if isinstance(x, dict):
+        return tuple((plan_record(k), plan_record(v)) for k, v in x.items())
+    if dataclasses.is_dataclass(x):
+        return tuple(plan_record(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(plan_record(v) for v in x)
+    return x
+
+
+def golden_plan_cases(tmp_path):
+    """(spec, instance) of every golden bench case."""
+    for algorithm, (_, kinds) in sorted(bench.ALGORITHMS.items()):
+        kind = kinds[0].kind
+        for gen_seed in range(12):
+            spec = bench.ExperimentSpec(kind, algorithm, trials=4, gen_seed=gen_seed)
+            yield spec, generate_instance(kind, seed=gen_seed)
+    for algorithm, source in CASES:
+        if source in ODD_CYCLES:
+            spec, inst, _ = experiment(tmp_path, algorithm, source)
+            yield spec, inst
+
+
+def golden_ufl_records(inst):
+    """Both UFL roundings' assignments and traces, over four seeds."""
+    sol = lp_builders.solve_ufl_lp(inst)
+    trace = {}
+    plan = ufl.round_5approx(sol, trace=trace)
+    yield plan, trace["profiles"]
+    prep = ufl.prepare_improved(sol)
+    for seed in range(4):
+        trace = {}
+        plan = ufl.sample_improved(prep, seed, trace)
+        yield plan, trace["clusters"], trace["cluster_hits"]
+
+
+def golden_single_stage_records():
+    """Single-stage ball rounding and cluster sampling on complete solutions."""
+    for seed in range(12):
+        inst = generate_instance("ufl", seed=seed)
+        f, d, clients = np.asarray(inst.open_cost), inst.dist, tuple(range(inst.n_clients))
+        y, x, duals, _ = ufl.solve_deterministic_ufl_lp(f, d, clients)
+        trace = {}
+        yield ufl.deterministic_ufl_approx(f, d, clients, y, x, trace=trace), trace["profiles"]
+        comp = ufl.make_complete(y, x)
+        for s in range(4):
+            trace = {}
+            out = ufl.cs_round_deterministic_ufl(
+                f[comp.source], d[comp.source], clients, comp.open_mass, comp.serve, duals,
+                seed=s, trace=trace,
+            )
+            yield out, trace["members"], trace["centers"]
+
+
+def plan_digest(tmp_path) -> str:
+    h = hashlib.sha256()
+
+    def put(record):
+        h.update(repr(plan_record(record)).encode() + b"\n")
+
+    for spec, inst in golden_plan_cases(tmp_path):
+        payload = json.loads(bench.rows_to_json(bench.run_experiment(spec)))
+        for row in payload["rows"]:
+            del row["runtime_ms"]
+        h.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        sample = bench.prepare(inst, spec.algorithm).sample
+        for seed in range(spec.seed, spec.seed + spec.trials):
+            put(sample(seed)[4])
+    for inst in [generate_instance("ufl", seed=s) for s in range(12)] + [odd_cycle_ufl()]:
+        for record in golden_ufl_records(inst):
+            put(record)
+    for record in golden_single_stage_records():
+        put(record)
+    for kind in sorted(GENERATOR_KINDS):
+        for seed in range(12):
+            path = tmp_path / f"gen-{kind}-{seed}.json"
+            assert main(["gen", "--kind", kind, "--seed", str(seed), "--out", str(path)]) == EXIT_OK
+            h.update(path.read_bytes())
+    for name in ("reservation_walkthrough.py", "facility_rounding_tour.py"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(DEMOS / name), run_name="__main__")
+        h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
+def test_plans_match_the_golden_digest(tmp_path):
+    digest = plan_digest(tmp_path)
+    assert digest == GOLDEN_PLAN_DIGEST, f'GOLDEN_PLAN_DIGEST = "{digest}"'
