@@ -205,6 +205,14 @@ def _greedy_cover(
     return added
 
 
+def _odds(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min(y / x, 1) where x > 0, else 0: the odds of exercising a reservation."""
+    ratio = np.zeros(x.size)
+    pos = x > 0.0
+    ratio[pos] = np.minimum(y[pos] / x[pos], 1.0)
+    return ratio
+
+
 def _uncovered(inc: np.ndarray, clients, bought: set[int]) -> set[int]:
     return {e for e in clients if not any(inc[e, s] for s in bought)}
 
@@ -238,13 +246,11 @@ def _double_sampler(
     cap = math.ceil(4.0 * (math.log(n_elem) + 4.0))
     xhat = np.minimum(sol.x, 1.0)
     target = set(heavy) & {e for e, _ in _demand_lists(inst)}
-    pos = xhat > 0.0
     # Per scenario: its clients, the replay odds y/x and the light demand.
-    scenarios = []
-    for k, (_, clients) in enumerate(inst.scenarios.scenarios):
-        ratio = np.zeros(inst.n_items)
-        ratio[pos] = np.minimum(sol.y[k, pos] / xhat[pos], 1.0)
-        scenarios.append((clients, ratio, set(clients) - heavy, sol.z[k]))
+    scenarios = [
+        (clients, _odds(sol.y[k], xhat), set(clients) - heavy, sol.z[k])
+        for k, (_, clients) in enumerate(inst.scenarios.scenarios)
+    ]
 
     def sample(seed: int, stats: dict | None = None) -> TwoStageSolution:
         rng = np.random.default_rng(seed)
@@ -376,12 +382,9 @@ def srinivasan_round_set_cover(
     for k, (p, clients) in enumerate(inst.scenarios.scenarios):
         yp = np.minimum(big_l * sol.y[k], 1.0)
         zp = np.minimum(big_l * sol.z[k], 1.0)
-        ratio = np.zeros(inst.n_items)
-        pos = xp > 0.0
-        ratio[pos] = np.minimum(yp[pos] / xp[pos], 1.0)
         exercised = {
             int(v)
-            for v in np.flatnonzero(reserved_mask & (rng.random(inst.n_items) < ratio))
+            for v in np.flatnonzero(reserved_mask & (rng.random(inst.n_items) < _odds(yp, xp)))
         }
         recoursed = {int(v) for v in np.flatnonzero(rng.random(inst.n_items) < zp)}
         pre_repair += p * (
@@ -425,10 +428,7 @@ def srinivasan_round_vertex_cover(
     for k in range(len(inst.scenarios.scenarios)):
         yp = np.minimum(2.0 * sol.y[k], 1.0)
         zp = np.minimum(2.0 * sol.z[k], 1.0)
-        ratio = np.zeros(inst.n_items)
-        pos = xp > 0.0
-        ratio[pos] = np.minimum(yp[pos] / xp[pos], 1.0)
-        sampled = reserved_mask & (rng.random(inst.n_items) < ratio)
+        sampled = reserved_mask & (rng.random(inst.n_items) < _odds(yp, xp))
         # Row sums >= 1 guarantee one endpoint per edge clears this line.
         forced = yp + zp >= 1.0 - 1e-6
         exercised = sampled | (forced & reserved_mask)

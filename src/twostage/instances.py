@@ -48,6 +48,16 @@ def _check_finite(field: str, values) -> None:
         raise InstanceError(f"{field}{index} must be finite, got {arr[at]}")
 
 
+def _check_ground_weights(policy: CostPolicy, weights: tuple[float, ...]) -> None:
+    """The relaxation and the oracle price items by their weights, and
+    ``evaluate_objective`` by the policy's ground weights: the two must agree."""
+    expected = dict(enumerate(weights))
+    for i in sorted(expected.keys() | policy.ground_weight.keys()):
+        got, want = policy.ground_weight.get(i), expected.get(i)
+        if got != want:
+            raise InstanceError(f"item {i}: ground weight {got} differs from its weight {want}")
+
+
 def _check_scenarios(scen: ScenarioSet, limit: int, what: str) -> None:
     for k, (_, clients) in enumerate(scen.scenarios):
         bad = [c for c in clients if not 0 <= c < limit]
@@ -72,6 +82,7 @@ class SetCoverInstance:
             bad = [e for e in members if not 0 <= e < self.n_elements]
             if bad:
                 raise InstanceError(f"set {s} references unknown elements {sorted(bad)}")
+        _check_ground_weights(self.policy, self.weights)
         _check_scenarios(self.scenarios, self.n_elements, "elements")
 
     kind = "set_cover"
@@ -114,6 +125,7 @@ class VertexCoverInstance:
         for e, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
                 raise InstanceError(f"edge {e} = ({u}, {v}) is not a proper edge")
+        _check_ground_weights(self.policy, self.weights)
         _check_scenarios(self.scenarios, len(self.edges), "edges")
 
     kind = "vertex_cover"
@@ -170,9 +182,12 @@ class UflInstance:
                 raise InstanceError(f"scenario {k} cost row has wrong arity")
         for field in ("open_cost", "scenario_open_cost", "distance"):
             _check_finite(field, getattr(self, field))
+        for i, f0 in enumerate(self.open_cost):
+            if f0 < 0:
+                raise InstanceError(f"facility {i}: need f^0 >= 0, got {f0}")
         for k, row in enumerate(self.scenario_open_cost):
             for i, (f0, fk) in enumerate(zip(self.open_cost, row)):
-                if f0 < 0 or fk < f0 - GEOM_TOL:
+                if fk < f0 - GEOM_TOL:
                     raise InstanceError(
                         f"facility {i}: need f^{k} >= f^0 >= 0, got {fk} < {f0}"
                     )
@@ -246,27 +261,27 @@ class MetricGraph:
         for e, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
                 raise InstanceError(f"edge {e} = ({u}, {v}) is not a proper edge")
+        _check_finite("weights", self.weights)
         if any(w < 0 for w in self.weights):
             raise InstanceError("edge weights must be nonnegative")
-        if not self._connected():
+        if not self.reaches(range(self.n_edges), range(self.n_vertices)):
             raise InstanceError("graph must be connected")
 
-    def _connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n_vertices)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n_vertices
+    def reaches(self, items: Iterable[int], vertices: Iterable[int]) -> bool:
+        """Do the edges ``items`` connect every vertex of ``vertices`` to the root?"""
+        parent = list(range(self.n_vertices))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for e in items:
+            u, v = self.edges[e]
+            parent[find(u)] = find(v)
+        r = find(self.root)
+        return all(find(t) == r for t in vertices)
 
     @property
     def n_edges(self) -> int:
@@ -326,6 +341,7 @@ class SteinerInstance:
     scenarios: ScenarioSet
 
     def __post_init__(self) -> None:
+        _check_ground_weights(self.policy, self.graph.weights)
         _check_scenarios(self.scenarios, self.graph.n_vertices, "vertices")
 
     kind = "steiner"
@@ -336,19 +352,7 @@ class SteinerInstance:
 
     def covers_demand(self, clients: frozenset[int], items: frozenset[int]) -> bool:
         """Bought edges must connect every terminal to the root."""
-        parent = list(range(self.graph.n_vertices))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in items:
-            u, v = self.graph.edges[e]
-            parent[find(u)] = find(v)
-        r = find(self.graph.root)
-        return all(find(t) == r for t in clients)
+        return self.graph.reaches(items, clients)
 
 
 Instance = SetCoverInstance | VertexCoverInstance | UflInstance | SteinerInstance
@@ -364,73 +368,48 @@ def _scenarios_from_json(raw: list[dict]) -> ScenarioSet:
 
 def instance_to_dict(inst: Instance) -> dict:
     if isinstance(inst, SetCoverInstance):
-        return {
-            "kind": inst.kind,
-            "sigma": inst.policy.sigma,
-            "lambda": inst.policy.lam,
+        body = {
             "n_elements": inst.n_elements,
             "sets": [sorted(s) for s in inst.sets],
             "weights": list(inst.weights),
-            "scenarios": _scenarios_to_json(inst.scenarios),
         }
-    if isinstance(inst, VertexCoverInstance):
-        return {
-            "kind": inst.kind,
-            "sigma": inst.policy.sigma,
-            "lambda": inst.policy.lam,
+    elif isinstance(inst, VertexCoverInstance):
+        body = {
             "n_vertices": inst.n_vertices,
             "edges": [list(e) for e in inst.edges],
             "weights": list(inst.weights),
-            "scenarios": _scenarios_to_json(inst.scenarios),
         }
-    if isinstance(inst, UflInstance):
-        return {
-            "kind": inst.kind,
-            "sigma": inst.sigma,
-            "lambda": inst.lam,
+    elif isinstance(inst, UflInstance):
+        body = {
             "open_cost": list(inst.open_cost),
             "scenario_open_cost": [list(row) for row in inst.scenario_open_cost],
             "distance": [list(row) for row in inst.distance],
-            "scenarios": _scenarios_to_json(inst.scenarios),
         }
-    if isinstance(inst, SteinerInstance):
-        return {
-            "kind": inst.kind,
-            "sigma": inst.policy.sigma,
-            "lambda": inst.policy.lam,
+    elif isinstance(inst, SteinerInstance):
+        body = {
             "n_vertices": inst.graph.n_vertices,
             "root": inst.graph.root,
             "edges": [list(e) for e in inst.graph.edges],
             "weights": list(inst.graph.weights),
-            "scenarios": _scenarios_to_json(inst.scenarios),
         }
-    raise InstanceError(f"unknown instance type {type(inst)!r}")
+    else:
+        raise InstanceError(f"unknown instance type {type(inst)!r}")
+    ufl = isinstance(inst, UflInstance)
+    return {
+        "kind": inst.kind,
+        "sigma": inst.sigma if ufl else inst.policy.sigma,
+        "lambda": inst.lam if ufl else inst.policy.lam,
+        **body,
+        "scenarios": _scenarios_to_json(inst.scenarios),
+    }
 
 
 def instance_from_dict(raw: dict) -> Instance:
     try:
         kind = raw["kind"]
         scen = _scenarios_from_json(raw["scenarios"])
-        if kind == "set_cover":
-            weights = [float(w) for w in raw["weights"]]
-            return SetCoverInstance(
-                n_elements=int(raw["n_elements"]),
-                sets=tuple(frozenset(s) for s in raw["sets"]),
-                weights=tuple(weights),
-                policy=CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights))),
-                scenarios=scen,
-            )
-        if kind == "vertex_cover":
-            weights = [float(w) for w in raw["weights"]]
-            return VertexCoverInstance(
-                n_vertices=int(raw["n_vertices"]),
-                edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
-                weights=tuple(weights),
-                policy=CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights))),
-                scenarios=scen,
-            )
         if kind == "ufl":
-            return UflInstance(
+            inst = UflInstance(
                 open_cost=tuple(float(f) for f in raw["open_cost"]),
                 scenario_open_cost=tuple(
                     tuple(float(f) for f in row) for row in raw["scenario_open_cost"]
@@ -439,22 +418,40 @@ def instance_from_dict(raw: dict) -> Instance:
                 sigma=raw["sigma"],
                 scenarios=scen,
             )
-        if kind == "steiner":
-            weights = [float(w) for w in raw["weights"]]
-            graph = MetricGraph(
-                n_vertices=int(raw["n_vertices"]),
-                edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
-                weights=tuple(weights),
-                root=int(raw.get("root", 0)),
-            )
-            return SteinerInstance(
-                graph=graph,
-                policy=CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights))),
+            # the prices fix lambda; a key that disagrees was edited by hand
+            lam = raw.get("lambda", inst.lam)
+            if not math.isclose(lam, inst.lam, rel_tol=1e-9):
+                raise InstanceError(f"lambda {lam} differs from the {inst.lam} the prices give")
+            return inst
+        if kind not in ("set_cover", "vertex_cover", "steiner"):
+            raise InstanceError(f"unknown instance kind {kind!r}")
+        weights = tuple(float(w) for w in raw["weights"])
+        policy = CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights)))
+        if kind == "set_cover":
+            return SetCoverInstance(
+                n_elements=int(raw["n_elements"]),
+                sets=tuple(frozenset(s) for s in raw["sets"]),
+                weights=weights,
+                policy=policy,
                 scenarios=scen,
             )
+        if kind == "vertex_cover":
+            return VertexCoverInstance(
+                n_vertices=int(raw["n_vertices"]),
+                edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
+                weights=weights,
+                policy=policy,
+                scenarios=scen,
+            )
+        graph = MetricGraph(
+            n_vertices=int(raw["n_vertices"]),
+            edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
+            weights=weights,
+            root=int(raw.get("root", 0)),
+        )
+        return SteinerInstance(graph=graph, policy=policy, scenarios=scen)
     except KeyError as exc:
         raise InstanceError(f"missing instance key {exc.args[0]!r}") from exc
-    raise InstanceError(f"unknown instance kind {raw.get('kind')!r}")
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

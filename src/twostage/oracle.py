@@ -383,6 +383,18 @@ def _solution_from_masks(f0_mask: int, x_masks: list[int]) -> TwoStageSolution:
     return TwoStageSolution(reserved=_bits(f0_mask), stages=stages)
 
 
+def _totals(prep: _Prep, rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per mask of ``rows``: first-stage cost plus each scenario's weighted best
+    completion, added in scenario order, and each scenario's bought sets."""
+    total = prep.first_vec[rows]
+    xs = []
+    for tab in prep.tables:
+        val, x = tab.best(rows)
+        total += tab.prob * val
+        xs.append(x)
+    return total, xs
+
+
 def brute_force_optimal(inst: Instance) -> OracleResult:
     prep = _prepare(inst)
     order = np.argsort(prep.first_vec, kind="stable")
@@ -398,12 +410,7 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
         block = order[start : start + min(size, cap)]
         start, size = start + block.size, 2 * size
         fc = prep.first_vec[block]
-        total = fc.copy()
-        xs = []
-        for tab in prep.tables:
-            val, x = tab.best(block)
-            total += tab.prob * val
-            xs.append(x)
+        total, xs = _totals(prep, block)
         # run[j] is the incumbent before row j; fmin because a NaN total never wins
         run = np.fmin.accumulate(np.concatenate(([best], total)))[:-1]
         # masks are sorted by first-stage cost; nothing better after a stop
@@ -425,10 +432,5 @@ def best_completion(inst: Instance, reserved: frozenset[int]) -> tuple[TwoStageS
     mask = 0
     for s in reserved:
         mask |= 1 << s
-    total = float(prep.first_vec[mask])
-    xs = []
-    for tab in prep.tables:
-        val, x = tab.best(np.array([mask]))
-        total += tab.prob * float(val[0])
-        xs.append(int(x[0]))
-    return _solution_from_masks(mask, xs), total
+    total, xs = _totals(prep, np.array([mask]))
+    return _solution_from_masks(mask, [int(x[0]) for x in xs]), float(total[0])

@@ -70,19 +70,19 @@ class SaaConfig:
         log of the first-stage space (bits * ln 2) and ln(1/delta).  Both
         counts are clamped to at least 1.  A recourse ratio that is not
         finite (facility location with a free ground opening price and a
-        priced recourse one) is a ValueError.
+        priced recourse one), or so large that the sample count overflows,
+        is a ValueError.
         """
         if not math.isfinite(recourse_ratio):
             raise ValueError(f"recourse ratio must be finite, got {recourse_ratio}")
         confidence = math.log(1.0 / delta)
         k = max(1, math.ceil(1.0 / epsilon * confidence))
         ln_x = max(first_stage_bits, 1) * math.log(2.0)
-        n = max(
-            1,
-            math.ceil(
-                c_n * recourse_ratio**2 * epsilon**-4 * k * ln_x * confidence
-            ),
-        )
+        try:
+            count = c_n * recourse_ratio**2 * epsilon**-4 * k * ln_x * confidence
+            n = max(1, math.ceil(count))
+        except OverflowError as exc:
+            raise ValueError(f"sample count overflows at recourse ratio {recourse_ratio}") from exc
         return cls(epsilon, delta, k, n, c_n)
 
 
@@ -97,11 +97,10 @@ def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    draw = scen.sampler if scen.is_black_box else scen.sample
     rng = np.random.default_rng(seed)
     counts: dict[frozenset[int], int] = {}
     for _ in range(n):
-        s = draw(rng)
+        s = scen.sample(rng)
         counts[s] = counts.get(s, 0) + 1
     probs = [c / n for c in counts.values()]
     slack = 1.0 - math.fsum(probs)

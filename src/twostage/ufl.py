@@ -1,13 +1,13 @@
 """Facility-location roundings for the reserve/exercise/recourse model.
 
-Two integral pipelines share this module.  ``round_5approx`` is the
-deterministic ball-filtering argument: every demanded (scenario, client)
-pair gets a neighborhood ball around it, balls are processed cheapest
-first, and a pair either opens the cheapest facility in its own ball or
-rides an earlier overlapping one.  ``round_improved`` splits pairs into a
-first-stage side (rounded with cluster sampling over facility copies) and
-a second-stage side (rounded per scenario with the single-stage filter),
-trading determinism for a smaller factor.
+All four roundings share one filter-and-cluster step, ``_greedy_balls``:
+items are visited cheapest first, and each joins the earliest founder
+whose ball meets its own, or founds its own ball.  ``round_5approx`` runs
+it on the demanded (scenario, client) pairs.  ``round_improved`` splits
+pairs into a first-stage side (clustered over facility copies, then
+sampled) and a second-stage side (``deterministic_ufl_approx`` per
+scenario), trading determinism for a smaller factor.  Cluster sampling
+(``cs_round_deterministic_ufl``) runs the step on one stage.
 
 Both produce a :class:`UflPlan`: reserved / exercised / recoursed facility
 sets plus a per-scenario client assignment.  ``evaluate_ufl_cost`` is the
@@ -147,15 +147,24 @@ def _service_profile(weights: np.ndarray, dists: np.ndarray, alpha: float) -> Ne
     return NeighborhoodProfile(alpha, c_star, c_alpha, tuple(int(i) for i in near))
 
 
-@dataclass
-class _Record:
-    # One opened facility: stage -1 means reserved ground opening, otherwise
-    # the scenario whose recourse budget paid for it.
-    facility: int
-    stage: int
-    trigger: tuple[int, int]
-    near: frozenset[int]
-    served: list[tuple[int, int]]
+def _greedy_balls(order, balls, joins=None) -> tuple[list, dict]:
+    """The filter-and-cluster step: visit the items of ``order`` and let each
+    join the earliest founder whose ball meets its own, or found its own ball.
+
+    ``balls[t]`` is item t's ball, a frozenset; ``joins(t, f)``, when given,
+    says whether item t may join founder f at all.  Returns the founders in
+    founding order and each item's founder.
+    """
+    founders: list = []
+    founder_of: dict = {}
+    for t in order:
+        meets = (f for f in founders if balls[f] & balls[t] and (joins is None or joins(t, f)))
+        f = next(meets, None)
+        if f is None:
+            founders.append(t)
+            f = t
+        founder_of[t] = f
+    return founders, founder_of
 
 
 def round_5approx(
@@ -188,59 +197,41 @@ def round_5approx(
         (k, j): _service_profile(sol.x[k, j], c[:, j], alpha) for k, j in pairs
     }
     order = sorted(pairs, key=lambda kj: (profiles[kj].c_star, kj[1], kj[0]))
+    balls = {kj: frozenset(prof.near) for kj, prof in profiles.items()}
+    # a rich ball opens on the ground, which serves every scenario
+    rich = {
+        (k, j): float(ybark[k, prof.near].sum()) >= beta - _TOL
+        for (k, j), prof in profiles.items()
+    }
+    founders, founder_of = _greedy_balls(
+        order, balls, lambda t, f: rich[f] or f[0] == t[0]
+    )
 
-    records: list[_Record] = []
+    # founders open in founding order, so the first one that cannot raises
+    opened: dict[tuple[int, int], int] = {}
+    for k, j in founders:
+        ground = rich[(k, j)]
+        mass, price = (ybark, inst.open_cost) if ground else (zbark, inst.scenario_open_cost[k])
+        pool = [i for i in profiles[(k, j)].near if mass[k, i] > _TOL]
+        if not pool and not ground:
+            raise InstanceError(f"pair ({k}, {j}) has no recourse mass in its ball")
+        opened[(k, j)] = min(pool, key=lambda i: (price[i], i))
     assignment: list[dict[int, int]] = [dict() for _ in inst.scenarios.scenarios]
     for k, j in order:
-        prof = profiles[(k, j)]
-        ball = frozenset(prof.near)
-        rider = next(
-            (
-                r
-                for r in records
-                if (r.stage == -1 or r.stage == k) and r.near & ball
-            ),
-            None,
-        )
-        if rider is not None:
-            rider.served.append((k, j))
-            assignment[k][j] = rider.facility
-            continue
-        if float(ybark[k, prof.near].sum()) >= beta - _TOL:
-            pool = [i for i in prof.near if ybark[k, i] > _TOL]
-            i_star = min(pool, key=lambda i: (inst.open_cost[i], i))
-            stage = -1
-        else:
-            pool = [i for i in prof.near if zbark[k, i] > _TOL]
-            if not pool:
-                raise InstanceError(f"pair ({k}, {j}) has no recourse mass in its ball")
-            i_star = min(pool, key=lambda i: (inst.scenario_open_cost[k][i], i))
-            stage = k
-        records.append(_Record(i_star, stage, (k, j), ball, [(k, j)]))
-        assignment[k][j] = i_star
+        assignment[k][j] = opened[founder_of[(k, j)]]
 
-    reserved = frozenset(r.facility for r in records if r.stage == -1)
+    reserved = frozenset(opened[f] for f in founders if rich[f])
+    served = {(f, k) for (k, _), f in founder_of.items()}
     stages = []
     for k in range(len(inst.scenarios)):
-        exercised = {
-            r.facility
-            for r in records
-            if r.stage == -1 and any(kk == k for kk, _ in r.served)
-        }
-        recoursed = set()
-        for r in records:
-            if r.stage != k:
-                continue
-            if r.facility in reserved:
-                exercised.add(r.facility)  # already paid for: exercising is cheaper
-            else:
-                recoursed.add(r.facility)
-        stages.append(StageDecision(frozenset(exercised), frozenset(recoursed)))
+        exercised = {opened[f] for f in founders if rich[f] and (f, k) in served}
+        late = [opened[f] for f in founders if not rich[f] and f[0] == k]
+        # a reserved facility is already paid for: exercising it is cheaper
+        exercised.update(i for i in late if i in reserved)
+        recoursed = frozenset(i for i in late if i not in reserved)
+        stages.append(StageDecision(frozenset(exercised), recoursed))
     if trace is not None:
         trace["profiles"] = profiles
-        trace["records"] = tuple(
-            (r.facility, r.stage, r.trigger, tuple(sorted(r.near))) for r in records
-        )
     return UflPlan(TwoStageSolution(reserved, tuple(stages)), tuple(assignment))
 
 
@@ -266,21 +257,15 @@ def deterministic_ufl_approx(
         _service_profile(serve[t], d[:, j], alpha) for t, j in enumerate(clients)
     ]
     order = sorted(range(len(clients)), key=lambda t: (profiles[t].c_star, clients[t]))
-    opened: list[tuple[int, frozenset[int]]] = []
-    assignment: dict[int, int] = {}
-    for t in order:
-        ball = frozenset(profiles[t].near)
-        rider = next((i for i, near in opened if near & ball), None)
-        if rider is not None:
-            assignment[clients[t]] = rider
-            continue
+    founders, founder_of = _greedy_balls(order, [frozenset(p.near) for p in profiles])
+    opened = {}
+    for t in founders:
         pool = [i for i in profiles[t].near if serve[t, i] > _TOL]
-        i_star = min(pool, key=lambda i: (f[i], i))
-        opened.append((i_star, ball))
-        assignment[clients[t]] = i_star
+        opened[t] = min(pool, key=lambda i: (f[i], i))
+    assignment = {clients[t]: opened[founder_of[t]] for t in order}
     if trace is not None:
         trace["profiles"] = dict(zip(clients, profiles))
-    return frozenset(i for i, _ in opened), assignment
+    return frozenset(opened.values()), assignment
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +445,13 @@ class ClusterPlan:
 
 def _greedy_clusters(filtered: FilteredUfl, keys: list[tuple]) -> ClusterPlan:
     order = sorted(range(len(filtered.balls)), key=lambda t: keys[t])
-    centers: list[int] = []
-    members: list[frozenset[int]] = []
-    rep = [-1] * len(filtered.balls)
-    for t in order:
-        ball = frozenset(filtered.balls[t].copies)
-        hit = next((c for c, m in enumerate(members) if m & ball), None)
-        if hit is None:
-            centers.append(t)
-            members.append(ball)
-            rep[t] = len(centers) - 1
-        else:
-            rep[t] = hit
+    balls = [frozenset(b.copies) for b in filtered.balls]
+    centers, founder_of = _greedy_balls(order, balls)
+    cluster = {t: c for c, t in enumerate(centers)}
     return ClusterPlan(
         tuple(centers),
-        tuple(tuple(sorted(m)) for m in members),
-        tuple(rep),
+        tuple(tuple(sorted(balls[t])) for t in centers),
+        tuple(cluster[founder_of[t]] for t in range(len(balls))),
     )
 
 
@@ -748,13 +724,11 @@ def cs_round_deterministic_ufl(
             raise ValueError("cluster sampling needs a complete solution")
     c_frac = np.array([float(serve[t] @ d[:, j]) for t, j in enumerate(clients)])
     order = sorted(range(len(clients)), key=lambda t: (c_frac[t] + duals[t], clients[t]))
-    centers: list[int] = []
-    members: list[frozenset[int]] = []
-    for t in order:
-        support = frozenset(int(i) for i in np.flatnonzero(serve[t] > 1e-9))
-        if all(not (support & m) for m in members):
-            centers.append(t)
-            members.append(support)
+    supports = [
+        frozenset(int(i) for i in np.flatnonzero(serve[t] > 1e-9)) for t in range(len(clients))
+    ]
+    centers, _ = _greedy_balls(order, supports)
+    members = [supports[t] for t in centers]
     rng = np.random.default_rng(seed)
     opened: set[int] = set()
     for t, m in zip(centers, members):

@@ -232,8 +232,9 @@ def test_errors_exit_one_with_a_message(tmp_path, capsys):
     "kind, field, value, message",
     [("ufl", "open_cost", float("nan"), "error: open_cost[0] must be finite, got nan\n"),
      ("ufl", "distance", float("nan"), "error: distance[0][0] must be finite, got nan\n"),
-     ("set_cover", "lambda", float("inf"), "error: lambda must be finite and exceed 1, got inf\n")],
-    ids=["ufl-open_cost", "ufl-distance", "set_cover-lambda"],
+     ("set_cover", "lambda", float("inf"), "error: lambda must be finite and exceed 1, got inf\n"),
+     ("ufl", "lambda", 50.0, "error: lambda 50.0 differs from the 1.9849627066080662 the prices give\n")],
+    ids=["ufl-open_cost", "ufl-distance", "set_cover-lambda", "ufl-lambda"],
 )
 def test_oracle_refuses_non_finite_instance_data(tmp_path, capsys, kind, field, value, message):
     raw = instance_to_dict(generate_instance(kind, seed=1))

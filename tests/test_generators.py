@@ -1,4 +1,5 @@
 """Instance generators and the JSON round-trip."""
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,8 @@ import pytest
 from twostage.generators import GENERATOR_KINDS, generate_instance
 from twostage.instances import (
     InstanceError,
+    MetricGraph,
+    SetCoverInstance,
     SteinerInstance,
     UflInstance,
     instance_from_dict,
@@ -14,6 +17,8 @@ from twostage.instances import (
     load_instance,
     save_instance,
 )
+from twostage.model import CostPolicy, ScenarioSet
+from twostage.oracle import brute_force_optimal
 
 
 @pytest.mark.parametrize("kind", sorted(GENERATOR_KINDS))
@@ -110,3 +115,60 @@ def test_an_infinite_lambda_is_refused(kind):
     raw["lambda"] = math.inf
     with pytest.raises(ValueError, match="lambda must be finite"):
         instance_from_dict(raw)
+
+
+def test_set_cover_refuses_ground_weights_that_differ_from_its_weights():
+    # one store said 1, the other 100: the LP and the oracle read 2.0 and the
+    # buy-all plan cost 200.0, a ratio of 100 against a certified bound
+    with pytest.raises(InstanceError, match=r"^item 0: ground weight 100.0 differs from its weight 1.0$"):
+        SetCoverInstance(
+            1, (frozenset({0}), frozenset({0})), (1.0, 1.0),
+            CostPolicy(0.5, 2.0, {0: 100.0, 1: 100.0}), ScenarioSet.explicit([(1.0, [0])]),
+        )
+
+
+@pytest.mark.parametrize("kind", ["set_cover", "vertex_cover", "steiner"])
+@pytest.mark.parametrize("change", ["other", "missing", "extra"])
+def test_ground_weights_must_be_the_item_weights(kind, change):
+    inst = generate_instance(kind, seed=1)
+    ground = dict(inst.policy.ground_weight)
+    last = max(ground)
+    if change == "other":
+        ground[last] += 1.0
+    elif change == "missing":
+        del ground[last]
+    else:
+        last += 1
+        ground[last] = 1.0
+    policy = CostPolicy(inst.policy.sigma, inst.policy.lam, ground)
+    with pytest.raises(InstanceError, match=f"^item {last}: ground weight"):
+        dataclasses.replace(inst, policy=policy)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metric_graph_refuses_non_finite_weights(bad):
+    with pytest.raises(InstanceError, match=r"^weights\[1\] must be finite"):
+        MetricGraph(3, ((0, 1), (1, 2)), (1.0, bad))
+
+
+def test_ufl_refuses_a_negative_opening_price_without_scenarios():
+    # the check used to sit inside the loop over scenario price rows, and the
+    # oracle answered -2.5 here
+    with pytest.raises(InstanceError, match=r"^facility 0: need f\^0 >= 0, got -5.0$"):
+        UflInstance((-5.0, 2.0), (), ((1.0,), (2.0,)), 0.5, ScenarioSet.explicit([]))
+    free = UflInstance((0.0, 2.0), (), ((1.0,), (2.0,)), 0.5, ScenarioSet.explicit([]))
+    assert brute_force_optimal(free).optimal_cost == 0.0
+
+
+def test_ufl_lambda_key_must_match_the_prices():
+    raw = instance_to_dict(generate_instance("ufl", seed=1))
+    lam = raw["lambda"]
+    for near in (lam, lam * (1.0 + 1e-12)):
+        raw["lambda"] = near
+        assert instance_from_dict(raw).lam == lam
+    del raw["lambda"]
+    assert instance_from_dict(raw).lam == lam
+    for edited in (50, lam * (1.0 + 1e-8), math.inf):
+        raw["lambda"] = edited
+        with pytest.raises(InstanceError, match=f"^lambda {edited} differs from the {lam} the prices give$"):
+            instance_from_dict(raw)

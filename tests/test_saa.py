@@ -1,6 +1,7 @@
 """Sample-average reduction: empirical scenario sets and repeated selection."""
 import contextlib
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -39,6 +40,23 @@ def test_config_refuses_a_non_finite_recourse_ratio(ratio):
         SaaConfig.from_eps_delta(0.5, 0.1, ratio, 4, c_n=1e-3)
 
 
+def test_config_refuses_a_sample_count_that_overflows():
+    with pytest.raises(ValueError, match="^sample count overflows at recourse ratio 1e\\+200$"):
+        SaaConfig.from_eps_delta(0.5, 0.1, 1e200, 4, c_n=1e-3)
+
+
+def test_saa_cli_refuses_an_overflowing_sample_count_with_a_message(tmp_path, capsys):
+    from twostage import cli
+    from twostage.instances import instance_to_dict
+
+    raw = instance_to_dict(generate_instance("set_cover", seed=1))
+    raw["lambda"] = 1e200
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["saa", "--instance", str(path), "--c-n", "0.001"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == "error: sample count overflows at recourse ratio 1e+200\n"
+
+
 def test_saa_cli_refuses_a_free_ufl_opening_with_a_message(tmp_path, capsys):
     # A zero ground price next to a positive recourse price makes
     # UflInstance.lam infinite, and with it the sample count.
@@ -47,6 +65,7 @@ def test_saa_cli_refuses_a_free_ufl_opening_with_a_message(tmp_path, capsys):
 
     raw = instance_to_dict(generate_instance("ufl", seed=1))
     raw["open_cost"][0] = 0.0
+    raw["lambda"] = math.inf  # the loader checks the key against the prices
     inst = instance_from_dict(raw)
     assert inst.lam == math.inf
     path = tmp_path / "ufl.json"

@@ -5,6 +5,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import bench
 from twostage.cover import buy_all_reserved_reduction
@@ -190,3 +192,41 @@ def test_ignore_revocation_exercises_everything():
     assert bd.first_stage + bd.expected_exercise == pytest.approx(
         policy.weight(sol.reserved)
     )
+
+
+@st.composite
+def graph_edges(draw, connected):
+    """Edge lists on at most 8 vertices, spanning-tree based when connected."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if connected else []
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    edges = draw(st.permutations(tree + extra))
+    return n, tuple(edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=graph_edges(connected=True), data=st.data())
+def test_reaches_agrees_with_networkx(shape, data):
+    n, edges = shape
+    g = MetricGraph(n, edges, (1.0,) * len(edges), root=data.draw(st.integers(0, n - 1)))
+    items = data.draw(st.sets(st.integers(0, len(edges) - 1))) if edges else set()
+    vertices = data.draw(st.sets(st.integers(0, n - 1)))
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges[e] for e in items)
+    assert g.reaches(items, vertices) == (vertices <= nx.node_connected_component(h, g.root))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=graph_edges(connected=False))
+def test_only_connected_graphs_are_accepted(shape):
+    n, edges = shape
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    if nx.is_connected(h):
+        MetricGraph(n, edges, (1.0,) * len(edges))
+    else:
+        with pytest.raises(InstanceError, match="^graph must be connected$"):
+            MetricGraph(n, edges, (1.0,) * len(edges))

@@ -17,6 +17,7 @@ from twostage.lp_builders import FractionalUflSolution, solve_ufl_lp
 from twostage.model import ScenarioSet, TwoStageSolution
 from twostage.ufl import (
     ALPHA_DEFAULT,
+    _greedy_balls,
     CompleteUfl,
     DET_FACTOR_CITED,
     NeighborhoodProfile,
@@ -112,6 +113,30 @@ def test_recourse_dominant_branch_opens_scenario_facility():
     plan = round_5approx(sol)
     assert plan.solution.reserved == frozenset()
     assert plan.solution.stages[0].recoursed == frozenset({0})
+
+
+def test_a_recourse_opening_serves_only_its_own_scenario():
+    # both pairs share one ball and buy it at recourse; the scenario-1 pair
+    # meets scenario 0's recourse opening and must found its own
+    inst = UflInstance(
+        open_cost=(1.0, 5.0),
+        scenario_open_cost=((2.0, 6.0), (2.0, 6.0)),
+        distance=((1.0,), (1.0,)),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(0.5, [0]), (0.5, [0])]),
+    )
+    sol = FractionalUflSolution(
+        inst,
+        y0=np.zeros(2),
+        yk=np.zeros((2, 2)),
+        zk=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        x=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
+        value=3.0,
+    )
+    plan = round_5approx(sol)
+    assert [stage.recoursed for stage in plan.solution.stages] == [frozenset({0})] * 2
+    assert plan.assignment == ({0: 0}, {0: 0})
+    assert evaluate_ufl_cost(inst, plan).total == 3.0
 
 
 def test_assignment_distances_obey_the_radius_bound():
@@ -481,3 +506,39 @@ def test_cs_round_mean_distance_within_lemma_budget():
     )
     bound = c_frac + (2.0 / math.e) * duals + 3.0 * stderr
     assert np.all(mean <= bound + 1e-9)
+
+
+# -- the shared filter-and-cluster step ----------------------------------------
+
+
+def test_greedy_balls_joins_founders_only():
+    # 2 meets 1's ball, but 1 joined 0, so 2 founds its own
+    balls = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})]
+    founders, founder_of = _greedy_balls([0, 1, 2], balls)
+    assert founders == [0, 2]
+    assert list(founder_of.items()) == [(0, 0), (1, 0), (2, 2)]
+    # visited the other way round, 1 joins 2 and 0 founds
+    founders, founder_of = _greedy_balls([2, 1, 0], balls)
+    assert founders == [2, 0]
+    assert list(founder_of.items()) == [(2, 2), (1, 2), (0, 0)]
+
+
+def test_greedy_balls_takes_the_earliest_founder_met():
+    balls = {"a": frozenset({1}), "b": frozenset({2}), "c": frozenset({2, 1}), "d": frozenset()}
+    founders, founder_of = _greedy_balls(["b", "a", "c", "d"], balls)
+    assert founders == ["b", "a", "d"]  # an empty ball meets nothing
+    assert founder_of == {"b": "b", "a": "a", "c": "b", "d": "d"}
+
+
+def test_greedy_balls_recourse_founders_serve_only_their_scenario():
+    # (scenario, client) pairs: a recourse founder of scenario 0 takes a pair
+    # of its own scenario, while an overlapping pair of scenario 1 founds its
+    # own ball; a ground founder takes pairs of every scenario
+    balls = {(0, 0): frozenset({0, 1}), (1, 0): frozenset({1}), (0, 1): frozenset({0}),
+             (1, 2): frozenset({5}), (0, 3): frozenset({5, 6})}
+    ground = {(1, 2)}
+    order = [(0, 0), (1, 0), (0, 1), (1, 2), (0, 3)]
+    founders, founder_of = _greedy_balls(order, balls, lambda t, f: f in ground or f[0] == t[0])
+    assert founders == [(0, 0), (1, 0), (1, 2)]
+    assert founder_of == {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 0),
+                          (1, 2): (1, 2), (0, 3): (1, 2)}
