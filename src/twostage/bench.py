@@ -362,25 +362,17 @@ def _row_cells(row: RunRow) -> dict:
 def _summary_rows(rows: list[RunRow]) -> list[dict]:
     lp_ratios = [r.ratio_vs_lp for r in rows if r.ratio_vs_lp is not None]
     or_ratios = [r.ratio_vs_oracle for r in rows if r.ratio_vs_oracle is not None]
-    out = []
-    for tag, agg in (("summary:mean", np.mean), ("summary:max", np.max)):
-        out.append(
-            {
-                "instance_id": tag,
-                "kind": "",
-                "sigma": None,
-                "lambda": None,
-                "algorithm": "",
-                "seed": None,
-                "lp_opt": None,
-                "oracle_opt": None,
-                "cost": None,
-                "ratio_vs_lp": float(agg(lp_ratios)) if lp_ratios else None,
-                "ratio_vs_oracle": float(agg(or_ratios)) if or_ratios else None,
-                "feasible": None,
-            }
-        )
-    return out
+    return [
+        {
+            **dict.fromkeys(CSV_COLUMNS),
+            "instance_id": tag,
+            "kind": "",
+            "algorithm": "",
+            "ratio_vs_lp": float(agg(lp_ratios)) if lp_ratios else None,
+            "ratio_vs_oracle": float(agg(or_ratios)) if or_ratios else None,
+        }
+        for tag, agg in (("summary:mean", np.mean), ("summary:max", np.max))
+    ]
 
 
 def rows_to_csv(rows: list[RunRow]) -> str:

@@ -17,9 +17,12 @@ over many sets.  This module turns it into an integral plan four ways:
   ``steiner.mst_recourse_steiner`` for trees) and exercises all of it in
   every scenario, trading a 1/sigma factor for simplicity.
 
-Randomized routines take an integer seed and optionally fill a caller
-supplied ``stats`` dict with round counts, repair flags, and pre-repair
-objective values so experiments can audit the tail behaviour.
+Randomized routines take an integer seed.  ``double_randomized_round`` and
+``srinivasan_round_set_cover`` optionally fill a caller supplied ``stats``
+dict so experiments can audit the tail behaviour: the first puts
+``stage1_rounds`` (stage-1 sampling rounds before any greedy repair), the
+second ``pre_repair_value`` (the sampled plan's objective before repair) and
+``scenarios_repaired`` (how many scenarios needed it).
 """
 from __future__ import annotations
 
@@ -61,15 +64,11 @@ class HalfMassReport:
     ``heavy_elements`` holds the elements whose exercised mass stayed at or
     above one half in every scenario demanding them; everything else must be
     picked up by recourse mass.  ``inflation`` is the measured objective
-    ratio after/before and ``k_bound`` the guaranteed cap
-    (lam + sigma - 1) / (2 - 2*sigma) on the exercise-to-recourse transfer.
+    ratio after/before; ``half_mass_inflation_bound`` caps it.
     """
 
     heavy_elements: frozenset[int]
     inflation: float
-    k_bound: float
-    value_before: float
-    value_after: float
 
 
 def half_mass_inflation_bound(sigma: float, lam: float) -> float:
@@ -79,8 +78,8 @@ def half_mass_inflation_bound(sigma: float, lam: float) -> float:
     Each halving moves p*w*y/2 of exercise mass, priced at (1 - sigma)*w,
     onto recourse at lam*w, adding at most (lam - 1 + sigma)/(2 - 2*sigma)
     times the exercise cost it moves; so the ratio after/before is at most
-    1 + ``HalfMassReport.k_bound``, which is this value.  With lam > 1 it
-    is at least 1.
+    1 + (lam - 1 + sigma)/(2 - 2*sigma), which is this value.  With lam > 1
+    it is at least 1.
     """
     return (lam + 1.0 - sigma) / (2.0 - 2.0 * sigma)
 
@@ -171,15 +170,7 @@ def preprocess_half(
     value_after = fractional_cover_value(inst, sol.x, y2, z2)
     inflation = value_after / value_before if value_before > 0 else 1.0
     out = FractionalCoverSolution(inst, sol.x.copy(), y2, z2, value_after)
-    report = HalfMassReport(
-        heavy_elements=classify_heavy(out),
-        inflation=inflation,
-        k_bound=(inst.policy.lam + inst.policy.sigma - 1.0)
-        / (2.0 - 2.0 * inst.policy.sigma),
-        value_before=value_before,
-        value_after=value_after,
-    )
-    return out, report
+    return out, HalfMassReport(classify_heavy(out), inflation)
 
 
 def _greedy_cover(
@@ -262,16 +253,13 @@ def _double_sampler(
             rounds.append(picked)
             reserved.update(int(s) for s in picked)
             n_rounds += 1
-        repaired_stage1 = False
         missing = _uncovered(inc, target, reserved)
         if missing:
             extra = _greedy_cover(inst, inc, missing, reserved)
             rounds.append(np.array(sorted(extra), dtype=int))
             reserved.update(extra)
-            repaired_stage1 = True
 
         stages = []
-        scenario_repairs = 0
         for clients, ratio, light, z in scenarios:
             exercised: set[int] = set()
             for picked in rounds:
@@ -287,15 +275,12 @@ def _double_sampler(
             leftover = _uncovered(inc, clients, exercised | recoursed)
             if leftover:
                 recoursed |= _greedy_cover(inst, inc, leftover, exercised | recoursed)
-                scenario_repairs += 1
             stages.append(
                 StageDecision(frozenset(exercised), frozenset(recoursed - exercised))
             )
 
         if stats is not None:
             stats["stage1_rounds"] = n_rounds
-            stats["stage1_repaired"] = repaired_stage1
-            stats["scenario_repairs"] = scenario_repairs
         return TwoStageSolution(frozenset(reserved), tuple(stages))
 
     return sample
@@ -398,7 +383,6 @@ def srinivasan_round_set_cover(
         stages.append(StageDecision(frozenset(exercised), frozenset(recoursed - exercised)))
 
     if stats is not None:
-        stats["scale"] = big_l
         stats["pre_repair_value"] = pre_repair
         stats["scenarios_repaired"] = repairs
     return TwoStageSolution(reserved, tuple(stages))

@@ -264,7 +264,10 @@ class MetricGraph:
         _check_finite("weights", self.weights)
         if any(w < 0 for w in self.weights):
             raise InstanceError("edge weights must be nonnegative")
-        if not self.reaches(range(self.n_edges), range(self.n_vertices)):
+        # n vertices need n - 1 edges; checked before the union-find allocates n
+        if self.n_vertices > self.n_edges + 1 or not self.reaches(
+            range(self.n_edges), range(self.n_vertices)
+        ):
             raise InstanceError("graph must be connected")
 
     def reaches(self, items: Iterable[int], vertices: Iterable[int]) -> bool:
@@ -362,44 +365,55 @@ def _scenarios_to_json(scen: ScenarioSet) -> list[dict]:
     return [{"p": p, "clients": sorted(clients)} for p, clients in scen.scenarios]
 
 
+def _int(field: str, value) -> int:
+    """A count or id read from a file: an int, or a float with an integral
+    finite value.  Anything else, a bool too, is refused by field name."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InstanceError(f"{field} must be an integer, got {value!r}")
+
+
+def _ints(field: str, values) -> tuple[int, ...]:
+    return tuple(_int(f"{field}[{i}]", v) for i, v in enumerate(values))
+
+
 def _scenarios_from_json(raw: list[dict]) -> ScenarioSet:
-    return ScenarioSet.explicit((entry["p"], entry["clients"]) for entry in raw)
+    return ScenarioSet.explicit(
+        (entry["p"], _ints(f"scenarios[{k}].clients", entry["clients"]))
+        for k, entry in enumerate(raw)
+    )
+
+
+# Each kind's item data, in file order; Steiner's are fields of its graph.
+_FILE_KEYS = {
+    "set_cover": ("n_elements", "sets", "weights"),
+    "vertex_cover": ("n_vertices", "edges", "weights"),
+    "ufl": ("open_cost", "scenario_open_cost", "distance"),
+    "steiner": ("n_vertices", "root", "edges", "weights"),
+}
+
+
+def _plain(value):
+    """JSON shapes: tuples as lists, frozensets as sorted lists."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    if isinstance(inst, SetCoverInstance):
-        body = {
-            "n_elements": inst.n_elements,
-            "sets": [sorted(s) for s in inst.sets],
-            "weights": list(inst.weights),
-        }
-    elif isinstance(inst, VertexCoverInstance):
-        body = {
-            "n_vertices": inst.n_vertices,
-            "edges": [list(e) for e in inst.edges],
-            "weights": list(inst.weights),
-        }
-    elif isinstance(inst, UflInstance):
-        body = {
-            "open_cost": list(inst.open_cost),
-            "scenario_open_cost": [list(row) for row in inst.scenario_open_cost],
-            "distance": [list(row) for row in inst.distance],
-        }
-    elif isinstance(inst, SteinerInstance):
-        body = {
-            "n_vertices": inst.graph.n_vertices,
-            "root": inst.graph.root,
-            "edges": [list(e) for e in inst.graph.edges],
-            "weights": list(inst.graph.weights),
-        }
-    else:
+    if not isinstance(inst, Instance):
         raise InstanceError(f"unknown instance type {type(inst)!r}")
     ufl = isinstance(inst, UflInstance)
+    items = inst.graph if isinstance(inst, SteinerInstance) else inst
     return {
         "kind": inst.kind,
         "sigma": inst.sigma if ufl else inst.policy.sigma,
         "lambda": inst.lam if ufl else inst.policy.lam,
-        **body,
+        **{key: _plain(getattr(items, key)) for key in _FILE_KEYS[inst.kind]},
         "scenarios": _scenarios_to_json(inst.scenarios),
     }
 
@@ -429,26 +443,17 @@ def instance_from_dict(raw: dict) -> Instance:
         policy = CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights)))
         if kind == "set_cover":
             return SetCoverInstance(
-                n_elements=int(raw["n_elements"]),
-                sets=tuple(frozenset(s) for s in raw["sets"]),
+                n_elements=_int("n_elements", raw["n_elements"]),
+                sets=tuple(frozenset(_ints(f"sets[{s}]", m)) for s, m in enumerate(raw["sets"])),
                 weights=weights,
                 policy=policy,
                 scenarios=scen,
             )
+        n_vertices = _int("n_vertices", raw["n_vertices"])
+        edges = tuple(_ints(f"edges[{e}]", uv) for e, uv in enumerate(raw["edges"]))
         if kind == "vertex_cover":
-            return VertexCoverInstance(
-                n_vertices=int(raw["n_vertices"]),
-                edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
-                weights=weights,
-                policy=policy,
-                scenarios=scen,
-            )
-        graph = MetricGraph(
-            n_vertices=int(raw["n_vertices"]),
-            edges=tuple((int(u), int(v)) for u, v in raw["edges"]),
-            weights=weights,
-            root=int(raw.get("root", 0)),
-        )
+            return VertexCoverInstance(n_vertices, edges, weights, policy, scen)
+        graph = MetricGraph(n_vertices, edges, weights, _int("root", raw.get("root", 0)))
         return SteinerInstance(graph=graph, policy=policy, scenarios=scen)
     except KeyError as exc:
         raise InstanceError(f"missing instance key {exc.args[0]!r}") from exc

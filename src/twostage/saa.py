@@ -45,7 +45,6 @@ class SaaConfig:
     delta: float
     k_reps: int
     n_samples: int
-    c_n: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
@@ -83,7 +82,7 @@ class SaaConfig:
             n = max(1, math.ceil(count))
         except OverflowError as exc:
             raise ValueError(f"sample count overflows at recourse ratio {recourse_ratio}") from exc
-        return cls(epsilon, delta, k, n, c_n)
+        return cls(epsilon, delta, k, n)
 
 
 def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:
@@ -116,7 +115,6 @@ class SaaResult:
     chosen_rep: int
     candidates: tuple[frozenset[int], ...]
     estimates: tuple[float, ...]
-    config: SaaConfig
 
 
 def repeating_saa(
@@ -160,6 +158,4 @@ def repeating_saa(
             candidates.append(frozenset(first_stage))
             estimates.append(float(estimate))
     best = min(range(cfg.k_reps), key=lambda r: (estimates[r], r))
-    return SaaResult(
-        candidates[best], best, tuple(candidates), tuple(estimates), cfg
-    )
+    return SaaResult(candidates[best], best, tuple(candidates), tuple(estimates))

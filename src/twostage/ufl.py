@@ -325,9 +325,6 @@ class CompleteUfl:
     serve: np.ndarray
     aux: np.ndarray | None
 
-    def copies_of(self, facility: int) -> np.ndarray:
-        return np.flatnonzero(self.source == facility)
-
 
 def make_complete(
     open_mass: np.ndarray, serve: np.ndarray, aux: np.ndarray | None = None
@@ -383,8 +380,6 @@ class PairBall:
 
 @dataclass(frozen=True)
 class FilteredUfl:
-    complete: CompleteUfl
-    gamma: float
     open_hat: np.ndarray
     aux_hat: np.ndarray | None
     balls: tuple[PairBall, ...]
@@ -429,7 +424,7 @@ def swamy_filter(
         balls.append(PairBall(tuple(copies), w, c_gamma, r_gamma))
     open_hat = np.minimum(complete.open_mass / gamma, 1.0)
     aux_hat = None if complete.aux is None else np.minimum(complete.aux / gamma, 1.0)
-    return FilteredUfl(complete, gamma, open_hat, aux_hat, tuple(balls))
+    return FilteredUfl(open_hat, aux_hat, tuple(balls))
 
 
 @dataclass(frozen=True)
@@ -470,8 +465,6 @@ class PreparedImproved:
     """
 
     sol: FractionalUflSolution
-    first: tuple[tuple[int, int], ...]
-    second: tuple[tuple[int, int], ...]
     complete: CompleteUfl | None
     filtered: FilteredUfl | None
     clusters: ClusterPlan | None
@@ -527,14 +520,10 @@ def prepare_improved(
             np.asarray(inst.scenario_open_cost[k]), c, cl, open_mass, serve_rows
         )
         second_opened.append(opened)
-    return PreparedImproved(
-        sol, first, second, comp, filtered, plan, needed, tuple(second_opened)
-    )
+    return PreparedImproved(sol, comp, filtered, plan, needed, tuple(second_opened))
 
 
-def sample_improved(
-    prep: PreparedImproved, seed: int = 0, trace: dict | None = None
-) -> UflPlan:
+def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
     """The seeded draws of ``round_improved`` on a prepared relaxation."""
     inst = prep.sol.instance
     rng = np.random.default_rng(seed)
@@ -543,7 +532,6 @@ def sample_improved(
 
     reserved_orig: set[int] = set()
     exercised_orig: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
-    cluster_hits: list[dict[int, int]] = [dict() for _ in inst.scenarios.scenarios]
     if plan is not None:
         open_hat = filtered.open_hat
         aux_hat = filtered.aux_hat
@@ -582,7 +570,6 @@ def sample_improved(
                 else:
                     pick = rng.choice(held, p=w / total)
                 exercised_orig[k].add(int(comp.source[int(pick)]))
-                cluster_hits[k][ci] = 1
             stray = np.array(
                 sorted(reserved_copies - clustered), dtype=int
             )
@@ -612,13 +599,6 @@ def sample_improved(
                 raise InstanceError(f"no facility open for scenario {k}")
             amap[j] = min(open_now, key=lambda i: (c[i, j], i))
         assignment.append(amap)
-
-    if trace is not None:
-        trace["first"] = prep.first
-        trace["second"] = prep.second
-        trace["clusters"] = plan
-        trace["filtered"] = filtered
-        trace["cluster_hits"] = tuple(dict(h) for h in cluster_hits)
     return UflPlan(
         TwoStageSolution(frozenset(reserved_orig), stages), tuple(assignment)
     )
@@ -629,7 +609,6 @@ def round_improved(
     theta: float = THETA_DEFAULT,
     gamma: float = GAMMA_DEFAULT,
     seed: int = 0,
-    trace: dict | None = None,
 ) -> UflPlan:
     """Randomized two-sided rounding.
 
@@ -651,7 +630,7 @@ def round_improved(
     one relaxation under many seeds prepare once and call
     ``sample_improved`` per seed, with the same plans.
     """
-    return sample_improved(prepare_improved(sol, theta, gamma), seed, trace)
+    return sample_improved(prepare_improved(sol, theta, gamma), seed)
 
 
 def clustered_approx_factor(
@@ -747,5 +726,4 @@ def cs_round_deterministic_ufl(
     if trace is not None:
         trace["centers"] = tuple(clients[t] for t in centers)
         trace["members"] = tuple(tuple(sorted(m)) for m in members)
-        trace["c_frac"] = c_frac
     return frozenset(opened), assignment

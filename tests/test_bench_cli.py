@@ -5,12 +5,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import re
 import runpy
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import bench, cover, lp, lp_builders, ufl
 from twostage.cli import EXIT_BOUND, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
@@ -249,6 +253,94 @@ def test_oracle_refuses_non_finite_instance_data(tmp_path, capsys, kind, field, 
     assert main(["oracle", "--instance", str(path)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
+
+
+def numeric_leaves(node, path=()):
+    """(path, value) of every number in a decoded instance file."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from numeric_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from numeric_leaves(child, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def with_leaf(raw: dict, path: tuple, value) -> dict:
+    """A copy of ``raw`` with the leaf at ``path`` replaced by ``value``."""
+    out = json.loads(json.dumps(raw))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, path, bad, field",
+    [("set_cover", ("n_elements",), lambda x: math.inf, "n_elements"),
+     ("vertex_cover", ("edges", 0, 0), lambda x: math.inf, "edges[0][0]"),
+     ("steiner", ("root",), lambda x: math.inf, "root"),
+     ("ufl", ("scenarios", 0, "clients", 0), lambda x: math.inf, "scenarios[0].clients[0]"),
+     ("set_cover", ("sets", 0, 0), lambda x: x + 0.5, "sets[0][0]"),
+     ("set_cover", ("n_elements",), lambda x: x + 0.7, "n_elements"),
+     ("steiner", ("root",), lambda x: x + 0.9, "root"),
+     ("vertex_cover", ("scenarios", 0, "clients", 0), lambda x: x + 0.5, "scenarios[0].clients[0]"),
+     ("set_cover", ("n_elements",), lambda x: True, "n_elements")],
+    ids=["inf-count", "inf-edge", "inf-root", "inf-client", "half-member", "fraction-count",
+         "fraction-root", "fraction-client", "bool-count"],
+)
+def test_oracle_refuses_non_integer_counts_and_ids(tmp_path, capsys, kind, path, bad, field):
+    raw = instance_to_dict(generate_instance(kind, seed=1))
+    value = bad(dict(numeric_leaves(raw))[path])
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(with_leaf(raw, path, value)))
+    assert main(["oracle", "--instance", str(file)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {field} must be an integer, got {value!r}\n")
+
+
+# What a refusal of each file key must mention: the key, or the entity the
+# value describes (a vertex count fails as "graph must be connected", an
+# edited UFL price as a lambda the prices do not give).
+FIELD_WORDS = {
+    "sigma": "sigma",
+    "lambda": "lambda",
+    "n_elements": "element",
+    "sets": "set",
+    "weights": "weight",
+    "n_vertices": "vert|graph",
+    "edges": "edge",
+    "root": "root",
+    "open_cost": "open_cost|facility|price",
+    "scenario_open_cost": "scenario_open_cost|facility|price",
+    "distance": "distance",
+    "p": "probabilit",
+    "clients": "scenario",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_numbers_load_or_are_refused_by_name(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(GENERATOR_KINDS)), label="kind")
+    raw = instance_to_dict(generate_instance(kind, seed=data.draw(st.integers(0, 3), label="seed")))
+    path, old = data.draw(st.sampled_from(list(numeric_leaves(raw))), label="leaf")
+    hostile = [math.nan, math.inf, -math.inf, -1, 1e300]
+    if isinstance(old, int):
+        hostile.append(old + 0.5)
+    value = data.draw(st.sampled_from(hostile), label="value")
+    file = tmp_path_factory.mktemp("hostile") / "inst.json"
+    file.write_text(json.dumps(with_leaf(raw, path, value)))
+    try:
+        load_instance(file)
+    except ValueError as exc:
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        assert re.search(FIELD_WORDS[key], str(exc)), (path, value, str(exc))
+    # any exception but a ValueError escapes main as a traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["oracle", "--instance", str(file)]) in (EXIT_OK, EXIT_ERROR)
 
 
 def test_csv_parses_with_stdlib_reader(tmp_path):
@@ -509,16 +601,17 @@ def golden_plan_cases(tmp_path):
 
 
 def golden_ufl_records(inst):
-    """Both UFL roundings' assignments and traces, over four seeds."""
+    """Both UFL roundings' assignments, the 5-approximation's trace and the
+    improved rounding's clusters, over four seeds."""
     sol = lp_builders.solve_ufl_lp(inst)
     trace = {}
     plan = ufl.round_5approx(sol, trace=trace)
     yield plan, trace["profiles"]
     prep = ufl.prepare_improved(sol)
+    # each scenario's backing clusters as {cluster: 1}, the record the digest pins
+    hits = tuple({ci: 1 for ci in needed} for needed in prep.needed)
     for seed in range(4):
-        trace = {}
-        plan = ufl.sample_improved(prep, seed, trace)
-        yield plan, trace["clusters"], trace["cluster_hits"]
+        yield ufl.sample_improved(prep, seed), prep.clusters, hits
 
 
 def golden_single_stage_records():

@@ -53,7 +53,7 @@ def triangle_vc(sigma=0.5, lam=2.0, pairs=((0.5, (0, 1, 2)), (0.5, (0,)))):
 
 def test_inflation_bound_frozen_value():
     assert half_mass_inflation_bound(0.5, 2.0) == pytest.approx(2.5)
-    # the transfer cap k_bound = (lam + sigma - 1)/(2 - 2 sigma) is 1.5 here
+    # the transfer cap (lam + sigma - 1)/(2 - 2 sigma) is 1.5 here
     assert (2.0 + 0.5 - 1.0) / (2.0 - 2.0 * 0.5) == pytest.approx(1.5)
 
 
@@ -84,7 +84,6 @@ def test_uniform_solution_passes_through():
     assert rep.inflation == 1.0
     assert np.array_equal(out.y, sol.y) and np.array_equal(out.z, sol.z)
     assert rep.heavy_elements == frozenset({0})
-    assert rep.k_bound == pytest.approx(1.5)
 
 
 def test_straddling_element_is_halved_out():
