@@ -11,8 +11,9 @@ from twostage.model import ScenarioSet
 from twostage.ufl import (
     clustered_approx_factor,
     evaluate_ufl_cost,
+    prepare_improved,
     round_5approx,
-    round_improved,
+    sample_improved,
 )
 
 inst = UflInstance(
@@ -63,8 +64,9 @@ tilted = FractionalUflSolution(
 print("\nrandomized cluster rounding of a tilted plan, 4000 seeds:")
 costs = []
 reservations = {}
+prep = prepare_improved(tilted)
 for seed in range(4000):
-    plan = round_improved(tilted, seed=seed)
+    plan = sample_improved(prep, seed=seed)
     costs.append(evaluate_ufl_cost(inst, plan).total)
     key = tuple(sorted(plan.solution.reserved))
     reservations[key] = reservations.get(key, 0) + 1

@@ -157,8 +157,8 @@ def _ufl_priced(inst, plan, bound):
 
 
 def _double(inst, relaxation):
-    pre, report = cover_mod.preprocess_half(cover_solution_from_lp(inst, relaxation))
-    sample = cover_mod._double_sampler(pre, report.heavy_elements)
+    pre, _ = cover_mod.preprocess_half(cover_solution_from_lp(inst, relaxation))
+    sample = cover_mod.double_sampler(pre)
     return lambda seed: _priced(inst, sample(seed))
 
 

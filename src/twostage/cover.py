@@ -3,8 +3,8 @@
 The fractional optimum of a covering relaxation spreads reservation mass
 over many sets.  This module turns it into an integral plan four ways:
 
-* ``preprocess_half`` + ``double_randomized_round``: concentrate exercise
-  mass so that every element either keeps at least half a unit of exercised
+* ``preprocess_half`` + ``double_sampler``: concentrate exercise mass so
+  that every element either keeps at least half a unit of exercised
   coverage in all its scenarios or loses it in all of them, then round the
   two stages with coupled coin flips so exercised sets are always a subset
   of reserved ones.
@@ -17,7 +17,7 @@ over many sets.  This module turns it into an integral plan four ways:
   ``steiner.mst_recourse_steiner`` for trees) and exercises all of it in
   every scenario, trading a 1/sigma factor for simplicity.
 
-Randomized routines take an integer seed.  ``double_randomized_round`` and
+Randomized routines take an integer seed.  ``double_sampler``'s sample and
 ``srinivasan_round_set_cover`` optionally fill a caller supplied ``stats``
 dict so experiments can audit the tail behaviour: the first puts
 ``stage1_rounds`` (stage-1 sampling rounds before any greedy repair), the
@@ -46,6 +46,7 @@ __all__ = [
     "RecoursePlan",
     "half_mass_inflation_bound",
     "preprocess_half",
+    "double_sampler",
     "threshold_round_vertex_cover",
     "srinivasan_round_set_cover",
     "srinivasan_round_vertex_cover",
@@ -208,11 +209,7 @@ def _uncovered(inc: np.ndarray, clients, bought: set[int]) -> set[int]:
     return {e for e in clients if not any(inc[e, s] for s in bought)}
 
 
-def double_randomized_round(
-    sol: FractionalCoverSolution,
-    seed: int = 0,
-    stats: dict | None = None,
-) -> TwoStageSolution:
+def double_sampler(sol: FractionalCoverSolution) -> Callable[[int, dict | None], TwoStageSolution]:
     """Round a preprocessed solution with coupled stage-1/stage-2 coins.
 
     Stage 1 repeats rounds that pick every set s independently with
@@ -221,22 +218,15 @@ def double_randomized_round(
     recorded rounds are replayed with probability y/x so that exercised sets
     are reserved by construction, and the remaining light demand is covered
     by independent rounds over the recourse mass with the same cap-and-repair
-    guard.  The output is always feasible.
+    guard.  The output is always feasible.  Everything before the first coin
+    runs here, once; the returned ``sample(seed, stats=None)`` draws per seed.
     """
-    return _double_sampler(sol, classify_heavy(sol))(seed, stats)
-
-
-def _double_sampler(
-    sol: FractionalCoverSolution, heavy: frozenset[int]
-) -> Callable[[int, dict | None], TwoStageSolution]:
-    """Everything ``double_randomized_round`` computes before its first coin;
-    returns (seed, stats) -> plan.  ``heavy`` is ``classify_heavy(sol)``."""
     inst = sol.instance
     inc = inst.incidence()
     n_elem = max(inst.n_elements, 1)
     cap = math.ceil(4.0 * (math.log(n_elem) + 4.0))
     xhat = np.minimum(sol.x, 1.0)
-    target = set(heavy) & {e for e, _ in _demand_lists(inst)}
+    heavy = classify_heavy(sol)
     # Per scenario: its clients, the replay odds y/x and the light demand.
     scenarios = [
         (clients, _odds(sol.y[k], xhat), set(clients) - heavy, sol.z[k])
@@ -248,12 +238,12 @@ def _double_sampler(
         reserved: set[int] = set()
         rounds: list[np.ndarray] = []
         n_rounds = 0
-        while _uncovered(inc, target, reserved) and n_rounds < cap:
+        while _uncovered(inc, heavy, reserved) and n_rounds < cap:
             picked = np.flatnonzero(rng.random(inst.n_items) < xhat)
             rounds.append(picked)
             reserved.update(int(s) for s in picked)
             n_rounds += 1
-        missing = _uncovered(inc, target, reserved)
+        missing = _uncovered(inc, heavy, reserved)
         if missing:
             extra = _greedy_cover(inst, inc, missing, reserved)
             rounds.append(np.array(sorted(extra), dtype=int))
@@ -468,7 +458,7 @@ def _recourse_cover_lp(inst: CoverInstance) -> LinearProgram:
 def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
     """Deterministic frequency-threshold solver for the plain-recourse model.
 
-    Solves the recourse relaxation, then scans every candidate threshold U:
+    Solves the recourse relaxation, then scans every feasible threshold U:
     buy {x >= U} now and {x + z_k >= U} late.  Coverage holds for any
     U <= 1/f (f = max element frequency), and averaging over U shows some
     candidate costs at most f times the relaxation, so the cheapest feasible
@@ -489,25 +479,23 @@ def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
     demand = _demand_lists(inst)
     freq = max((len(inst.covering_items(e)) for e, _ in demand), default=1)
     candidates = np.unique(np.concatenate([x, t.ravel(), [0.0, np.max(x, initial=0.0) + 1.0]]))
+    # solve_lp clips z at 0, so t >= x: U covers (k, e) iff some covering t[k, s] >= U
+    top = min(
+        (float(t[k, list(inst.covering_items(e))].max()) for e, ks in demand for k in ks),
+        default=math.inf,
+    )
 
     best_cost, best = math.inf, None
-    for u in candidates:
+    for u in candidates[candidates <= top]:
         first = x >= u
         late = [(t[k] >= u) & ~first for k in range(big_k)]
-        ok = all(
-            any(first[s] or (t[k, s] >= u) for s in inst.covering_items(e))
-            for e, ks in demand
-            for k in ks
-        )
-        if not ok:
-            continue
         cost = float(w[first].sum()) + sum(
             probs[k] * inst.policy.lam * float(w[late[k]].sum()) for k in range(big_k)
         )
         if cost < best_cost - 1e-12:
             best_cost = cost
             best = (first, late)
-    if best is None:  # pragma: no cover - candidates always include feasible U
+    if best is None:  # pragma: no cover - U = 0 is feasible
         raise InstanceError("no feasible threshold found")
     first, late = best
     return RecoursePlan(

@@ -58,6 +58,15 @@ def _check_ground_weights(policy: CostPolicy, weights: tuple[float, ...]) -> Non
             raise InstanceError(f"item {i}: ground weight {got} differs from its weight {want}")
 
 
+def _check_edges(edges: tuple[tuple[int, ...], ...], n_vertices: int) -> None:
+    for e, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise InstanceError(f"edges[{e}] must be a pair of vertex ids, got {list(edge)}")
+        u, v = edge
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:
+            raise InstanceError(f"edge {e} = ({u}, {v}) is not a proper edge")
+
+
 def _check_scenarios(scen: ScenarioSet, limit: int, what: str) -> None:
     for k, (_, clients) in enumerate(scen.scenarios):
         bad = [c for c in clients if not 0 <= c < limit]
@@ -122,9 +131,7 @@ class VertexCoverInstance:
     def __post_init__(self) -> None:
         if len(self.weights) != self.n_vertices:
             raise InstanceError("one weight per vertex required")
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
-                raise InstanceError(f"edge {e} = ({u}, {v}) is not a proper edge")
+        _check_edges(self.edges, self.n_vertices)
         _check_ground_weights(self.policy, self.weights)
         _check_scenarios(self.scenarios, len(self.edges), "edges")
 
@@ -258,9 +265,7 @@ class MetricGraph:
             raise InstanceError("one weight per edge required")
         if not 0 <= self.root < self.n_vertices:
             raise InstanceError(f"root {self.root} is not a vertex")
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices) or u == v:
-                raise InstanceError(f"edge {e} = ({u}, {v}) is not a proper edge")
+        _check_edges(self.edges, self.n_vertices)
         _check_finite("weights", self.weights)
         if any(w < 0 for w in self.weights):
             raise InstanceError("edge weights must be nonnegative")
@@ -293,47 +298,35 @@ class MetricGraph:
     def shortest_paths(
         self, edge_price: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs distances and next-hop matrix under optional edge prices.
-
-        Floyd-Warshall with strict improvement only, so tie-breaks are fixed
-        by edge order and results are deterministic.
+        """All-pairs distances and first hops, (next vertex, edge id) per pair,
+        under optional edge prices; of parallel edges a hop takes the first
+        cheapest.  Floyd-Warshall with strict improvement only, so tie-breaks
+        are fixed by edge order and results are deterministic.
         """
         n = self.n_vertices
         price = np.asarray(self.weights, dtype=float) if edge_price is None else edge_price
         d = np.full((n, n), np.inf)
         np.fill_diagonal(d, 0.0)
-        nxt = np.tile(np.arange(n), (n, 1))
+        hop = np.stack([np.tile(np.arange(n), (n, 1)), np.full((n, n), -1)], axis=-1)
         for e, (u, v) in enumerate(self.edges):
             if price[e] < d[u, v]:
                 d[u, v] = d[v, u] = price[e]
-                nxt[u, v] = v
-                nxt[v, u] = u
+                hop[u, v] = v, e
+                hop[v, u] = u, e
         for k in range(n):
             via = d[:, k][:, None] + d[k, :][None, :]
             better = via < d - 1e-15
             d = np.where(better, via, d)
-            nxt = np.where(better, nxt[:, k][:, None], nxt)
-        return d, nxt
+            hop = np.where(better[:, :, None], hop[:, k][:, None], hop)
+        return d, hop
 
-    def path_edges(
-        self, nxt: np.ndarray, u: int, v: int, edge_price: np.ndarray | None = None
-    ) -> list[int]:
-        """Edge ids along the reconstructed u-v shortest path.
-
-        Parallel edges are resolved by the same prices the next-hop matrix
-        was computed under, so the reconstruction matches its distances.
-        """
-        price = np.asarray(self.weights, dtype=float) if edge_price is None else edge_price
-        lookup = {}
-        for e, (a, b) in enumerate(self.edges):
-            key = (a, b) if a < b else (b, a)
-            if key not in lookup or price[e] < price[lookup[key]]:
-                lookup[key] = e
+    @staticmethod
+    def path_edges(hop: np.ndarray, u: int, v: int) -> list[int]:
+        """Edge ids along the u-v shortest path that ``hop`` records."""
         out = []
         while u != v:
-            w = int(nxt[u, v])
-            out.append(lookup[(u, w) if u < w else (w, u)])
-            u = w
+            u, e = (int(a) for a in hop[u, v])
+            out.append(e)
         return out
 
 
@@ -375,15 +368,32 @@ def _int(field: str, value) -> int:
     raise InstanceError(f"{field} must be an integer, got {value!r}")
 
 
+def _num(field: str, value) -> int | float:
+    """A price, weight or probability read from a file: an int or a float."""
+    if type(value) in (int, float):
+        return value
+    raise InstanceError(f"{field} must be a number, got {value!r}")
+
+
+def _each(field: str, values, read) -> tuple:
+    """``read(name, entry)`` of every entry of a list field, named by index."""
+    if type(values) is not list:
+        raise InstanceError(f"{field} must be a list, got {values!r}")
+    return tuple(read(f"{field}[{i}]", v) for i, v in enumerate(values))
+
+
 def _ints(field: str, values) -> tuple[int, ...]:
-    return tuple(_int(f"{field}[{i}]", v) for i, v in enumerate(values))
+    return _each(field, values, _int)
 
 
-def _scenarios_from_json(raw: list[dict]) -> ScenarioSet:
-    return ScenarioSet.explicit(
-        (entry["p"], _ints(f"scenarios[{k}].clients", entry["clients"]))
-        for k, entry in enumerate(raw)
-    )
+def _floats(field: str, values) -> tuple[float, ...]:
+    return _each(field, values, lambda name, v: float(_num(name, v)))
+
+
+def _scenarios_from_json(raw) -> ScenarioSet:
+    def scenario(name: str, entry: dict) -> tuple[float, tuple[int, ...]]:
+        return _num(f"{name}.p", entry["p"]), _ints(f"{name}.clients", entry["clients"])
+    return ScenarioSet.explicit(_each("scenarios", raw, scenario))
 
 
 # Each kind's item data, in file order; Steiner's are fields of its graph.
@@ -424,33 +434,32 @@ def instance_from_dict(raw: dict) -> Instance:
         scen = _scenarios_from_json(raw["scenarios"])
         if kind == "ufl":
             inst = UflInstance(
-                open_cost=tuple(float(f) for f in raw["open_cost"]),
-                scenario_open_cost=tuple(
-                    tuple(float(f) for f in row) for row in raw["scenario_open_cost"]
-                ),
-                distance=tuple(tuple(float(c) for c in row) for row in raw["distance"]),
-                sigma=raw["sigma"],
+                open_cost=_floats("open_cost", raw["open_cost"]),
+                scenario_open_cost=_each("scenario_open_cost", raw["scenario_open_cost"], _floats),
+                distance=_each("distance", raw["distance"], _floats),
+                sigma=_num("sigma", raw["sigma"]),
                 scenarios=scen,
             )
             # the prices fix lambda; a key that disagrees was edited by hand
-            lam = raw.get("lambda", inst.lam)
+            lam = _num("lambda", raw.get("lambda", inst.lam))
             if not math.isclose(lam, inst.lam, rel_tol=1e-9):
                 raise InstanceError(f"lambda {lam} differs from the {inst.lam} the prices give")
             return inst
         if kind not in ("set_cover", "vertex_cover", "steiner"):
             raise InstanceError(f"unknown instance kind {kind!r}")
-        weights = tuple(float(w) for w in raw["weights"])
-        policy = CostPolicy(raw["sigma"], raw["lambda"], dict(enumerate(weights)))
+        weights = _floats("weights", raw["weights"])
+        sigma, lam = _num("sigma", raw["sigma"]), _num("lambda", raw["lambda"])
+        policy = CostPolicy(sigma, lam, dict(enumerate(weights)))
         if kind == "set_cover":
             return SetCoverInstance(
                 n_elements=_int("n_elements", raw["n_elements"]),
-                sets=tuple(frozenset(_ints(f"sets[{s}]", m)) for s, m in enumerate(raw["sets"])),
+                sets=tuple(frozenset(m) for m in _each("sets", raw["sets"], _ints)),
                 weights=weights,
                 policy=policy,
                 scenarios=scen,
             )
         n_vertices = _int("n_vertices", raw["n_vertices"])
-        edges = tuple(_ints(f"edges[{e}]", uv) for e, uv in enumerate(raw["edges"]))
+        edges = _each("edges", raw["edges"], _ints)
         if kind == "vertex_cover":
             return VertexCoverInstance(n_vertices, edges, weights, policy, scen)
         graph = MetricGraph(n_vertices, edges, weights, _int("root", raw.get("root", 0)))

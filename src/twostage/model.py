@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -182,14 +182,10 @@ class ObjectiveBreakdown:
     first_stage: float
     expected_exercise: float
     expected_recourse: float
-    total: float = field(default=float("nan"))
 
-    def __post_init__(self) -> None:
-        parts = self.first_stage + self.expected_exercise + self.expected_recourse
-        if math.isnan(self.total):
-            object.__setattr__(self, "total", parts)
-        elif abs(self.total - parts) > 1e-9 * (1.0 + abs(parts)):
-            raise ValueError("total does not match its parts")
+    @property
+    def total(self) -> float:
+        return self.first_stage + self.expected_exercise + self.expected_recourse
 
 
 @dataclass(frozen=True)

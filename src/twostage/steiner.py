@@ -42,7 +42,7 @@ def mst_steiner_approx(
     want = sorted(set(terminals) - {g.root})
     if not want:
         return frozenset()
-    d, nxt = g.shortest_paths(edge_price)
+    d, hop = g.shortest_paths(edge_price)
     best = {v: (float(d[g.root, v]), g.root) for v in want}
     bought: set[int] = set()
     while best:
@@ -50,7 +50,7 @@ def mst_steiner_approx(
         dist, parent = best.pop(v)
         if not math.isfinite(dist):
             raise InstanceError(f"terminal {v} is unreachable from the root")
-        bought.update(g.path_edges(nxt, v, parent, edge_price))
+        bought.update(g.path_edges(hop, v, parent))
         for t in best:
             if d[v, t] < best[t][0]:
                 best[t] = (float(d[v, t]), v)

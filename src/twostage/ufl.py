@@ -3,11 +3,12 @@
 All four roundings share one filter-and-cluster step, ``_greedy_balls``:
 items are visited cheapest first, and each joins the earliest founder
 whose ball meets its own, or founds its own ball.  ``round_5approx`` runs
-it on the demanded (scenario, client) pairs.  ``round_improved`` splits
-pairs into a first-stage side (clustered over facility copies, then
-sampled) and a second-stage side (``deterministic_ufl_approx`` per
-scenario), trading determinism for a smaller factor.  Cluster sampling
-(``cs_round_deterministic_ufl``) runs the step on one stage.
+it on the demanded (scenario, client) pairs.  The improved rounding
+(``prepare_improved`` once, ``sample_improved`` per seed) splits pairs into
+a first-stage side (clustered over facility copies, then sampled) and a
+second-stage side (``deterministic_ufl_approx`` per scenario), trading
+determinism for a smaller factor.  Cluster sampling
+(``cs_round_deterministic_ufl``) clusters one stage the same way.
 
 Both produce a :class:`UflPlan`: reserved / exercised / recoursed facility
 sets plus a per-scenario client assignment.  ``evaluate_ufl_cost`` is the
@@ -33,7 +34,6 @@ __all__ = [
     "GAMMA_DEFAULT",
     "evaluate_ufl_cost",
     "round_5approx",
-    "round_improved",
     "prepare_improved",
     "sample_improved",
     "clustered_approx_factor",
@@ -429,18 +429,17 @@ def swamy_filter(
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Disjoint copy clusters grown around the cheapest filtered pairs.
-    ``representative[t]`` points each pair at the cluster that serves as its
-    fallback (its own if it founded one)."""
+    """Disjoint clusters grown around the cheapest items (filtered pairs or
+    clients).  ``representative[t]`` points each item at the cluster that
+    serves as its fallback (its own if it founded one)."""
 
     centers: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     representative: tuple[int, ...]
 
 
-def _greedy_clusters(filtered: FilteredUfl, keys: list[tuple]) -> ClusterPlan:
-    order = sorted(range(len(filtered.balls)), key=lambda t: keys[t])
-    balls = [frozenset(b.copies) for b in filtered.balls]
+def _greedy_clusters(balls: list[frozenset], keys: list[tuple]) -> ClusterPlan:
+    order = sorted(range(len(balls)), key=lambda t: keys[t])
     centers, founder_of = _greedy_balls(order, balls)
     cluster = {t: c for c, t in enumerate(centers)}
     return ClusterPlan(
@@ -456,7 +455,7 @@ def _greedy_clusters(filtered: FilteredUfl, keys: list[tuple]) -> ClusterPlan:
 
 @dataclass(frozen=True)
 class PreparedImproved:
-    """Seed-independent part of ``round_improved`` on one relaxation.
+    """Seed-independent part of the improved rounding on one relaxation.
 
     ``needed[k]`` lists the clusters backing a demanded first-stage pair of
     scenario k; ``second_opened[k]`` is the scenario's second-stage
@@ -494,11 +493,8 @@ def prepare_improved(
         dmat = np.array([c[comp.source, j] for _, j in first])
         dmat = dmat.reshape(len(first), comp.source.size)
         filtered = swamy_filter(comp, dmat, gamma)
-        keys = [
-            (filtered.balls[t].c_gamma, first[t][1], first[t][0])
-            for t in range(len(first))
-        ]
-        plan = _greedy_clusters(filtered, keys)
+        keys = [(b.c_gamma, j, k) for b, (k, j) in zip(filtered.balls, first)]
+        plan = _greedy_clusters([frozenset(b.copies) for b in filtered.balls], keys)
         needed = tuple(
             tuple(sorted({plan.representative[t] for t, (kk, _) in enumerate(first) if kk == k}))
             for k in range(len(inst.scenarios))
@@ -524,7 +520,23 @@ def prepare_improved(
 
 
 def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
-    """The seeded draws of ``round_improved`` on a prepared relaxation."""
+    """Randomized two-sided rounding; ``prepare_improved`` does all of it
+    but the draws, once per relaxation.
+
+    First-stage pairs (service mass >= theta on exercised capacity) are
+    rescaled by 1/theta, made complete, prefix-filtered at ``gamma`` and
+    clustered.  Reservation samples each cluster copy with its filtered
+    ground mass, retrying until the cluster holds something (each round
+    succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
+    is bought outright).  Copies outside clusters flip independent coins.
+    Per scenario, every cluster backing a demanded first-stage pair
+    exercises exactly one reserved copy via a categorical draw weighted by
+    exercised/ground mass ratios; all-zero weights fall back to the
+    cheapest-f0 copy.  Non-cluster reserved copies exercise independently
+    with that ratio.  Second-stage pairs are rounded per scenario by
+    ``deterministic_ufl_approx`` on the recourse masses rescaled by
+    1/(1 - theta).  Clients always go to the nearest open facility.
+    """
     inst = prep.sol.instance
     rng = np.random.default_rng(seed)
     c = inst.dist
@@ -604,35 +616,6 @@ def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
     )
 
 
-def round_improved(
-    sol: FractionalUflSolution,
-    theta: float = THETA_DEFAULT,
-    gamma: float = GAMMA_DEFAULT,
-    seed: int = 0,
-) -> UflPlan:
-    """Randomized two-sided rounding.
-
-    First-stage pairs (service mass >= theta on exercised capacity) are
-    rescaled by 1/theta, made complete, prefix-filtered at ``gamma`` and
-    clustered.  Reservation samples each cluster copy with its filtered
-    ground mass, retrying until the cluster holds something (each round
-    succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
-    is bought outright).  Copies outside clusters flip independent coins.
-    Per scenario, every cluster backing a demanded first-stage pair
-    exercises exactly one reserved copy via a categorical draw weighted by
-    exercised/ground mass ratios; all-zero weights fall back to the
-    cheapest-f0 copy.  Non-cluster reserved copies exercise independently
-    with that ratio.  Second-stage pairs are rounded per scenario by
-    ``deterministic_ufl_approx`` on the recourse masses rescaled by
-    1/(1 - theta).  Clients always go to the nearest open facility.
-
-    Everything up to the draws is ``prepare_improved``; callers rounding
-    one relaxation under many seeds prepare once and call
-    ``sample_improved`` per seed, with the same plans.
-    """
-    return sample_improved(prepare_improved(sol, theta, gamma), seed)
-
-
 def clustered_approx_factor(
     boost: float = 1.447,
     theta: float = THETA_DEFAULT,
@@ -701,20 +684,18 @@ def cs_round_deterministic_ufl(
         hot = serve[t] > 1e-9
         if np.any(np.abs(serve[t, hot] - y[hot]) > 1e-7):
             raise ValueError("cluster sampling needs a complete solution")
-    c_frac = np.array([float(serve[t] @ d[:, j]) for t, j in enumerate(clients)])
-    order = sorted(range(len(clients)), key=lambda t: (c_frac[t] + duals[t], clients[t]))
     supports = [
         frozenset(int(i) for i in np.flatnonzero(serve[t] > 1e-9)) for t in range(len(clients))
     ]
-    centers, _ = _greedy_balls(order, supports)
-    members = [supports[t] for t in centers]
+    keys = [(float(serve[t] @ d[:, j]) + duals[t], j) for t, j in enumerate(clients)]
+    plan = _greedy_clusters(supports, keys)
     rng = np.random.default_rng(seed)
     opened: set[int] = set()
-    for t, m in zip(centers, members):
-        pool = np.array(sorted(m), dtype=int)
+    for m in plan.members:
+        pool = np.array(m, dtype=int)
         w = y[pool] / float(y[pool].sum())
         opened.add(int(rng.choice(pool, p=w)))
-    clustered = {i for m in members for i in m}
+    clustered = {i for m in plan.members for i in m}
     loose = np.array(sorted(set(range(f.size)) - clustered), dtype=int)
     if loose.size:
         hit = loose[rng.random(loose.size) < np.minimum(y[loose], 1.0)]
@@ -724,6 +705,6 @@ def cs_round_deterministic_ufl(
         j: min(ranked, key=lambda i: (d[i, j], i)) for j in clients
     }
     if trace is not None:
-        trace["centers"] = tuple(clients[t] for t in centers)
-        trace["members"] = tuple(tuple(sorted(m)) for m in members)
+        trace["centers"] = tuple(clients[t] for t in plan.centers)
+        trace["members"] = plan.members
     return frozenset(opened), assignment

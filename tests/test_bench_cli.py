@@ -2,10 +2,12 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import re
 import runpy
 import threading
@@ -267,6 +269,16 @@ def numeric_leaves(node, path=()):
         yield path, node
 
 
+def list_nodes(node, path=()):
+    """(path, value) of every list below the top of a decoded instance file."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, list):
+            yield path + (key,), child
+        if isinstance(child, (dict, list)):
+            yield from list_nodes(child, path + (key,))
+
+
 def with_leaf(raw: dict, path: tuple, value) -> dict:
     """A copy of ``raw`` with the leaf at ``path`` replaced by ``value``."""
     out = json.loads(json.dumps(raw))
@@ -278,27 +290,47 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
 
 
 @pytest.mark.parametrize(
-    "kind, path, bad, field",
-    [("set_cover", ("n_elements",), lambda x: math.inf, "n_elements"),
-     ("vertex_cover", ("edges", 0, 0), lambda x: math.inf, "edges[0][0]"),
-     ("steiner", ("root",), lambda x: math.inf, "root"),
-     ("ufl", ("scenarios", 0, "clients", 0), lambda x: math.inf, "scenarios[0].clients[0]"),
-     ("set_cover", ("sets", 0, 0), lambda x: x + 0.5, "sets[0][0]"),
-     ("set_cover", ("n_elements",), lambda x: x + 0.7, "n_elements"),
-     ("steiner", ("root",), lambda x: x + 0.9, "root"),
-     ("vertex_cover", ("scenarios", 0, "clients", 0), lambda x: x + 0.5, "scenarios[0].clients[0]"),
-     ("set_cover", ("n_elements",), lambda x: True, "n_elements")],
+    "kind, path, bad, rule",
+    [("set_cover", ("n_elements",), lambda x: math.inf, "n_elements must be an integer"),
+     ("vertex_cover", ("edges", 0, 0), lambda x: math.inf, "edges[0][0] must be an integer"),
+     ("steiner", ("root",), lambda x: math.inf, "root must be an integer"),
+     ("ufl", ("scenarios", 0, "clients", 0), lambda x: math.inf,
+      "scenarios[0].clients[0] must be an integer"),
+     ("set_cover", ("sets", 0, 0), lambda x: x + 0.5, "sets[0][0] must be an integer"),
+     ("set_cover", ("n_elements",), lambda x: x + 0.7, "n_elements must be an integer"),
+     ("steiner", ("root",), lambda x: x + 0.9, "root must be an integer"),
+     ("vertex_cover", ("scenarios", 0, "clients", 0), lambda x: x + 0.5,
+      "scenarios[0].clients[0] must be an integer"),
+     ("set_cover", ("n_elements",), lambda x: True, "n_elements must be an integer"),
+     ("set_cover", ("weights", 0), lambda x: None, "weights[0] must be a number"),
+     ("vertex_cover", ("weights", 0), lambda x: "3", "weights[0] must be a number"),
+     ("steiner", ("weights", 0), lambda x: True, "weights[0] must be a number"),
+     ("set_cover", ("sigma",), lambda x: None, "sigma must be a number"),
+     ("vertex_cover", ("lambda",), lambda x: None, "lambda must be a number"),
+     ("ufl", ("lambda",), lambda x: [x], "lambda must be a number"),
+     ("steiner", ("scenarios", 0, "p"), lambda x: None, "scenarios[0].p must be a number"),
+     ("ufl", ("open_cost", 0), lambda x: None, "open_cost[0] must be a number"),
+     ("ufl", ("distance", 0, 0), lambda x: None, "distance[0][0] must be a number"),
+     ("ufl", ("scenario_open_cost", 0, 0), lambda x: None,
+      "scenario_open_cost[0][0] must be a number"),
+     ("set_cover", ("sets", 0), lambda x: 5, "sets[0] must be a list"),
+     ("ufl", ("scenarios", 0, "clients"), lambda x: None, "scenarios[0].clients must be a list"),
+     ("vertex_cover", ("edges", 0), lambda x: x + [x[0]], "edges[0] must be a pair of vertex ids"),
+     ("steiner", ("edges", 0), lambda x: x[:1], "edges[0] must be a pair of vertex ids")],
     ids=["inf-count", "inf-edge", "inf-root", "inf-client", "half-member", "fraction-count",
-         "fraction-root", "fraction-client", "bool-count"],
+         "fraction-root", "fraction-client", "bool-count", "null-weight", "string-weight",
+         "bool-weight", "null-sigma", "null-lambda", "list-lambda", "null-p", "null-open-cost",
+         "null-distance", "null-scenario-price", "number-set", "null-clients", "three-id-edge",
+         "one-id-edge"],
 )
-def test_oracle_refuses_non_integer_counts_and_ids(tmp_path, capsys, kind, path, bad, field):
+def test_oracle_refuses_non_integer_counts_and_ids(tmp_path, capsys, kind, path, bad, rule):
     raw = instance_to_dict(generate_instance(kind, seed=1))
-    value = bad(dict(numeric_leaves(raw))[path])
+    value = bad(functools.reduce(operator.getitem, path, raw))
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(with_leaf(raw, path, value)))
     assert main(["oracle", "--instance", str(file)]) == EXIT_ERROR
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {field} must be an integer, got {value!r}\n")
+    assert (captured.out, captured.err) == ("", f"error: {rule}, got {value!r}\n")
 
 
 # What a refusal of each file key must mention: the key, or the entity the
@@ -316,8 +348,9 @@ FIELD_WORDS = {
     "open_cost": "open_cost|facility|price",
     "scenario_open_cost": "scenario_open_cost|facility|price",
     "distance": "distance",
-    "p": "probabilit",
+    "p": r"probabilit|\]\.p ",
     "clients": "scenario",
+    "scenarios": "scenario",
 }
 
 
@@ -326,10 +359,13 @@ FIELD_WORDS = {
 def test_hostile_numbers_load_or_are_refused_by_name(tmp_path_factory, data):
     kind = data.draw(st.sampled_from(sorted(GENERATOR_KINDS)), label="kind")
     raw = instance_to_dict(generate_instance(kind, seed=data.draw(st.integers(0, 3), label="seed")))
-    path, old = data.draw(st.sampled_from(list(numeric_leaves(raw))), label="leaf")
-    hostile = [math.nan, math.inf, -math.inf, -1, 1e300]
+    nodes = list(numeric_leaves(raw)) + list(list_nodes(raw))
+    path, old = data.draw(st.sampled_from(nodes), label="leaf")
+    hostile = [math.nan, math.inf, -math.inf, -1, 1e300, None, True, "3", [1.0]]
     if isinstance(old, int):
         hostile.append(old + 0.5)
+    if isinstance(old, list):
+        hostile = [0, 2.5]  # a number where a list belongs
     value = data.draw(st.sampled_from(hostile), label="value")
     file = tmp_path_factory.mktemp("hostile") / "inst.json"
     file.write_text(json.dumps(with_leaf(raw, path, value)))
@@ -379,7 +415,7 @@ def odd_cycle_vc(n=5):
 
 def odd_cycle_ufl(sigma=0.7, fk=2.5):
     """Clients at distance 1 from two facilities of a 3-cycle; these prices
-    send some pairs to each side of ``round_improved``."""
+    send some pairs to each side of the improved rounding."""
     dist = [[3.0] * 3 for _ in range(3)]
     for j in range(3):
         dist[j][j] = dist[(j + 1) % 3][j] = 1.0

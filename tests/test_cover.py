@@ -8,11 +8,10 @@ import pytest
 
 from twostage import bench
 from twostage.cover import (
-    _double_sampler,
     buy_all_reserved_reduction,
     classify_heavy,
     default_psi,
-    double_randomized_round,
+    double_sampler,
     half_mass_inflation_bound,
     preprocess_half,
     scale_factor,
@@ -139,7 +138,7 @@ def test_integral_input_is_identity():
         value=1.0,
     )
     stats = {}
-    out = double_randomized_round(sol, seed=0, stats=stats)
+    out = double_sampler(sol)(0, stats)
     assert out.reserved == frozenset({0})
     assert out.stages[0].exercised == frozenset({0})
     assert out.stages[0].recoursed == frozenset()
@@ -157,8 +156,9 @@ def test_y_equal_x_exercises_every_reserved_set():
         np.array([[0.0, 0.0]]),
         value=1.0,
     )
+    sample = double_sampler(sol)
     for seed in range(40):
-        out = double_randomized_round(sol, seed=seed)
+        out = sample(seed)
         assert out.stages[0].exercised == out.reserved
         assert not out.stages[0].recoursed
 
@@ -166,10 +166,11 @@ def test_y_equal_x_exercises_every_reserved_set():
 def test_round_count_stays_logarithmic():
     inst = generate_instance("set_cover", seed=1, n_elements=3, n_sets=4, scenarios=2)
     pre, _ = preprocess_half(solve_cover_lp(inst))
+    sample = double_sampler(pre)
     counts = []
     for seed in range(2000):
         stats = {}
-        double_randomized_round(pre, seed=seed, stats=stats)
+        sample(seed, stats)
         counts.append(stats["stage1_rounds"])
     assert float(np.mean(counts)) <= 2.0 * math.log(3) + 6.0
 
@@ -177,9 +178,9 @@ def test_round_count_stays_logarithmic():
 def test_double_round_always_feasible():
     for seed in range(4):
         inst = generate_instance("set_cover", seed=seed, n_elements=6, n_sets=7, scenarios=3)
-        pre, _ = preprocess_half(solve_cover_lp(inst))
+        sample = double_sampler(preprocess_half(solve_cover_lp(inst))[0])
         for s in range(30):
-            out = double_randomized_round(pre, seed=s)
+            out = sample(s)
             assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
             for stage in out.stages:
                 assert stage.exercised <= out.reserved
@@ -195,17 +196,15 @@ def test_double_round_always_feasible():
     ids=["set_cover", "vertex_cover", "triangle"],
 )
 def test_prepared_double_sample_equals_one_shot_rounding(inst):
-    # The registered double takes the heavy set from preprocess_half's report
-    # and builds the per-scenario replay odds once; one shared sampler must
-    # give the plans and stats of rounding from scratch on every seed.
-    sol = solve_cover_lp(inst)
-    pre, report = preprocess_half(sol)
+    # The registered double builds its sampler once; one shared sampler must
+    # give the plans and stats of a sampler built afresh for every seed.
+    pre, _ = preprocess_half(solve_cover_lp(inst))
     registered = bench.prepare(inst, "double").sample
     stats = {}
-    sample = _double_sampler(pre, report.heavy_elements)
+    sample = double_sampler(pre)
     for seed in range(50):
         alone = {}
-        expected = double_randomized_round(pre, seed=seed, stats=alone)
+        expected = double_sampler(pre)(seed, alone)
         assert registered(seed)[4] == expected
         assert sample(seed, stats) == expected
         assert stats == alone

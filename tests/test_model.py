@@ -85,7 +85,7 @@ def test_unpriced_item_is_structural():
 def test_breakdown_total_must_match_parts():
     from twostage.model import ObjectiveBreakdown
 
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the total is computed, never given
         ObjectiveBreakdown(1.0, 1.0, 1.0, total=5.0)
     ok = ObjectiveBreakdown(1.0, 1.0, 1.0)
     assert ok.total == pytest.approx(3.0)

@@ -1,4 +1,6 @@
 """Every README example runs: the Python quick start and each CLI line."""
+import importlib
+import pkgutil
 import re
 import shlex
 import types
@@ -80,3 +82,10 @@ def test_package_exports_exactly_the_documented_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PACKAGE_NAMES
+
+
+def test_every_module_all_entry_resolves():
+    for info in pkgutil.iter_modules(twostage.__path__, "twostage."):
+        module = importlib.import_module(info.name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)

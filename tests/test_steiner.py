@@ -91,21 +91,28 @@ def test_mst_expansion_covers_terminals_within_the_closure_mst():
 
 
 def test_shortest_paths_match_networkx():
+    # edges 2 and 6 tie as the cheapest 0-1 edges, edges 1 and 4 as the 1-2 ones
     parallel = MetricGraph(
-        4, ((0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 3)), (3.0, 2.0, 1.0, 1.5, 2.5, 9.0)
+        4,
+        ((0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 3), (0, 1)),
+        (3.0, 2.0, 1.0, 1.5, 2.0, 9.0, 1.0),
     )
     graphs = [inst.graph for inst, _ in twelve_instances_and_terminals()] + [parallel]
     for i, g in enumerate(graphs):
         rng = np.random.default_rng(i)
         for price in (None, rng.uniform(0.0, 3.0, g.n_edges)):
-            d, nxt = g.shortest_paths(price)
+            d, hop = g.shortest_paths(price)
             ref = dict(nx.all_pairs_dijkstra_path_length(nx_graph(g, price)))
             p = g.weights if price is None else price
             for u, v in itertools.product(range(g.n_vertices), repeat=2):
                 assert d[u, v] == pytest.approx(ref[u][v], abs=1e-9)
                 # the reconstructed path costs what the distance says
-                path = g.path_edges(nxt, u, v, price)
+                path = g.path_edges(hop, u, v)
                 assert math.fsum(p[e] for e in path) == pytest.approx(d[u, v], abs=1e-9)
+                # each hop takes the first of its cheapest parallel edges
+                for e in path:
+                    twins = [f for f, uv in enumerate(g.edges) if set(uv) == set(g.edges[e])]
+                    assert e == min(twins, key=lambda f: (p[f], f))
 
 
 def test_unpriced_edge_is_unreachable():

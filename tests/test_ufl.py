@@ -30,7 +30,6 @@ from twostage.ufl import (
     make_complete,
     prepare_improved,
     round_5approx,
-    round_improved,
     sample_improved,
     solve_deterministic_ufl_lp,
     split_assignment,
@@ -328,7 +327,8 @@ def test_factor_evaluator_frozen_arithmetic():
 
 def test_round_improved_same_seed_same_plan():
     sol = solve_ufl_lp(odd_cycle_instance(extra_scenario=True))
-    assert round_improved(sol, seed=42) == round_improved(sol, seed=42)
+    prep = prepare_improved(sol)
+    assert sample_improved(prep, seed=42) == sample_improved(prep, seed=42)
 
 
 def test_round_improved_feasible_and_consistent_across_seeds():
@@ -351,7 +351,7 @@ def test_round_improved_feasible_and_consistent_across_seeds():
     assert any(prep.needed)
     seen = set()
     for seed in range(200):
-        plan = round_improved(sol, seed=seed)
+        plan = sample_improved(prep, seed=seed)
         for k, stage in enumerate(plan.solution.stages):
             assert stage.exercised <= plan.solution.reserved
             for ci in prep.needed[k]:
@@ -371,7 +371,7 @@ def test_round_improved_second_stage_only():
     sol = FractionalUflSolution(
         inst, y0=np.zeros(3), yk=np.zeros((1, 3)), zk=np.ones((1, 3)), x=x, value=0.0
     )
-    plan = round_improved(sol, seed=0)
+    plan = sample_improved(prepare_improved(sol), seed=0)
     assert plan.solution.reserved == frozenset()
     assert plan.solution.stages[0].recoursed
 
@@ -385,16 +385,17 @@ def test_round_improved_second_stage_only():
     ids=["clusters", "both-sides"],
 )
 def test_round_improved_equals_sampling_a_shared_prepared_state(inst):
+    # sampling leaves the prepared state as it found it
     sol = solve_ufl_lp(inst)
     prep = prepare_improved(sol)
     for seed in range(50):
-        assert round_improved(sol, seed=seed) == sample_improved(prep, seed=seed)
+        assert sample_improved(prepare_improved(sol), seed=seed) == sample_improved(prep, seed=seed)
 
 
 def test_round_improved_rejects_bad_theta():
     sol = solve_ufl_lp(odd_cycle_instance())
     with pytest.raises(ValueError):
-        round_improved(sol, theta=1.0)
+        prepare_improved(sol, theta=1.0)
 
 
 # -- single-stage reference rounding -------------------------------------------
