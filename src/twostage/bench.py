@@ -4,8 +4,8 @@ emit ratio tables.
 ``ALGORITHMS`` is the one table that maps an algorithm name to code; the
 CLI's ``round``, ``bench`` and ``saa`` all go through :func:`prepare`.
 Every registered algorithm has one shape: prepare once, sample per seed.
-Its prepare step reads the instance, the optimum of the instance's
-relaxation and its knobs, and does every piece of seed-independent work
+Its prepare step reads the instance and the optimum of the instance's
+relaxation, and does every piece of seed-independent work
 (deterministic schemes finish and price their plan there); it returns the
 per-seed sample, which draws one plan and yields
 ``(cost, feasible, bound, basis, plan)``.  An experiment solves the
@@ -100,7 +100,9 @@ class RunRow:
         base = self.lp_opt if self.bound_basis == "lp" else self.oracle_opt
         if base is None:
             return False
-        return self.cost > self.bound * base + 1e-9
+        # 1e-9 for a zero base, 1e-12 relative for float dust on a tight bound
+        limit = self.bound * base
+        return self.cost > limit + 1e-9 + 1e-12 * limit
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,6 @@ class ExperimentSpec:
     seed: int = 0
     gen_seed: int = 0
     gen_params: dict = field(default_factory=dict)
-    alg_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _entry(self.algorithm)
@@ -129,10 +130,9 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 # the algorithm registry
 #
-# Each entry maps (instance, relaxation optimum, **knobs) to the per-seed
-# sample: seed -> (cost, feasible, bound, basis, plan), where plan is the
-# drawn TwoStageSolution.  The knobs an entry reads are its keyword-only
-# parameters.
+# Each entry maps (instance, relaxation optimum) to the per-seed sample:
+# seed -> (cost, feasible, bound, basis, plan), where plan is the drawn
+# TwoStageSolution.
 
 _COVER_KINDS = (SetCoverInstance, VertexCoverInstance)
 
@@ -168,14 +168,14 @@ def _threshold(inst, relaxation):
     return _fixed(_priced(inst, cover_mod.threshold_round_vertex_cover(pre), bound))
 
 
-def _srini_sc(inst, relaxation, *, psi=None):
+def _srini_sc(inst, relaxation):
     sol = cover_solution_from_lp(inst, relaxation)
-    return lambda seed: _priced(inst, cover_mod.srinivasan_round_set_cover(sol, psi, seed))
+    return lambda seed: _priced(inst, cover_mod.srinivasan_round_set_cover(sol, seed))
 
 
 def _srini_vc(inst, relaxation):
-    sol = cover_solution_from_lp(inst, relaxation)
-    return lambda seed: _priced(inst, cover_mod.srinivasan_round_vertex_cover(sol, seed))
+    plan = cover_mod.srinivasan_round_vertex_cover(cover_solution_from_lp(inst, relaxation))
+    return _fixed(_priced(inst, plan, 2.0))
 
 
 def _buy_all(inst, plan):
@@ -189,14 +189,13 @@ def _buyall(inst, relaxation):
     return _buy_all(inst, cover_mod.threshold_recourse_cover(inst))
 
 
-def _ufl5(inst, relaxation, *, alpha=ufl_mod.ALPHA_DEFAULT, beta=ufl_mod.BETA_DEFAULT):
-    plan = ufl_mod.round_5approx(ufl_solution_from_lp(inst, relaxation), alpha=alpha, beta=beta)
+def _ufl5(inst, relaxation):
+    plan = ufl_mod.round_5approx(ufl_solution_from_lp(inst, relaxation))
     return _fixed(_ufl_priced(inst, plan, 5.0))
 
 
-def _ufl_improved(inst, relaxation, *, theta=ufl_mod.THETA_DEFAULT, gamma=ufl_mod.GAMMA_DEFAULT):
-    sol = ufl_solution_from_lp(inst, relaxation)
-    prep = ufl_mod.prepare_improved(sol, theta=theta, gamma=gamma)
+def _ufl_improved(inst, relaxation):
+    prep = ufl_mod.prepare_improved(ufl_solution_from_lp(inst, relaxation))
     return lambda seed: _ufl_priced(inst, ufl_mod.sample_improved(prep, seed), None)
 
 
@@ -247,30 +246,21 @@ class Prepared:
     sample: Callable[[int], tuple]
 
 
-def _checked_build(inst, algorithm: str, params: dict):
+def _checked_build(inst, algorithm: str):
     """The build of a registered algorithm that applies to the instance's
-    kind and reads every knob in ``params``; anything else is a ValueError."""
+    kind; anything else is a ValueError."""
     build, kinds = _entry(algorithm)
     if not isinstance(inst, kinds):
         raise ValueError(f"algorithm {algorithm!r} does not apply to {inst.kind!r}")
-    knobs = build.__kwdefaults__ or {}
-    unread = sorted(set(params) - set(knobs))
-    if unread:
-        raise ValueError(
-            f"algorithm {algorithm!r} reads no knob {', '.join(unread)}; "
-            f"its knobs: {', '.join(sorted(knobs)) or 'none'}"
-        )
     return build
 
 
-def prepare(inst, algorithm: str, alg_params: dict | None = None) -> Prepared:
+def prepare(inst, algorithm: str) -> Prepared:
     """Solve the relaxation and run the seed-independent part of an
-    algorithm, once.  ``alg_params`` holds the algorithm's knobs; a knob it
-    does not read is a ValueError."""
-    params = alg_params or {}
-    build = _checked_build(inst, algorithm, params)
+    algorithm, once."""
+    build = _checked_build(inst, algorithm)
     relaxation = solve_relaxation(inst)
-    return Prepared(relaxation.objective_value, build(inst, relaxation, **params))
+    return Prepared(relaxation.objective_value, build(inst, relaxation))
 
 
 def _oracle_opt(inst) -> float | None:
@@ -294,12 +284,10 @@ def _row(inst, instance_id, algorithm, seed, prepared: Prepared, oracle_opt) -> 
     )
 
 
-def run_algorithm(
-    inst, instance_id: str, algorithm: str, seed: int, alg_params: dict | None = None
-) -> RunRow:
+def run_algorithm(inst, instance_id: str, algorithm: str, seed: int) -> RunRow:
     """One row: run the algorithm and compare against the relaxation and,
     when the instance is small enough, the exact optimum."""
-    prepared = prepare(inst, algorithm, alg_params)
+    prepared = prepare(inst, algorithm)
     return _row(inst, instance_id, algorithm, seed, prepared, _oracle_opt(inst))
 
 
@@ -320,7 +308,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     else:
         inst = load_instance(spec.instance)
         instance_id = Path(spec.instance).stem
-    prepared = prepare(inst, spec.algorithm, spec.alg_params)
+    prepared = prepare(inst, spec.algorithm)
     oracle_opt = _oracle_opt(inst)
     return [
         _row(inst, instance_id, spec.algorithm, spec.seed + t, prepared, oracle_opt)

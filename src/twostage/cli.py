@@ -3,13 +3,15 @@
 Subcommands: ``gen`` (instance files), ``solve-lp`` (relaxation value),
 ``round`` (one algorithm run), ``oracle`` (exact optimum on tiny
 instances), ``saa`` (black-box reduction), ``bench`` (experiment tables).
-Exit codes: 0 success, 2 an infeasible output was produced, 3 a per-run
-bound was violated under ``--assert-bounds``.
+Exit codes: 0 success, 1 an error (a usage error too: an unknown flag, a
+bad choice, a missing argument, a refused file), 2 an infeasible output
+was produced, 3 a per-run bound was violated under ``--assert-bounds``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -62,14 +64,6 @@ def _table_exit(rows, args) -> int:
     return EXIT_OK
 
 
-# ``round``'s per-algorithm knobs; each registered algorithm reads its own.
-_KNOBS = ("alpha", "beta", "theta", "gamma", "psi")
-
-
-def _round_params(args) -> dict:
-    return {name: getattr(args, name) for name in _KNOBS if getattr(args, name) is not None}
-
-
 def _inner_solver(name: str):
     """Inner solvers for the SAA driver: exact enumeration or the seed-0 plan
     of a registered algorithm; either way the estimate is the plan's
@@ -96,6 +90,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, as exit 2 means an infeasible plan."""
+
+    def exit(self, status=0, message=None):
+        super().exit(EXIT_ERROR if status else EXIT_OK, message)
+
+
+def _spec(raw) -> bench_mod.ExperimentSpec:
+    """The ExperimentSpec a ``--spec`` file holds, refusing a key by name."""
+    if type(raw) is not dict:
+        raise ValueError(f"spec must be a JSON object, got {raw!r}")
+    unknown = sorted(raw.keys() - {f.name for f in dataclasses.fields(bench_mod.ExperimentSpec)})
+    if unknown:
+        raise ValueError(f"spec has no field {unknown[0]!r}")
+    missing = [key for key in ("instance", "algorithm") if key not in raw]
+    if missing:
+        raise ValueError(f"spec needs the field {missing[0]!r}")
+    return bench_mod.ExperimentSpec(**raw)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The whole command line, built once per process: parsing never
@@ -106,7 +120,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     common.add_argument("--assert-bounds", action="store_true")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twostage",
         description="Approximation algorithms for reserve/exercise/recourse planning.",
     )
@@ -129,8 +143,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", parents=[common], help="run one rounding algorithm")
     p.add_argument("--instance", required=True, type=Path)
     p.add_argument("--algorithm", required=True, choices=sorted(bench_mod.ALGORITHMS))
-    for knob in _KNOBS:
-        p.add_argument(f"--{knob}", type=float, default=None)
 
     p = sub.add_parser("oracle", parents=[common], help="exact optimum (tiny instances)")
     p.add_argument("--instance", required=True, type=Path)
@@ -192,9 +204,7 @@ def _run(argv: list[str] | None) -> int:
 
     if args.command == "round":
         inst = load_instance(args.instance)
-        row = bench_mod.run_algorithm(
-            inst, args.instance.stem, args.algorithm, args.seed, _round_params(args)
-        )
+        row = bench_mod.run_algorithm(inst, args.instance.stem, args.algorithm, args.seed)
         return _table_exit([row], args)
 
     if args.command == "oracle":
@@ -220,7 +230,7 @@ def _run(argv: list[str] | None) -> int:
         inst = load_instance(args.instance)
         if args.algorithm != "exact":
             # Refuse a wrong-kind algorithm before the first draw.
-            bench_mod._checked_build(inst, args.algorithm, {})
+            bench_mod._checked_build(inst, args.algorithm)
         lam = inst.policy.lam if hasattr(inst, "policy") else inst.lam
         cfg = SaaConfig.from_eps_delta(args.epsilon, args.delta, lam, inst.n_items, c_n=args.c_n)
         result = repeating_saa(inst, _inner_solver(args.algorithm), cfg, seed=args.seed)
@@ -237,8 +247,7 @@ def _run(argv: list[str] | None) -> int:
 
     # bench
     if args.spec is not None:
-        raw = json.loads(Path(args.spec).read_text())
-        spec = bench_mod.ExperimentSpec(**raw)
+        spec = _spec(json.loads(Path(args.spec).read_text()))
     else:
         if not args.instance or not args.algorithm:
             parser.error("bench needs --spec or both --instance and --algorithm")

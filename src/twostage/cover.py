@@ -11,7 +11,7 @@ over many sets.  This module turns it into an integral plan four ways:
 * ``threshold_round_vertex_cover``: the deterministic variant for vertex
   cover, buying everything above a fixed mass threshold.
 * ``srinivasan_round_set_cover`` / ``srinivasan_round_vertex_cover``:
-  scale-and-sample roundings applied directly to the raw optimum.
+  scale the raw optimum by ln n + psi and sample; double it and round up.
 * ``buy_all_reserved_reduction``: reserves the first stage of a
   plain-recourse plan (``threshold_recourse_cover`` here, or
   ``steiner.mst_recourse_steiner`` for trees) and exercises all of it in
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .instances import InstanceError, SetCoverInstance, VertexCoverInstance
+from .instances import InstanceError, VertexCoverInstance
 from .lp import LinearProgram, solve_lp
 from .lp_builders import (
     CoverInstance,
@@ -205,6 +205,10 @@ def _odds(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ratio
 
 
+def _ids(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(int(v) for v in np.flatnonzero(mask))
+
+
 def _uncovered(inc: np.ndarray, clients, bought: set[int]) -> set[int]:
     return {e for e in clients if not any(inc[e, s] for s in bought)}
 
@@ -319,17 +323,13 @@ def default_psi(n: int) -> float:
     return max(1.0, math.log(math.log(max(n, 3))))
 
 
-def scale_factor(n: int, psi: float | None = None) -> float:
+def scale_factor(n: int) -> float:
     """ln n + psi(n), floored at 1 so tiny universes still scale up."""
-    p = default_psi(n) if psi is None else psi
-    return max(math.log(max(n, 1)) + p, 1.0)
+    return max(math.log(max(n, 1)) + default_psi(n), 1.0)
 
 
 def srinivasan_round_set_cover(
-    sol: FractionalCoverSolution,
-    psi: float | None = None,
-    seed: int = 0,
-    stats: dict | None = None,
+    sol: FractionalCoverSolution, seed: int = 0, stats: dict | None = None
 ) -> TwoStageSolution:
     """Scale the raw optimum by L = ln n + psi(n) and sample each stage.
 
@@ -341,11 +341,10 @@ def srinivasan_round_set_cover(
     """
     inst = sol.instance
     rng = np.random.default_rng(seed)
-    n = inst.n_elements
-    big_l = scale_factor(n, psi)
+    big_l = scale_factor(inst.n_elements)
     xp = np.minimum(big_l * sol.x, 1.0)
     reserved_mask = rng.random(inst.n_items) < xp
-    reserved = frozenset(int(v) for v in np.flatnonzero(reserved_mask))
+    reserved = _ids(reserved_mask)
 
     w = np.asarray(inst.weights, dtype=float)
     inc = inst.incidence()
@@ -378,43 +377,24 @@ def srinivasan_round_set_cover(
     return TwoStageSolution(reserved, tuple(stages))
 
 
-def srinivasan_round_vertex_cover(
-    sol: FractionalCoverSolution, seed: int = 0
-) -> TwoStageSolution:
-    """Double the raw optimum, sample, then force-buy saturated vertices.
+def srinivasan_round_vertex_cover(sol: FractionalCoverSolution) -> TwoStageSolution:
+    """Double the raw optimum and round it up at one half: <= 2 x LP per run.
 
-    After reserving with probability min(2x,1) and exercising reserved
-    vertices with probability y'/x', every vertex whose doubled masses sum
-    to at least one is bought for sure: exercised when reserved, recoursed
-    otherwise.  Each demanded edge has such an endpoint, so the output is
-    feasible on every seed; vertices below the saturation line are never
-    recoursed, which keeps the expected cost within twice the fractional
-    value.
+    Reserves v when 2x_v >= 1; in scenario k buys v when min(2y, 1) +
+    min(2z, 1) >= 1, exercised if reserved and recoursed if not (1e-6 of
+    slack for float dust).  Each demanded edge has y + z >= 1 over its
+    endpoints, so one is bought.  The relaxation is half-integral (with
+    a = y + z every row has at most two +-1 entries; Nemhauser & Trotter
+    1975), so a reserved v has x >= 1/2, a bought v has 2y + 2z >= 1 (and
+    1 - sigma < lam), and an unreserved v has x = y = 0, so z >= 1/2 if it
+    is recoursed: every cost term is at most twice its fractional one.
     """
-    inst = sol.instance
-    if not isinstance(inst, VertexCoverInstance):
+    if not isinstance(sol.instance, VertexCoverInstance):
         raise TypeError("this rounding is specific to vertex cover")
-    rng = np.random.default_rng(seed)
-    xp = np.minimum(2.0 * sol.x, 1.0)
-    reserved_mask = rng.random(inst.n_items) < xp
-
-    stages = []
-    for k in range(len(inst.scenarios.scenarios)):
-        yp = np.minimum(2.0 * sol.y[k], 1.0)
-        zp = np.minimum(2.0 * sol.z[k], 1.0)
-        sampled = reserved_mask & (rng.random(inst.n_items) < _odds(yp, xp))
-        # Row sums >= 1 guarantee one endpoint per edge clears this line.
-        forced = yp + zp >= 1.0 - 1e-6
-        exercised = sampled | (forced & reserved_mask)
-        recoursed = forced & ~reserved_mask
-        stages.append(
-            StageDecision(
-                frozenset(int(v) for v in np.flatnonzero(exercised)),
-                frozenset(int(v) for v in np.flatnonzero(recoursed)),
-            )
-        )
-    reserved = frozenset(int(v) for v in np.flatnonzero(reserved_mask))
-    return TwoStageSolution(reserved, tuple(stages))
+    reserved = 2.0 * sol.x >= 1.0 - 1e-6
+    bought = np.minimum(2.0 * sol.y, 1.0) + np.minimum(2.0 * sol.z, 1.0) >= 1.0 - 1e-6
+    stages = tuple(StageDecision(_ids(b & reserved), _ids(b & ~reserved)) for b in bought)
+    return TwoStageSolution(_ids(reserved), stages)
 
 
 @dataclass(frozen=True)
@@ -499,8 +479,8 @@ def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
         raise InstanceError("no feasible threshold found")
     first, late = best
     return RecoursePlan(
-        frozenset(int(v) for v in np.flatnonzero(first)),
-        tuple(frozenset(int(v) for v in np.flatnonzero(m)) for m in late),
+        _ids(first),
+        tuple(_ids(m) for m in late),
         beta=float(freq),
     )
 

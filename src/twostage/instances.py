@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -370,6 +371,8 @@ def _int(field: str, value) -> int:
 
 def _num(field: str, value) -> int | float:
     """A price, weight or probability read from a file: an int or a float."""
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise InstanceError(f"{field} must fit in a float, got {value!r}")
     if type(value) in (int, float):
         return value
     raise InstanceError(f"{field} must be a number, got {value!r}")
@@ -391,7 +394,9 @@ def _floats(field: str, values) -> tuple[float, ...]:
 
 
 def _scenarios_from_json(raw) -> ScenarioSet:
-    def scenario(name: str, entry: dict) -> tuple[float, tuple[int, ...]]:
+    def scenario(name: str, entry) -> tuple[float, tuple[int, ...]]:
+        if type(entry) is not dict:
+            raise InstanceError(f"{name} must be an object, got {entry!r}")
         return _num(f"{name}.p", entry["p"]), _ints(f"{name}.clients", entry["clients"])
     return ScenarioSet.explicit(_each("scenarios", raw, scenario))
 
@@ -428,7 +433,9 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def instance_from_dict(raw: dict) -> Instance:
+def instance_from_dict(raw) -> Instance:
+    if type(raw) is not dict:
+        raise InstanceError(f"an instance must be a JSON object, got {raw!r}")
     try:
         kind = raw["kind"]
         scen = _scenarios_from_json(raw["scenarios"])

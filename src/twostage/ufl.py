@@ -28,10 +28,10 @@ from .lp_builders import FractionalUflSolution, build_deterministic_ufl_lp
 from .model import StageDecision, TwoStageSolution
 
 __all__ = [
-    "ALPHA_DEFAULT",
-    "BETA_DEFAULT",
-    "THETA_DEFAULT",
-    "GAMMA_DEFAULT",
+    "ALPHA",
+    "BETA",
+    "THETA",
+    "GAMMA",
     "evaluate_ufl_cost",
     "round_5approx",
     "prepare_improved",
@@ -39,8 +39,8 @@ __all__ = [
     "clustered_approx_factor",
 ]
 
-ALPHA_DEFAULT = 0.4
-BETA_DEFAULT = 0.5
+ALPHA = 0.4
+BETA = 0.5
 
 # Expected rejection-sampling rounds when one round succeeds w.p. >= 1 - 1/e.
 RETRY_FACTOR = math.e / (math.e - 1.0)
@@ -51,8 +51,8 @@ DET_FACTOR_CITED = 1.52
 
 # Splitting threshold balancing the first-stage component (~2.29) against
 # the cited single-stage factor.
-THETA_DEFAULT = 2.29 / (2.29 + 1.52)
-GAMMA_DEFAULT = 1.0 / 1.447
+THETA = 2.29 / (2.29 + 1.52)
+GAMMA = 1.0 / 1.447
 
 # Cluster reservation retries before falling back to the likeliest copy.
 REJECTION_CAP = 64
@@ -134,17 +134,17 @@ class NeighborhoodProfile:
             raise ArithmeticError("ball radius exceeds its mass bound")
 
 
-def _service_profile(weights: np.ndarray, dists: np.ndarray, alpha: float) -> NeighborhoodProfile:
+def _service_profile(weights: np.ndarray, dists: np.ndarray) -> NeighborhoodProfile:
     # Facilities sorted by distance, lowest id first on ties.
     order = np.lexsort((np.arange(dists.size), dists))
     cum = np.cumsum(weights[order])
-    target = min(alpha, float(cum[-1]) - _TOL) if cum.size else alpha
+    target = min(ALPHA, float(cum[-1]) - _TOL) if cum.size else ALPHA
     stop = int(np.searchsorted(cum, target - _TOL))
     stop = min(stop, dists.size - 1)
     c_alpha = float(dists[order[stop]])
     near = np.flatnonzero(dists <= c_alpha + _TOL)
     c_star = float(weights @ dists)
-    return NeighborhoodProfile(alpha, c_star, c_alpha, tuple(int(i) for i in near))
+    return NeighborhoodProfile(ALPHA, c_star, c_alpha, tuple(int(i) for i in near))
 
 
 def _greedy_balls(order, balls, joins=None) -> tuple[list, dict]:
@@ -167,40 +167,30 @@ def _greedy_balls(order, balls, joins=None) -> tuple[list, dict]:
     return founders, founder_of
 
 
-def round_5approx(
-    sol: FractionalUflSolution,
-    alpha: float = ALPHA_DEFAULT,
-    beta: float = BETA_DEFAULT,
-    trace: dict | None = None,
-) -> UflPlan:
+def round_5approx(sol: FractionalUflSolution, trace: dict | None = None) -> UflPlan:
     """Deterministic ball rounding of the two-stage relaxation.
 
     Pairs are processed by increasing fractional service cost.  A pair whose
     ball overlaps an earlier opened ball is served by that facility (ground
     openings serve across scenarios, recourse openings only their own).
     Otherwise the pair compares the exercised mass in its ball against
-    ``beta``: rich balls open the cheapest-f0 facility now, poor ones the
+    BETA: rich balls open the cheapest-f0 facility now, poor ones the
     cheapest-f^k facility at recourse.  Every assignment stays within
-    3/(1-alpha) of the pair's fractional cost; with the default
-    alpha = 2/5, beta = 1/2 each cost block is within a factor 5 of the
-    relaxation.
+    3/(1-ALPHA) of the pair's fractional cost; with ALPHA = 2/5 and
+    BETA = 1/2 each cost block is within a factor 5 of the relaxation.
     """
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-        raise ValueError("filter parameters must sit strictly inside (0, 1)")
     inst = sol.instance
     c = inst.dist
-    ybark = np.minimum(sol.yk / alpha, 1.0)
-    zbark = np.minimum(sol.zk / alpha, 1.0)
+    ybark = np.minimum(sol.yk / ALPHA, 1.0)
+    zbark = np.minimum(sol.zk / ALPHA, 1.0)
 
     pairs = [(k, j) for k in range(len(inst.scenarios)) for j in inst.demanded(k)]
-    profiles = {
-        (k, j): _service_profile(sol.x[k, j], c[:, j], alpha) for k, j in pairs
-    }
+    profiles = {(k, j): _service_profile(sol.x[k, j], c[:, j]) for k, j in pairs}
     order = sorted(pairs, key=lambda kj: (profiles[kj].c_star, kj[1], kj[0]))
     balls = {kj: frozenset(prof.near) for kj, prof in profiles.items()}
     # a rich ball opens on the ground, which serves every scenario
     rich = {
-        (k, j): float(ybark[k, prof.near].sum()) >= beta - _TOL
+        (k, j): float(ybark[k, prof.near].sum()) >= BETA - _TOL
         for (k, j), prof in profiles.items()
     }
     founders, founder_of = _greedy_balls(
@@ -241,21 +231,18 @@ def deterministic_ufl_approx(
     clients: tuple[int, ...],
     open_mass: np.ndarray,
     serve: np.ndarray,
-    alpha: float = ALPHA_DEFAULT,
     trace: dict | None = None,
 ) -> tuple[frozenset[int], dict[int, int]]:
-    """Single-stage ball rounding: integral opening within 1/alpha of the
-    fractional opening cost, assignments within 3/(1-alpha) of each client's
-    fractional service cost.  With alpha = 2/5 the overall factor is 5.
+    """Single-stage ball rounding: integral opening within 1/ALPHA of the
+    fractional opening cost, assignments within 3/(1-ALPHA) of each client's
+    fractional service cost.  With ALPHA = 2/5 the overall factor is 5.
 
     ``serve[t]`` is the service row of ``clients[t]``; each row must carry
-    mass >= alpha and satisfy serve <= open_mass facility-wise.
+    mass >= ALPHA and satisfy serve <= open_mass facility-wise.
     """
     f = np.asarray(open_cost, dtype=float)
     d = np.asarray(distance, dtype=float)
-    profiles = [
-        _service_profile(serve[t], d[:, j], alpha) for t, j in enumerate(clients)
-    ]
+    profiles = [_service_profile(serve[t], d[:, j]) for t, j in enumerate(clients)]
     order = sorted(range(len(clients)), key=lambda t: (profiles[t].c_star, clients[t]))
     founders, founder_of = _greedy_balls(order, [frozenset(p.near) for p in profiles])
     opened = {}
@@ -292,7 +279,7 @@ def split_assignment(sol: FractionalUflSolution) -> SplitAssignment:
 
 
 def classify_pairs(
-    split: SplitAssignment, theta: float = THETA_DEFAULT
+    split: SplitAssignment, theta: float = THETA
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """Pairs with first-stage service mass >= theta (boundary inclusive) are
     rounded with the reservation machinery; the rest carry recourse mass
@@ -471,28 +458,22 @@ class PreparedImproved:
     second_opened: tuple[frozenset[int], ...]
 
 
-def prepare_improved(
-    sol: FractionalUflSolution,
-    theta: float = THETA_DEFAULT,
-    gamma: float = GAMMA_DEFAULT,
-) -> PreparedImproved:
+def prepare_improved(sol: FractionalUflSolution) -> PreparedImproved:
     """Split, classify, complete, filter and cluster the first-stage pairs,
     and round every scenario's second-stage pairs; none of it draws."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("splitting threshold must sit strictly inside (0, 1)")
     inst = sol.instance
     c = inst.dist
     split = split_assignment(sol)
-    first, second = classify_pairs(split, theta)
+    first, second = classify_pairs(split)
 
     comp = filtered = plan = None
     needed: tuple[tuple[int, ...], ...] = tuple(() for _ in inst.scenarios.scenarios)
     if first:
-        serve = np.array([split.first[k, j] for k, j in first]) / theta
-        comp = make_complete(sol.y0 / theta, serve, aux=sol.yk / theta)
+        serve = np.array([split.first[k, j] for k, j in first]) / THETA
+        comp = make_complete(sol.y0 / THETA, serve, aux=sol.yk / THETA)
         dmat = np.array([c[comp.source, j] for _, j in first])
         dmat = dmat.reshape(len(first), comp.source.size)
-        filtered = swamy_filter(comp, dmat, gamma)
+        filtered = swamy_filter(comp, dmat, GAMMA)
         keys = [(b.c_gamma, j, k) for b, (k, j) in zip(filtered.balls, first)]
         plan = _greedy_clusters([frozenset(b.copies) for b in filtered.balls], keys)
         needed = tuple(
@@ -509,9 +490,9 @@ def prepare_improved(
             second_opened.append(frozenset())
             continue
         serve_rows = np.minimum(
-            np.array([split.second[k, j] for j in cl]) / (1.0 - theta), 1.0
+            np.array([split.second[k, j] for j in cl]) / (1.0 - THETA), 1.0
         )
-        open_mass = np.minimum(sol.zk[k] / (1.0 - theta), 1.0)
+        open_mass = np.minimum(sol.zk[k] / (1.0 - THETA), 1.0)
         opened, _ = deterministic_ufl_approx(
             np.asarray(inst.scenario_open_cost[k]), c, cl, open_mass, serve_rows
         )
@@ -523,8 +504,8 @@ def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
     """Randomized two-sided rounding; ``prepare_improved`` does all of it
     but the draws, once per relaxation.
 
-    First-stage pairs (service mass >= theta on exercised capacity) are
-    rescaled by 1/theta, made complete, prefix-filtered at ``gamma`` and
+    First-stage pairs (service mass >= THETA on exercised capacity) are
+    rescaled by 1/THETA, made complete, prefix-filtered at GAMMA and
     clustered.  Reservation samples each cluster copy with its filtered
     ground mass, retrying until the cluster holds something (each round
     succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
@@ -535,7 +516,7 @@ def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
     cheapest-f0 copy.  Non-cluster reserved copies exercise independently
     with that ratio.  Second-stage pairs are rounded per scenario by
     ``deterministic_ufl_approx`` on the recourse masses rescaled by
-    1/(1 - theta).  Clients always go to the nearest open facility.
+    1/(1 - THETA).  Clients always go to the nearest open facility.
     """
     inst = prep.sol.instance
     rng = np.random.default_rng(seed)
@@ -618,11 +599,11 @@ def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
 
 def clustered_approx_factor(
     boost: float = 1.447,
-    theta: float = THETA_DEFAULT,
+    theta: float = THETA,
     det_factor: float = DET_FACTOR_CITED,
     retry_factor: float = RETRY_FACTOR,
 ) -> float:
-    """Guarantee of the improved pipeline as a function of its knobs.
+    """Guarantee of the improved pipeline as a function of its parameters.
 
     ``boost`` is the reciprocal of the prefix-filter strength.  The three
     components cover reservation/exercise cost, the assignment tail of

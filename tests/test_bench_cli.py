@@ -28,7 +28,7 @@ from twostage.instances import (
     load_instance,
     save_instance,
 )
-from twostage.model import CostPolicy, ScenarioSet, evaluate_objective
+from twostage.model import CostPolicy, ScenarioSet
 
 
 def gen_file(tmp_path, kind, name, *extra):
@@ -176,7 +176,7 @@ def test_bench_runs_trials_in_the_calling_thread(tmp_path, monkeypatch):
 def test_exit_codes_surface_infeasible_and_bound_violations(tmp_path, monkeypatch):
     inst = gen_file(tmp_path, "vertex_cover", "vc")
 
-    def rigged(instance, instance_id, algorithm, seed, params, lp_opt=None, oracle_opt=None):
+    def rigged(instance, instance_id, algorithm, seed):
         return bench.RunRow(
             instance_id, "vertex_cover", 0.5, 2.0, algorithm, seed,
             lp_opt=1.0, oracle_opt=None, cost=9.0, feasible=(algorithm != "double"),
@@ -280,7 +280,10 @@ def list_nodes(node, path=()):
 
 
 def with_leaf(raw: dict, path: tuple, value) -> dict:
-    """A copy of ``raw`` with the leaf at ``path`` replaced by ``value``."""
+    """A copy of ``raw`` with the leaf at ``path`` replaced by ``value``;
+    the empty path replaces the whole file."""
+    if not path:
+        return value
     out = json.loads(json.dumps(raw))
     node = out
     for key in path[:-1]:
@@ -313,6 +316,11 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
      ("ufl", ("distance", 0, 0), lambda x: None, "distance[0][0] must be a number"),
      ("ufl", ("scenario_open_cost", 0, 0), lambda x: None,
       "scenario_open_cost[0][0] must be a number"),
+     ("set_cover", ("weights", 0), lambda x: 10**400, "weights[0] must fit in a float"),
+     ("ufl", ("scenario_open_cost", 0, 0), lambda x: -(10**400),
+      "scenario_open_cost[0][0] must fit in a float"),
+     ("set_cover", ("scenarios", 0), lambda x: 5, "scenarios[0] must be an object"),
+     ("set_cover", (), lambda x: [1], "an instance must be a JSON object"),
      ("set_cover", ("sets", 0), lambda x: 5, "sets[0] must be a list"),
      ("ufl", ("scenarios", 0, "clients"), lambda x: None, "scenarios[0].clients must be a list"),
      ("vertex_cover", ("edges", 0), lambda x: x + [x[0]], "edges[0] must be a pair of vertex ids"),
@@ -320,7 +328,8 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
     ids=["inf-count", "inf-edge", "inf-root", "inf-client", "half-member", "fraction-count",
          "fraction-root", "fraction-client", "bool-count", "null-weight", "string-weight",
          "bool-weight", "null-sigma", "null-lambda", "list-lambda", "null-p", "null-open-cost",
-         "null-distance", "null-scenario-price", "number-set", "null-clients", "three-id-edge",
+         "null-distance", "null-scenario-price", "huge-int-weight", "huge-int-price",
+         "number-scenario", "list-file", "number-set", "null-clients", "three-id-edge",
          "one-id-edge"],
 )
 def test_oracle_refuses_non_integer_counts_and_ids(tmp_path, capsys, kind, path, bad, rule):
@@ -361,7 +370,7 @@ def test_hostile_numbers_load_or_are_refused_by_name(tmp_path_factory, data):
     raw = instance_to_dict(generate_instance(kind, seed=data.draw(st.integers(0, 3), label="seed")))
     nodes = list(numeric_leaves(raw)) + list(list_nodes(raw))
     path, old = data.draw(st.sampled_from(nodes), label="leaf")
-    hostile = [math.nan, math.inf, -math.inf, -1, 1e300, None, True, "3", [1.0]]
+    hostile = [math.nan, math.inf, -math.inf, -1, 1e300, 10**400, None, True, "3", [1.0]]
     if isinstance(old, int):
         hostile.append(old + 0.5)
     if isinstance(old, list):
@@ -498,47 +507,47 @@ def test_experiment_solves_each_relaxation_once(tmp_path, monkeypatch, algorithm
     assert len(calls) == (2 if algorithm == "buyall" else 1)
 
 
-# -- knobs, names and the SAA inner solver through the registry ----------------
-
-
-def test_round_passes_psi_to_srini_sc(tmp_path):
-    # x is fractional here, so psi moves the scale and changes the plan
-    path = tmp_path / "sc.json"
-    inst = generate_instance("set_cover", seed=6, n_elements=8, n_sets=8, scenarios=3)
-    save_instance(inst, path)
-    sol = lp_builders.solve_cover_lp(inst)
-    base = ["round", "--instance", str(path), "--algorithm", "srini-sc"]
-    for seed in range(3):
-        default, tuned = tmp_path / f"d{seed}.csv", tmp_path / f"p{seed}.csv"
-        assert main(base + ["--seed", str(seed), "--out", str(default)]) == EXIT_OK
-        assert main(base + ["--seed", str(seed), "--psi", "-5", "--out", str(tuned)]) == EXIT_OK
-        plan = cover.srinivasan_round_set_cover(sol, psi=-5.0, seed=seed)
-        cost = evaluate_objective(plan, inst.policy, inst.scenarios).total
-        assert float(read_csv(tuned)[0]["cost"]) == cost
-        assert tuned.read_bytes() != default.read_bytes()
+# -- usage errors, spec files, names and the SAA inner solver ------------------
 
 
 @pytest.mark.parametrize(
-    "algorithm,knob",
-    [("srini-sc", "--alpha"), ("double", "--psi"), ("ufl5", "--theta"), ("ufl-improved", "--beta")],
+    "argv, message",
+    [(["round", "--instance", "sc.json", "--algorithm", "srini-sc", "--psi", "3"],
+      "twostage: error: unrecognized arguments: --psi 3"),
+     (["round", "--instance", "sc.json", "--algorithm", "nope"],
+      "twostage round: error: argument --algorithm: invalid choice: 'nope'"),
+     (["round", "--algorithm", "double"],
+      "twostage round: error: the following arguments are required: --instance"),
+     (["bench", "--trials", "2"],
+      "twostage: error: bench needs --spec or both --instance and --algorithm")],
+    ids=["unknown-flag", "bad-choice", "missing-argument", "bench-without-source"],
 )
-def test_round_refuses_a_knob_the_algorithm_does_not_read(tmp_path, capsys, algorithm, knob):
-    kind = "ufl" if algorithm.startswith("ufl") else "set_cover"
-    inst = gen_file(tmp_path, kind, kind)
-    argv = ["round", "--instance", str(inst), "--algorithm", algorithm, knob, "3"]
-    assert main(argv) == EXIT_ERROR
-    assert f"error: algorithm {algorithm!r} reads no knob {knob[2:]}" in capsys.readouterr().err
+def test_usage_errors_exit_one_with_the_argparse_message(capsys, argv, message):
+    # exit 2 means an infeasible plan, so a usage error must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: twostage") and message in err
 
 
-def test_spec_with_an_unread_knob_is_refused(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(
-        {"instance": "vertex_cover", "algorithm": "srini-vc", "alg_params": {"psi": 1.0}}
-    ))
-    assert main(["bench", "--spec", str(spec)]) == EXIT_ERROR
-    assert capsys.readouterr().err == (
-        "error: algorithm 'srini-vc' reads no knob psi; its knobs: none\n"
-    )
+@pytest.mark.parametrize(
+    "spec, message",
+    [({"instance": "vertex_cover", "algorithm": "srini-vc", "bogus": 1},
+      "error: spec has no field 'bogus'\n"),
+     ({"instance": "vertex_cover", "algorithm": "srini-vc", "alg_params": {"psi": 1.0}},
+      "error: spec has no field 'alg_params'\n"),
+     ({"algorithm": "srini-vc"}, "error: spec needs the field 'instance'\n"),
+     ([{"instance": "vertex_cover", "algorithm": "srini-vc"}],
+      "error: spec must be a JSON object, got [{'instance': 'vertex_cover', "
+      "'algorithm': 'srini-vc'}]\n")],
+    ids=["unknown-key", "old-alg-params", "missing-instance", "top-level-list"],
+)
+def test_bench_refuses_a_spec_file_by_key(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", message)
 
 
 def test_run_algorithm_refuses_an_unknown_name_with_a_value_error():
@@ -578,7 +587,7 @@ def test_saa_refuses_an_unknown_algorithm_at_parse_time(tmp_path, capsys):
     inst = gen_file(tmp_path, "set_cover", "sc")
     with pytest.raises(SystemExit) as exc:
         main(["saa", "--instance", str(inst), "--algorithm", "nope"])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_ERROR
     assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 

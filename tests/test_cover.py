@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage import bench
 from twostage.cover import (
@@ -305,7 +307,7 @@ def test_threshold_feasible_on_generated_suite():
 
 
 def test_scale_factor_frozen_values():
-    assert scale_factor(8, psi=math.log(math.log(8.0))) == pytest.approx(2.81, abs=0.01)
+    assert scale_factor(8) == math.log(8) + 1.0  # ln ln 8 < 1, so psi is 1
     assert default_psi(6) == 1.0
     assert scale_factor(1) == 1.0  # floored for tiny universes
 
@@ -331,6 +333,20 @@ def test_saturated_values_buy_everything():
     out = outs.pop()
     assert out.reserved == frozenset({0, 1})
     assert out.stages[0].exercised == frozenset({0, 1})
+
+
+def test_srini_sc_coins_fire_on_the_fano_plane():
+    # The seven lines of the Fano plane cover its seven points; the LP's
+    # unique optimum is x = 1/3, so with L = ln 7 + 1 every set is reserved
+    # with probability about 0.98 and the plan depends on the seed.
+    lines = ({0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5})
+    inst = singleton_sc(weights=(1.0,) * 7, sets=lines, pairs=((1.0, range(7)),))
+    sol = solve_cover_lp(inst)
+    assert np.allclose(sol.x, 1.0 / 3.0)
+    plans = {srinivasan_round_set_cover(sol, seed=s) for s in range(20)}
+    assert len(plans) > 1
+    for plan in plans:
+        assert check_feasible(plan, inst.scenarios, inst.covers_demand).feasible
 
 
 def test_repairs_are_rare_and_prerepair_cost_is_bounded():
@@ -359,30 +375,63 @@ def test_vc_sampling_is_identity_on_integral_input():
         np.array([[0.0, 0.0]]),
         value=1.0,
     )
-    for seed in range(10):
-        out = srinivasan_round_vertex_cover(sol, seed=seed)
-        assert out.reserved == frozenset({0})
-        assert out.stages[0].exercised == frozenset({0})
-        assert not out.stages[0].recoursed
+    out = srinivasan_round_vertex_cover(sol)
+    assert out.reserved == frozenset({0})
+    assert out.stages[0].exercised == frozenset({0})
+    assert not out.stages[0].recoursed
 
 
 def test_vc_sampling_saturates_at_half():
     inst, sol = single_edge_vc(0.5)
-    for seed in range(10):
-        out = srinivasan_round_vertex_cover(sol, seed=seed)
-        assert out.reserved == frozenset({0, 1})
-        assert out.stages[0].exercised == frozenset({0, 1})
+    out = srinivasan_round_vertex_cover(sol)
+    assert out.reserved == frozenset({0, 1})
+    assert out.stages[0].exercised == frozenset({0, 1})
 
 
 def test_vc_sampling_triangle_mean_within_twice_lp():
     inst = triangle_vc()
     sol = solve_cover_lp(inst)
-    costs = []
-    for seed in range(2000):
-        out = srinivasan_round_vertex_cover(sol, seed=seed)
-        assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
-        costs.append(evaluate_objective(out, inst.policy, inst.scenarios).total)
-    assert float(np.mean(costs)) <= 2.0 * sol.value * 1.05
+    out = srinivasan_round_vertex_cover(sol)
+    assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
+    assert evaluate_objective(out, inst.policy, inst.scenarios).total <= 2.0 * sol.value + 1e-9
+
+
+@st.composite
+def small_vertex_covers(draw):
+    """Random graphs on up to 12 vertices, with any sigma in (0, 1), any
+    lambda in (1, 10] and one to four scenarios of random edge subsets."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20, unique=True))
+    weights = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    sigma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    lam = draw(st.floats(1.0, 10.0, exclude_min=True))
+    k = draw(st.integers(1, 4))
+    demand = st.lists(st.integers(0, len(edges) - 1), min_size=1, unique=True)
+    clients = draw(st.lists(demand, min_size=k, max_size=k))
+    mass = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    return VertexCoverInstance(
+        n,
+        tuple(edges),
+        tuple(weights),
+        CostPolicy(sigma, lam, dict(enumerate(weights))),
+        ScenarioSet.explicit(zip([m / sum(mass) for m in mass], clients)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_vertex_covers())
+def test_vertex_cover_relaxation_is_half_integral_and_srini_vc_within_twice_lp(inst):
+    # srini-vc rounds up at 1/2 with no coins, which is the scale-and-sample
+    # rounding only because every relaxation value sits on the half grid.
+    sol = solve_cover_lp(inst)
+    values = np.concatenate([sol.x, sol.y.ravel(), sol.z.ravel()])
+    assert np.all(np.abs(values - np.round(2.0 * values) / 2.0) <= 1e-9), values
+    assert np.all((values > -1e-9) & (values < 1.0 + 1e-9)), values
+    out = srinivasan_round_vertex_cover(sol)
+    assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
+    cost = evaluate_objective(out, inst.policy, inst.scenarios).total
+    assert cost <= 2.0 * sol.value * (1.0 + 1e-12) + 1e-9, cost / sol.value
 
 
 # -- buy-all-reserved reduction -----------------------------------------------

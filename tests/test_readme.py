@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import twostage
-from twostage import cli
+from twostage import bench, cli
+from twostage.generators import generate_instance
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -62,6 +63,26 @@ SAA_ON_UFL = pytest.mark.xfail(
 )
 def test_cli_line_succeeds(exit_codes, index):
     assert exit_codes[index] == 0, cli_lines()[index]
+
+
+def guarantee_column():
+    """Algorithm name -> its guarantee cell in "Algorithms and guarantees"."""
+    section = README.split("\n## Algorithms and guarantees\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip().strip("`"): cells[-1] for cells in rows[1:]}  # after the header
+
+
+def test_algorithm_table_says_per_run_exactly_where_the_registry_certifies():
+    wording = {"lp": "× LP", "oracle": "× optimum"}
+    table = guarantee_column()
+    assert sorted(table) == sorted(bench.ALGORITHMS)
+    for name, (_, kinds) in bench.ALGORITHMS.items():
+        inst = generate_instance(kinds[0].kind, seed=0)
+        _, _, bound, basis, _ = bench.prepare(inst, name).sample(0)
+        assert ("per run" in table[name]) == (bound is not None), name
+        if bound is not None:
+            other = wording["oracle" if basis == "lp" else "lp"]
+            assert wording[basis] in table[name] and other not in table[name], name
 
 
 # What the README documents, plus what a hand-built instance needs; the rest

@@ -79,7 +79,7 @@ def test_saa_cli_has_no_c_k_flag(tmp_path, capsys):
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["saa", "--instance", str(tmp_path / "any.json"), "--c-k", "2"])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_ERROR
     assert "unrecognized arguments: --c-k 2" in capsys.readouterr().err
 
 

@@ -15,12 +15,12 @@ from twostage.instances import InstanceError, UflInstance
 from twostage.lp_builders import FractionalUflSolution, solve_ufl_lp
 from twostage.model import ScenarioSet, TwoStageSolution
 from twostage.ufl import (
-    ALPHA_DEFAULT,
+    ALPHA,
     _greedy_balls,
     CompleteUfl,
     DET_FACTOR_CITED,
     NeighborhoodProfile,
-    THETA_DEFAULT,
+    THETA,
     UflPlan,
     classify_pairs,
     clustered_approx_factor,
@@ -150,7 +150,7 @@ def test_assignment_distances_obey_the_radius_bound():
         for k in range(len(inst.scenarios)):
             for j, i in plan.assignment[k].items():
                 prof = trace["profiles"][(k, j)]
-                assert c[i, j] <= 3.0 / (1.0 - ALPHA_DEFAULT) * prof.c_star + 1e-9
+                assert c[i, j] <= 3.0 / (1.0 - ALPHA) * prof.c_star + 1e-9
 
 
 def test_five_approx_on_the_gadget():
@@ -212,10 +212,10 @@ def test_split_fills_exercised_capacity_first():
 
 
 def test_classification_boundary_is_inclusive():
-    assert THETA_DEFAULT == pytest.approx(2.29 / (2.29 + 1.52))
+    assert THETA == pytest.approx(2.29 / (2.29 + 1.52))
     inst = odd_cycle_instance()
     # first-stage mass exactly theta on the demanded pair
-    th = THETA_DEFAULT
+    th = THETA
     yk = np.full((1, 3), th)
     zk = np.full((1, 3), 1.0)
     x = np.zeros((1, 3, 3))
@@ -313,7 +313,7 @@ def test_swamy_filter_rejects_bad_gamma():
 
 def test_factor_evaluator_frozen_arithmetic():
     assert clustered_approx_factor() == pytest.approx(3.81, abs=0.01)
-    r, th = 1.447, THETA_DEFAULT
+    r, th = 1.447, THETA
     eta = math.e / (math.e - 1.0)
     assert clustered_approx_factor() == pytest.approx(
         max(r * eta / th, (1 + math.exp(-r) * (r + 1) / (r - 1)) / th,
@@ -390,12 +390,6 @@ def test_round_improved_equals_sampling_a_shared_prepared_state(inst):
     prep = prepare_improved(sol)
     for seed in range(50):
         assert sample_improved(prepare_improved(sol), seed=seed) == sample_improved(prep, seed=seed)
-
-
-def test_round_improved_rejects_bad_theta():
-    sol = solve_ufl_lp(odd_cycle_instance())
-    with pytest.raises(ValueError):
-        prepare_improved(sol, theta=1.0)
 
 
 # -- single-stage reference rounding -------------------------------------------
