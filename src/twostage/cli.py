@@ -98,15 +98,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec(raw) -> bench_mod.ExperimentSpec:
-    """The ExperimentSpec a ``--spec`` file holds, refusing a key by name."""
+    """The ExperimentSpec a ``--spec`` file holds, refusing a key or a value by name."""
     if type(raw) is not dict:
         raise ValueError(f"spec must be a JSON object, got {raw!r}")
-    unknown = sorted(raw.keys() - {f.name for f in dataclasses.fields(bench_mod.ExperimentSpec)})
+    types = {f.name: f.type for f in dataclasses.fields(bench_mod.ExperimentSpec)}
+    unknown = sorted(raw.keys() - types.keys())
     if unknown:
         raise ValueError(f"spec has no field {unknown[0]!r}")
     missing = [key for key in ("instance", "algorithm") if key not in raw]
     if missing:
         raise ValueError(f"spec needs the field {missing[0]!r}")
+    # bench.py's annotations are strings; an exact type name, so a bool is no int
+    bad = next((key for key in sorted(raw) if type(raw[key]).__name__ != types[key]), None)
+    if bad is not None:
+        raise ValueError(f"spec field {bad!r} must be {types[bad]}, got {raw[bad]!r}")
     return bench_mod.ExperimentSpec(**raw)
 
 

@@ -18,9 +18,8 @@ UFL is not monotone (opening a facility can shorten connections), but a
 facility that is no demanded client's strictly nearest one only adds its
 price, so each UFL scenario keeps only its irredundant facility sets (a
 median of about 110 of 2,048 at 11 facilities and 8 clients), under a
-per-scenario certificate
-(``_ufl_pruning_is_exact``); the owner flags come from the same fold as the
-nearest distances.
+per-scenario certificate (``_ufl_pruning_is_exact``); the owner flags come
+from the same fold as the nearest distances.
 
 Inside ``_shared_preparation``, where ``repeating_saa`` runs its
 repetitions, the covering and Steiner weight tables, certificate verdict,
@@ -30,13 +29,14 @@ one call to the next.
 
 The tables and candidate lists are built as whole arrays: one (scenarios,
 masks) feasibility bitmap per instance, filtered for minimal sets in one
-pass.  The scan takes the sorted masks in blocks: the first holds a quarter of
-BLOCK_ENTRIES in entries (rows times the widest scenario's candidate
-count), and blocks double up to the whole of it.
-Every float is computed by the same operations in the same order as a scan
-of one mask at a time over every feasible set, and the stopping point is
-recovered from the running incumbent, so the cost, solution and node count
-equal that scan's exactly.
+pass, and one fold for all of a UFL instance's price tables.  The scan takes
+the sorted masks in blocks of a quarter of BLOCK_ENTRIES entries (rows times
+the widest scenario's candidate count), doubling up to all of it; after the
+first, a block ends at the incumbent's bound, the first row whose first-stage
+cost reaches the incumbent.  Every float is computed by the same operations
+in the same order as a scan of one mask at a time over every feasible set,
+and the stopping point is recovered from the running incumbent, so the
+cost, solution and node count equal that scan's exactly.
 
 Intended for cross-checking the approximation algorithms; refuses instances
 with more than MAX_ITEMS items or MAX_SCENARIOS scenarios.
@@ -71,7 +71,7 @@ __all__ = [
 
 MAX_ITEMS = 16
 MAX_SCENARIOS = 6
-BLOCK_ENTRIES = 1 << 15  # cap on block rows x candidate sets per scenario
+BLOCK_ENTRIES = 1 << 15  # cap on rows x candidates per block; the incumbent may end one sooner
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ class _ScenarioTable:
 
     def best(self, f0_masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cheapest completion value and its bought set, per reservation mask."""
-        vals = self.base - self.save_table[self.masks & f0_masks[:, None]]
+        vals = self.save_table[self.masks & f0_masks[:, None]]
+        np.subtract(self.base, vals, out=vals)
         idx = vals.argmin(axis=1)
         return vals[np.arange(idx.size), idx], self.masks[idx]
 
@@ -277,7 +278,7 @@ def _nearest_fold(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m, o = minc.reshape(-1, 2, 1 << k, c), owner.reshape(-1, 2, 1 << k, c)
         near, row = m[:, 0, 0], dist[k]
         m[:, 1, 0] = np.minimum(near, row)
-        o[:, 1, 0] = np.where(row < near, 1 << k, np.where(row > near, o[:, 0, 0], 0))
+        o[:, 1, 0] = np.where(row < near, 1 << k, o[:, 0, 0] * (row > near))
     return minc, owner
 
 
@@ -352,25 +353,26 @@ def _prepare(inst: Instance) -> _Prep:
         return _Prep(first_vec, tables)
 
     if isinstance(inst, UflInstance):
-        sigma = inst.sigma
+        sigma, K = inst.sigma, len(scen)
         f0 = np.array(inst.open_cost, dtype=float)
-        f0_table = _mass_table(f0)
+        fks = np.array(inst.scenario_open_cost, dtype=float).reshape(K, n)
+        saves = fks - (1.0 - sigma) * f0
+        rows = np.vstack([f0, fks, saves]).T  # one fold builds every price table
+        prices = _lowest_bit_fold(np.add, np.zeros((1 << n, 1 + 2 * K)), rows).T.copy()
         dist = inst.dist
         minc, owner = _nearest_fold(dist)
         all_masks = np.arange(1 << n, dtype=np.int64)
         tables = []
         for k, (p, clients) in enumerate(scen):
-            fk = np.array(inst.scenario_open_cost[k], dtype=float)
             cols = sorted(clients)
             conn = minc[:, cols].sum(axis=1) if clients else np.zeros(1 << n)
-            save = fk - (1.0 - sigma) * f0
             masks = all_masks
-            if _ufl_pruning_is_exact(fk, save, dist[:, cols]):
+            if _ufl_pruning_is_exact(fks[k], saves[k], dist[:, cols]):
                 # irredundant: every facility strictly nearest to a demanded client
                 masks = np.flatnonzero(np.bitwise_or.reduce(owner[:, cols], axis=1) == all_masks)
-            base = _mass_table(fk)[masks] + conn[masks]
-            tables.append(_ScenarioTable(p, masks, base, _mass_table(save)))
-        return _Prep(sigma * f0_table, tables)
+            base = prices[1 + k][masks] + conn[masks]
+            tables.append(_ScenarioTable(p, masks, base, prices[1 + K + k]))
+        return _Prep(sigma * prices[0], tables)
 
     raise InstanceError(f"unsupported instance type {type(inst).__name__}")
 
@@ -405,9 +407,9 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
     best_xs: list[int] = []
     nodes = 0
     # a first block of the whole cap would scan every row past an early stop
-    start, size = 0, max(1, cap // 4)
-    while start < order.size:
-        block = order[start : start + min(size, cap)]
+    start, size, end = 0, max(1, cap // 4), order.size
+    while start < end:
+        block = order[start : min(start + min(size, cap), end)]
         start, size = start + block.size, 2 * size
         fc = prep.first_vec[block]
         total, xs = _totals(prep, block)
@@ -423,6 +425,9 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
             best, best_mask, best_xs = total[j], int(block[j]), [int(x[j]) for x in xs]
         if stops.size:
             break
+        # the scan stops at or before the first row whose first-stage cost reaches
+        # the incumbent; if that row is already scanned, it stops at the next one
+        end = min(int(np.searchsorted(prep.first_vec, best, "left", order)) + 1, order.size)
     return OracleResult(float(best), _solution_from_masks(best_mask, best_xs), nodes)
 
 

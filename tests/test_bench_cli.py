@@ -540,8 +540,18 @@ def test_usage_errors_exit_one_with_the_argparse_message(capsys, argv, message):
      ({"algorithm": "srini-vc"}, "error: spec needs the field 'instance'\n"),
      ([{"instance": "vertex_cover", "algorithm": "srini-vc"}],
       "error: spec must be a JSON object, got [{'instance': 'vertex_cover', "
-      "'algorithm': 'srini-vc'}]\n")],
-    ids=["unknown-key", "old-alg-params", "missing-instance", "top-level-list"],
+      "'algorithm': 'srini-vc'}]\n"),
+     ({"instance": "vertex_cover", "algorithm": "srini-vc", "trials": "3"},
+      "error: spec field 'trials' must be int, got '3'\n"),
+     ({"instance": "vertex_cover", "algorithm": "srini-vc", "trials": True},
+      "error: spec field 'trials' must be int, got True\n"),
+     ({"instance": "vertex_cover", "algorithm": "srini-vc", "gen_params": 5},
+      "error: spec field 'gen_params' must be dict, got 5\n"),
+     ({"instance": 5, "algorithm": "srini-vc"}, "error: spec field 'instance' must be str, got 5\n"),
+     ({"instance": "vertex_cover", "algorithm": ["double"]},
+      "error: spec field 'algorithm' must be str, got ['double']\n")],
+    ids=["unknown-key", "old-alg-params", "missing-instance", "top-level-list", "string-trials",
+         "bool-trials", "int-gen-params", "int-instance", "list-algorithm"],
 )
 def test_bench_refuses_a_spec_file_by_key(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"

@@ -383,6 +383,59 @@ def test_block_scan_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
+REAL_TOTALS = oracle._totals
+
+
+def scanned_blocks(monkeypatch, inst):
+    """The oracle's result, and each block of rows it passes to _totals with their totals."""
+    blocks = []
+
+    def record(prep, rows):
+        total, xs = REAL_TOTALS(prep, rows)
+        blocks.append((rows.copy(), total.copy()))
+        return total, xs
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_totals", record)
+        return brute_force_optimal(inst), blocks
+
+
+# the exact workload's set cover and Steiner sizes, generator seeds 0-29
+BOUNDED_SCAN_CASES = [
+    (dict(kind="set_cover", n_elements=10, n_sets=11, scenarios=3), 27_000,
+     "73666bf9dba98aad25b1f7715be0c1fae5da18c0af757caf9e26efabb4362ec4"),
+    (dict(kind="steiner", n_vertices=7, n_edges=10, scenarios=3), 23_500,
+     "52ef4e35c591363d879714e48efe6a49438ce8d8fab42b14e8ff9d5bda2a24ed"),
+]
+
+
+@pytest.mark.parametrize("params, max_rows, records", BOUNDED_SCAN_CASES, ids=["set_cover", "steiner"])
+def test_scan_blocks_end_at_the_incumbents_first_stage_bound(monkeypatch, params, max_rows, records):
+    # the scan stops at the first row whose first-stage cost reaches the
+    # incumbent, so after the first block no block reads past that row; the
+    # unbounded doubling blocks read 38,106 rows on the set cover corpus and
+    # 28,205 on the Steiner one
+    h = hashlib.sha256()
+    scanned = later_blocks = 0
+    for seed in range(30):
+        inst = generate_instance(seed=seed, **params)
+        res, blocks = scanned_blocks(monkeypatch, inst)
+        fc = oracle._prepare(inst).first_vec
+        sorted_fc = fc[np.argsort(fc, kind="stable")]
+        end = blocks[0][0].size
+        for i, (rows, _) in enumerate(blocks[1:], start=1):
+            incumbent = np.fmin.reduce(np.concatenate([t for _, t in blocks[:i]]), initial=np.inf)
+            end += rows.size
+            assert end <= np.searchsorted(sorted_fc, incumbent, "left") + 1
+            later_blocks += 1
+        scanned += end
+        h.update(repr(plain([res.optimal_cost.hex(), res.nodes_explored, res.optimal_solution])).encode() + b"\n")
+    assert later_blocks > 0
+    assert scanned <= max_rows
+    # cost bytes, node counts and plans of the unbounded scan
+    assert h.hexdigest() == records
+
+
 # ---------------------------------------------------------------------------
 # Minimal candidates.  The reference keeps every feasible set as a candidate:
 # the same oracle with the pruning step replaced by the full feasible list.
@@ -509,6 +562,23 @@ def irredundant_sets(dist, clients):
         ):
             out.append(x)
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_fold_gives_the_nearest_distance_and_its_unique_owner(data):
+    n = data.draw(st.integers(0, 6))
+    c = data.draw(st.integers(1, 4))
+    # values 0-3, so ties between facilities are common
+    dist = np.array([[data.draw(st.integers(0, 3)) for _ in range(c)] for _ in range(n)], dtype=float)
+    minc, owner = oracle._nearest_fold(dist.reshape(n, c))
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        for j in range(c):
+            near = min((dist[i, j] for i in members), default=np.inf)
+            assert minc[mask, j] == near
+            nearest = [i for i in members if dist[i, j] == near]
+            assert owner[mask, j] == (1 << nearest[0] if len(nearest) == 1 else 0)
 
 
 @settings(max_examples=150, deadline=None)
