@@ -170,12 +170,24 @@ GENERATOR_KINDS = {
 }
 
 
+# each kind's parameters, read once, and the exact value types they take (a bool is no count)
+_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float)}
+_PARAMS = {kind: {k: v for k, v in make.__annotations__.items() if k not in ("rng", "return")}
+           for kind, make in GENERATOR_KINDS.items()}
+
+
 def generate_instance(kind: str, seed: int = 0, **params):
-    """Draw a reproducible random instance of the given kind."""
+    """Draw a reproducible random instance of the given kind; refuse a bad parameter by name."""
     try:
-        make = GENERATOR_KINDS[kind]
+        make, accepted = GENERATOR_KINDS[kind], _PARAMS[kind]
     except KeyError:
         raise InstanceError(
             f"unknown kind {kind!r}; expected one of {sorted(GENERATOR_KINDS)}"
         ) from None
+    for name, value in params.items():
+        want = accepted.get(name)
+        if want is None:
+            raise InstanceError(f"{kind} has no parameter {name!r}; it takes {sorted(accepted)}")
+        if type(value) not in _TYPES[want]:
+            raise InstanceError(f"{kind} parameter {name!r} must be {want}, got {value!r}")
     return make(np.random.default_rng(seed), **params)

@@ -360,13 +360,13 @@ def _scenarios_to_json(scen: ScenarioSet) -> list[dict]:
 
 
 def _int(field: str, value) -> int:
-    """A count or id read from a file: an int, or a float with an integral
-    finite value.  Anything else, a bool too, is refused by field name."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InstanceError(f"{field} must be an integer, got {value!r}")
+    """A count or id read from a file: an int or an integral float, at most
+    sys.maxsize in size.  Anything else, a bool too, is refused by field name."""
+    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+        raise InstanceError(f"{field} must be an integer, got {value!r}")
+    if abs(value) > sys.maxsize:
+        raise InstanceError(f"{field} must be at most {sys.maxsize} in size, got {value!r}")
+    return int(value)
 
 
 def _num(field: str, value) -> int | float:

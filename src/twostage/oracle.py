@@ -18,8 +18,7 @@ UFL is not monotone (opening a facility can shorten connections), but a
 facility that is no demanded client's strictly nearest one only adds its
 price, so each UFL scenario keeps only its irredundant facility sets (a
 median of about 110 of 2,048 at 11 facilities and 8 clients), under a
-per-scenario certificate (``_ufl_pruning_is_exact``); the owner flags come
-from the same fold as the nearest distances.
+per-scenario certificate (``_ufl_pruning_is_exact``).
 
 Inside ``_shared_preparation``, where ``repeating_saa`` runs its
 repetitions, the covering and Steiner weight tables, certificate verdict,
@@ -29,14 +28,15 @@ one call to the next.
 
 The tables and candidate lists are built as whole arrays: one (scenarios,
 masks) feasibility bitmap per instance, filtered for minimal sets in one
-pass, and one fold for all of a UFL instance's price tables.  The scan takes
-the sorted masks in blocks of a quarter of BLOCK_ENTRIES entries (rows times
-the widest scenario's candidate count), doubling up to all of it; after the
-first, a block ends at the incumbent's bound, the first row whose first-stage
-cost reaches the incumbent.  Every float is computed by the same operations
-in the same order as a scan of one mask at a time over every feasible set,
-and the stopping point is recovered from the running incumbent, so the
-cost, solution and node count equal that scan's exactly.
+pass; for UFL, one fold for all price tables and one for all nearest
+distances and owners, each with the masks on its last, contiguous axis.  The
+scan takes the sorted masks in blocks of a quarter of BLOCK_ENTRIES entries
+(rows times the widest scenario's candidate count), doubling up to all of
+it; after the first, a block ends at the incumbent's bound, the first row
+whose first-stage cost reaches the incumbent.  Every float is computed by
+the same operations in the same order as a scan of one mask at a time over
+every feasible set, and the stopping point is recovered from the running
+incumbent, so the cost, solution and node count equal that scan's exactly.
 
 Intended for cross-checking the approximation algorithms; refuses instances
 with more than MAX_ITEMS items or MAX_SCENARIOS scenarios.
@@ -90,23 +90,24 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _lowest_bit_fold(op, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fill table[mask] = op(table[mask ^ low], rows[bit of low]) for mask > 0.
-
-    low is the lowest set bit.  Bits are taken highest first, so the entry a
-    mask reads was written in an earlier pass.  Pass k views the table as
-    (high bits, bit k, low bits): the masks whose lowest set bit is k sit at
-    bit k = 1 with low bits 0, and read the same slot at bit k = 0.
+def _lowest_bit_fold(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill table[..., mask] = table[..., mask ^ low] + rows[..., bit of low]
+    for mask > 0, with low the lowest set bit and masks on the last axis.
+    Bits are taken highest first, so the entry a mask reads was written in
+    an earlier pass.  Pass k views the masks as (high bits, bit k, low
+    bits): those whose lowest set bit is k sit at bit k = 1 with low bits 0,
+    and read the same slot at bit k = 0.
     """
-    for k in range(len(rows) - 1, -1, -1):
-        t = table.reshape(-1, 2, 1 << k, *table.shape[1:])
-        t[:, 1, 0] = op(t[:, 0, 0], rows[k])
+    cols = rows.T[..., None]
+    for k in range(len(cols) - 1, -1, -1):
+        t = table.reshape(*table.shape[:-1], -1, 2, 1 << k)
+        np.add(t[..., 0, 0], cols[k], out=t[..., 1, 0])
     return table
 
 
 def _mass_table(weights: np.ndarray) -> np.ndarray:
     """table[mask] = sum of weights over the bits of mask, for all masks."""
-    return _lowest_bit_fold(np.add, np.zeros(1 << weights.size), weights)
+    return _lowest_bit_fold(np.zeros(1 << weights.size), weights)
 
 
 @dataclass
@@ -264,21 +265,22 @@ def _ufl_pruning_is_exact(fk: np.ndarray, save: np.ndarray, dist: np.ndarray) ->
 
 
 def _nearest_fold(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (facility mask, client): the nearest facility's distance, and the bit
+    """Per (client, facility mask): the nearest facility's distance, and the bit
     of that facility if it is strictly nearer than the mask's others, else 0.
 
-    The fold of ``_lowest_bit_fold``: a mask adds its lowest facility k to
-    the mask without it.  k takes the client if strictly nearer, the old
-    owner keeps it if k is strictly farther, and a tie leaves no owner.
+    A doubling fold: masks [2^k, 2^(k+1)) are masks [0, 2^k) plus facility
+    k, which takes the client if strictly nearer; the old owner keeps it if
+    k is strictly farther, and a tie leaves no owner.  Neither depends on the
+    order facilities join (a tie keeps the lower facility's distance).
     """
     n, c = dist.shape
-    minc = np.full((1 << n, c), np.inf)
-    owner = np.zeros((1 << n, c), dtype=np.uint16)  # n <= MAX_ITEMS bits
-    for k in range(n - 1, -1, -1):
-        m, o = minc.reshape(-1, 2, 1 << k, c), owner.reshape(-1, 2, 1 << k, c)
-        near, row = m[:, 0, 0], dist[k]
-        m[:, 1, 0] = np.minimum(near, row)
-        o[:, 1, 0] = np.where(row < near, 1 << k, o[:, 0, 0] * (row > near))
+    minc = np.full((c, 1 << n), np.inf)
+    owner = np.zeros((c, 1 << n), dtype=np.uint16)  # n <= MAX_ITEMS bits
+    for k in range(n):
+        row, near, o = dist[k][:, None], minc[:, : 1 << k], owner[:, 1 << k : 2 << k]
+        np.minimum(row, near, out=minc[:, 1 << k : 2 << k])
+        np.multiply(owner[:, : 1 << k], row > near, out=o)
+        np.copyto(o, 1 << k, where=row < near)
     return minc, owner
 
 
@@ -357,20 +359,20 @@ def _prepare(inst: Instance) -> _Prep:
         f0 = np.array(inst.open_cost, dtype=float)
         fks = np.array(inst.scenario_open_cost, dtype=float).reshape(K, n)
         saves = fks - (1.0 - sigma) * f0
-        rows = np.vstack([f0, fks, saves]).T  # one fold builds every price table
-        prices = _lowest_bit_fold(np.add, np.zeros((1 << n, 1 + 2 * K)), rows).T.copy()
+        rows = np.vstack([f0, fks, saves])  # one fold builds every price table
+        prices = _lowest_bit_fold(np.zeros((1 + 2 * K, 1 << n)), rows)
         dist = inst.dist
         minc, owner = _nearest_fold(dist)
         all_masks = np.arange(1 << n, dtype=np.int64)
         tables = []
         for k, (p, clients) in enumerate(scen):
             cols = sorted(clients)
-            conn = minc[:, cols].sum(axis=1) if clients else np.zeros(1 << n)
             masks = all_masks
             if _ufl_pruning_is_exact(fks[k], saves[k], dist[:, cols]):
                 # irredundant: every facility strictly nearest to a demanded client
-                masks = np.flatnonzero(np.bitwise_or.reduce(owner[:, cols], axis=1) == all_masks)
-            base = prices[1 + k][masks] + conn[masks]
+                masks = np.flatnonzero(np.bitwise_or.reduce(owner[cols], axis=0) == all_masks)
+            # each kept mask's distances added one client after another
+            base = prices[1 + k][masks] + minc.take(masks, axis=1)[cols].sum(axis=0)
             tables.append(_ScenarioTable(p, masks, base, prices[1 + K + k]))
         return _Prep(sigma * prices[0], tables)
 
@@ -434,8 +436,6 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
 def best_completion(inst: Instance, reserved: frozenset[int]) -> tuple[TwoStageSolution, float]:
     """Optimal second-stage play for a given reservation, and its exact cost."""
     prep = _prepare(inst)
-    mask = 0
-    for s in reserved:
-        mask |= 1 << s
+    mask = sum(1 << s for s in reserved)
     total, xs = _totals(prep, np.array([mask]))
     return _solution_from_masks(mask, [int(x[0]) for x in xs]), float(total[0])

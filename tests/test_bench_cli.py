@@ -10,6 +10,7 @@ import math
 import operator
 import re
 import runpy
+import sys
 import threading
 from pathlib import Path
 
@@ -324,13 +325,18 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
      ("set_cover", ("sets", 0), lambda x: 5, "sets[0] must be a list"),
      ("ufl", ("scenarios", 0, "clients"), lambda x: None, "scenarios[0].clients must be a list"),
      ("vertex_cover", ("edges", 0), lambda x: x + [x[0]], "edges[0] must be a pair of vertex ids"),
-     ("steiner", ("edges", 0), lambda x: x[:1], "edges[0] must be a pair of vertex ids")],
+     ("steiner", ("edges", 0), lambda x: x[:1], "edges[0] must be a pair of vertex ids"),
+     ("set_cover", ("n_elements",), lambda x: 1e300,
+      f"n_elements must be at most {sys.maxsize} in size"),
+     ("steiner", ("root",), lambda x: -(2**63), f"root must be at most {sys.maxsize} in size"),
+     ("ufl", ("scenarios", 0, "clients", 0), lambda x: 2.0**63,
+      f"scenarios[0].clients[0] must be at most {sys.maxsize} in size")],
     ids=["inf-count", "inf-edge", "inf-root", "inf-client", "half-member", "fraction-count",
          "fraction-root", "fraction-client", "bool-count", "null-weight", "string-weight",
          "bool-weight", "null-sigma", "null-lambda", "list-lambda", "null-p", "null-open-cost",
          "null-distance", "null-scenario-price", "huge-int-weight", "huge-int-price",
          "number-scenario", "list-file", "number-set", "null-clients", "three-id-edge",
-         "one-id-edge"],
+         "one-id-edge", "huge-float-count", "huge-int-root", "huge-float-client"],
 )
 def test_oracle_refuses_non_integer_counts_and_ids(tmp_path, capsys, kind, path, bad, rule):
     raw = instance_to_dict(generate_instance(kind, seed=1))
@@ -557,6 +563,30 @@ def test_bench_refuses_a_spec_file_by_key(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["bench", "--spec", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gen", "--kind", "vertex_cover", "--param", "bogus=1"],
+      "error: vertex_cover has no parameter 'bogus'; it takes "
+      "['client_prob', 'lam', 'n_edges', 'n_vertices', 'scenarios', 'sigma']\n"),
+     (["bench", "--instance", "vertex_cover", "--algorithm", "srini-vc", "--param", "bogus=1"],
+      "error: vertex_cover has no parameter 'bogus'; it takes "
+      "['client_prob', 'lam', 'n_edges', 'n_vertices', 'scenarios', 'sigma']\n"),
+     (["gen", "--kind", "set_cover", "--param", "n_sets=5.0"],
+      "error: set_cover parameter 'n_sets' must be int, got 5.0\n"),
+     (["bench", "--spec", {"instance": "vertex_cover", "algorithm": "srini-vc",
+                            "gen_params": {"n_vertices": "5"}}],
+      "error: vertex_cover parameter 'n_vertices' must be int, got '5'\n")],
+    ids=["gen-unknown", "bench-unknown", "gen-float-count", "spec-string-count"],
+)
+def test_generator_parameters_are_refused_by_name(tmp_path, capsys, argv, message):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
+    assert main(argv) == EXIT_ERROR
     assert capsys.readouterr() == ("", message)
 
 

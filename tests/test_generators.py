@@ -55,6 +55,34 @@ def test_unknown_kind_is_rejected():
         generate_instance("knapsack", seed=0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [("vertex_cover", {"bogus": 1}, "vertex_cover has no parameter 'bogus'; it takes ['client_prob',"),
+     ("ufl", {"n_vertices": 5}, "ufl has no parameter 'n_vertices'"),
+     ("set_cover", {"n_sets": "5"}, "set_cover parameter 'n_sets' must be int, got '5'"),
+     ("steiner", {"n_vertices": 7.0}, "steiner parameter 'n_vertices' must be int, got 7.0"),
+     ("set_cover", {"scenarios": True}, "set_cover parameter 'scenarios' must be int, got True"),
+     ("vertex_cover", {"n_edges": 5.0}, "vertex_cover parameter 'n_edges' must be int | None, got 5.0"),
+     ("ufl", {"sigma": "0.5"}, "ufl parameter 'sigma' must be float, got '0.5'"),
+     ("steiner", {"client_prob": None}, "steiner parameter 'client_prob' must be float, got None")],
+    ids=["unknown", "other-kinds-name", "string-count", "float-count", "bool-count",
+         "float-n-edges", "string-sigma", "none-client-prob"],
+)
+def test_unknown_or_wrongly_typed_parameters_are_refused_by_name(kind, params, message):
+    with pytest.raises(InstanceError) as exc:
+        generate_instance(kind, seed=0, **params)
+    assert str(exc.value).startswith(message)
+
+
+def test_prices_take_ints_and_n_edges_takes_none():
+    a = generate_instance("ufl", seed=3, sigma=0.5, lam=3.0, client_prob=1.0)
+    b = generate_instance("ufl", seed=3, sigma=0.5, lam=3, client_prob=1)
+    assert instance_to_dict(a) == instance_to_dict(b)
+    assert instance_to_dict(generate_instance("steiner", seed=3, n_edges=None)) == instance_to_dict(
+        generate_instance("steiner", seed=3)
+    )
+
+
 def test_ufl_shapes_and_markups():
     inst = generate_instance("ufl", seed=9, n_facilities=3, n_clients=4, scenarios=2)
     assert isinstance(inst, UflInstance)

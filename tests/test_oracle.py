@@ -567,18 +567,62 @@ def irredundant_sets(dist, clients):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_nearest_fold_gives_the_nearest_distance_and_its_unique_owner(data):
-    n = data.draw(st.integers(0, 6))
+    n = data.draw(st.integers(0, 8))
     c = data.draw(st.integers(1, 4))
     # values 0-3, so ties between facilities are common
     dist = np.array([[data.draw(st.integers(0, 3)) for _ in range(c)] for _ in range(n)], dtype=float)
     minc, owner = oracle._nearest_fold(dist.reshape(n, c))
+    assert minc.shape == owner.shape == (c, 1 << n)  # client-major
     for mask in range(1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         for j in range(c):
             near = min((dist[i, j] for i in members), default=np.inf)
-            assert minc[mask, j] == near
+            assert minc[j, mask] == near
             nearest = [i for i in members if dist[i, j] == near]
-            assert owner[mask, j] == (1 << nearest[0] if len(nearest) == 1 else 0)
+            assert owner[j, mask] == (1 << nearest[0] if len(nearest) == 1 else 0)
+
+
+def mask_first_ufl_tables(inst):
+    """Each scenario's (masks, base) as built on (mask, client) tables: the
+    nearest distances and owners folded over the lowest set bit, the price
+    table by ``arange_fold``, and connection costs by ``minc[:, cols].sum(axis=1)``,
+    which adds one client after another (numpy lays that gather out client-major)."""
+    n, dist = inst.n_facilities, inst.dist
+    minc = np.full((1 << n, dist.shape[1]), np.inf)
+    owner = np.zeros(minc.shape, dtype=np.uint16)
+    for k in range(n - 1, -1, -1):
+        rest = np.arange(1 << (n - k - 1), dtype=np.int64) << (k + 1)
+        near, old, row = minc[rest], owner[rest], dist[k]
+        minc[rest | (1 << k)] = np.minimum(near, row)
+        owner[rest | (1 << k)] = np.where(row < near, 1 << k, np.where(row > near, old, 0))
+    f0 = np.array(inst.open_cost)
+    out = []
+    for k, (_, clients) in enumerate(inst.scenarios.scenarios):
+        fk = np.array(inst.scenario_open_cost[k])
+        save = fk - (1.0 - inst.sigma) * f0
+        price = arange_fold(np.zeros(1 << n), fk)
+        cols = sorted(clients)
+        conn = minc[:, cols].sum(axis=1) if clients else np.zeros(1 << n)
+        masks = np.arange(1 << n, dtype=np.int64)
+        if oracle._ufl_pruning_is_exact(fk, save, dist[:, cols]):
+            masks = np.flatnonzero(np.bitwise_or.reduce(owner[:, cols], axis=1) == masks)
+        out.append((masks, price[masks] + conn[masks]))
+    return out
+
+
+@pytest.mark.parametrize("client_prob", [0.5, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_ufl_scenario_tables_are_byte_equal_to_the_mask_first_formula(seed, client_prob):
+    """At the exact workload's UFL size, every kept mask and its full-price
+    cost.  With every client demanded, each cost sums 8 distances, where a
+    summation order other than one client after another shows."""
+    inst = generate_instance(
+        "ufl", seed=seed, n_facilities=11, n_clients=8, scenarios=3, client_prob=client_prob
+    )
+    tables = oracle._prepare(inst).tables
+    for tab, (masks, base) in zip(tables, mask_first_ufl_tables(inst), strict=True):
+        assert tab.masks.tobytes() == masks.tobytes()
+        assert tab.base.tobytes() == base.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -953,11 +997,11 @@ def test_batched_cover_bitmaps_stay_small():
 # byte-equal.
 
 
-def arange_fold(op, table, rows):
+def arange_fold(table, rows):
     n = len(rows)
     for k in range(n - 1, -1, -1):
         rest = np.arange(1 << (n - k - 1), dtype=np.int64) << (k + 1)
-        table[rest | (1 << k)] = op(table[rest], rows[k])
+        table[rest | (1 << k)] = table[rest] + rows[k]
     return table
 
 
@@ -966,13 +1010,13 @@ def test_lowest_bit_fold_is_byte_equal_to_the_index_array_fold(n):
     rng = np.random.default_rng(n)
     # magnitudes spread over many binades, so any change of summation order shows
     weights = rng.random(n) * 10.0 ** rng.integers(-6, 7, size=n)
-    mass = oracle._lowest_bit_fold(np.add, np.zeros(1 << n), weights)
-    assert mass.tobytes() == arange_fold(np.add, np.zeros(1 << n), weights).tobytes()
+    mass = oracle._lowest_bit_fold(np.zeros(1 << n), weights)
+    assert mass.tobytes() == arange_fold(np.zeros(1 << n), weights).tobytes()
     assert mass.tobytes() == oracle._mass_table(weights).tobytes()
-    dist = rng.random((n, 8)) * 100.0
-    nearest = oracle._lowest_bit_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
-    ref = arange_fold(np.minimum, np.full((1 << n, 8), np.inf), dist)
-    assert nearest.tobytes() == ref.tobytes()
+    # a mask-last table of rows against the mask-first reference, transposed
+    rows = rng.random((7, n)) * 10.0 ** rng.integers(-6, 7, size=(7, n))
+    prices = oracle._lowest_bit_fold(np.zeros((7, 1 << n)), rows)
+    assert prices.tobytes() == arange_fold(np.zeros((1 << n, 7)), rows.T).T.tobytes()
 
 
 # ---------------------------------------------------------------------------
