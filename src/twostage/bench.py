@@ -169,8 +169,8 @@ def _threshold(inst, relaxation):
 
 
 def _srini_sc(inst, relaxation):
-    sol = cover_solution_from_lp(inst, relaxation)
-    return lambda seed: _priced(inst, cover_mod.srinivasan_round_set_cover(sol, seed))
+    sample = cover_mod.srinivasan_sampler(cover_solution_from_lp(inst, relaxation))
+    return lambda seed: _priced(inst, sample(seed))
 
 
 def _srini_vc(inst, relaxation):

@@ -119,11 +119,13 @@ def _spec(raw) -> bench_mod.ExperimentSpec:
 def _parser() -> argparse.ArgumentParser:
     """The whole command line, built once per process: parsing never
     mutates it (``append`` copies its default list before adding)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=Path, default=None)
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common.add_argument("--assert-bounds", action="store_true")
+    # one parent per shared flag: each subcommand takes only the flags it reads
+    seed, out, fmt, bounds = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    seed.add_argument("--seed", type=int, default=0)
+    out.add_argument("--out", type=Path, default=None)
+    fmt.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    bounds.add_argument("--assert-bounds", action="store_true")
+    table = [seed, out, fmt, bounds]
 
     parser = _Parser(
         prog="twostage",
@@ -131,7 +133,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate an instance file")
+    p = sub.add_parser("gen", parents=[seed, out], help="generate an instance file")
     p.add_argument("--kind", required=True, choices=sorted(GENERATOR_KINDS))
     p.add_argument(
         "--param",
@@ -142,17 +144,17 @@ def _parser() -> argparse.ArgumentParser:
         help="generator parameter, e.g. --param n_elements=6 --param sigma=0.4",
     )
 
-    p = sub.add_parser("solve-lp", parents=[common], help="relaxation lower bound")
+    p = sub.add_parser("solve-lp", parents=[out, fmt], help="relaxation lower bound")
     p.add_argument("--instance", required=True, type=Path)
 
-    p = sub.add_parser("round", parents=[common], help="run one rounding algorithm")
+    p = sub.add_parser("round", parents=table, help="run one rounding algorithm")
     p.add_argument("--instance", required=True, type=Path)
     p.add_argument("--algorithm", required=True, choices=sorted(bench_mod.ALGORITHMS))
 
-    p = sub.add_parser("oracle", parents=[common], help="exact optimum (tiny instances)")
+    p = sub.add_parser("oracle", parents=[out], help="exact optimum (tiny instances)")
     p.add_argument("--instance", required=True, type=Path)
 
-    p = sub.add_parser("saa", parents=[common], help="repeating sample-average reduction")
+    p = sub.add_parser("saa", parents=[seed, out], help="repeating sample-average reduction")
     p.add_argument("--instance", required=True, type=Path)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.1)
@@ -161,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--c-n", dest="c_n", type=float, default=1.0)
 
-    p = sub.add_parser("bench", parents=[common], help="run an experiment table")
+    p = sub.add_parser("bench", parents=table, help="run an experiment table")
     p.add_argument("--spec", type=Path, default=None, help="JSON ExperimentSpec file")
     p.add_argument("--instance", default=None, help="instance path or generator kind")
     p.add_argument("--algorithm", default=None, choices=sorted(bench_mod.ALGORITHMS))

@@ -10,19 +10,20 @@ over many sets.  This module turns it into an integral plan four ways:
   of reserved ones.
 * ``threshold_round_vertex_cover``: the deterministic variant for vertex
   cover, buying everything above a fixed mass threshold.
-* ``srinivasan_round_set_cover`` / ``srinivasan_round_vertex_cover``:
-  scale the raw optimum by ln n + psi and sample; double it and round up.
+* ``srinivasan_sampler`` / ``srinivasan_round_vertex_cover``: scale the
+  raw optimum by ln n + psi and sample; double it and round up.
 * ``buy_all_reserved_reduction``: reserves the first stage of a
   plain-recourse plan (``threshold_recourse_cover`` here, or
   ``steiner.mst_recourse_steiner`` for trees) and exercises all of it in
   every scenario, trading a 1/sigma factor for simplicity.
 
-Randomized routines take an integer seed.  ``double_sampler``'s sample and
-``srinivasan_round_set_cover`` optionally fill a caller supplied ``stats``
-dict so experiments can audit the tail behaviour: the first puts
-``stage1_rounds`` (stage-1 sampling rounds before any greedy repair), the
-second ``pre_repair_value`` (the sampled plan's objective before repair) and
-``scenarios_repaired`` (how many scenarios needed it).
+The two samplers do their seed-independent work once and return
+``sample(seed, stats=None)``.  A sample optionally fills a caller supplied
+``stats`` dict so experiments can audit the tail behaviour:
+``double_sampler``'s puts ``stage1_rounds`` (stage-1 sampling rounds before
+any greedy repair), ``srinivasan_sampler``'s ``pre_repair_value`` (the
+sampled plan's objective before repair) and ``scenarios_repaired`` (how
+many scenarios needed it).
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .lp_builders import (
     _cover_blocks,
     _demand_lp,
 )
-from .model import StageDecision, TwoStageSolution
+from .model import StageDecision, TwoStageSolution, evaluate_objective, stage_price
 
 __all__ = [
     "RecoursePlan",
@@ -48,7 +49,7 @@ __all__ = [
     "preprocess_half",
     "double_sampler",
     "threshold_round_vertex_cover",
-    "srinivasan_round_set_cover",
+    "srinivasan_sampler",
     "srinivasan_round_vertex_cover",
     "threshold_recourse_cover",
     "buy_all_reserved_reduction",
@@ -56,6 +57,9 @@ __all__ = [
 
 # Mass at exactly one half counts as heavy; the slack only absorbs float dust.
 HALF_TIE_TOL = 1e-12
+
+# What a sampler returns: sample(seed, stats=None) -> plan.
+Sampler = Callable[[int, dict | None], TwoStageSolution]
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,6 @@ def half_mass_inflation_bound(sigma: float, lam: float) -> float:
     return (lam + 1.0 - sigma) / (2.0 - 2.0 * sigma)
 
 
-def fractional_cover_value(
-    inst: CoverInstance, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> float:
-    """Objective of a fractional covering plan under the instance prices."""
-    w = np.asarray(inst.weights, dtype=float)
-    sigma = inst.policy.sigma
-    lam = inst.policy.lam
-    total = sigma * float(x @ w)
-    for k, (p, _) in enumerate(inst.scenarios.scenarios):
-        total += p * ((1.0 - sigma) * float(y[k] @ w) + lam * float(z[k] @ w))
-    return total
-
-
 def _demand_lists(inst: CoverInstance) -> list[tuple[int, list[int]]]:
     """(element, scenarios demanding it) for every demanded element."""
     where: dict[int, list[int]] = {}
@@ -109,12 +100,11 @@ def _demand_lists(inst: CoverInstance) -> list[tuple[int, list[int]]]:
 
 def classify_heavy(sol: FractionalCoverSolution) -> frozenset[int]:
     """Elements keeping >= 1/2 exercised mass in every scenario demanding them."""
-    heavy = []
-    for e, ks in _demand_lists(sol.instance):
-        items = list(sol.instance.covering_items(e))
-        if all(sol.y[k, items].sum() >= 0.5 - HALF_TIE_TOL for k in ks):
-            heavy.append(e)
-    return frozenset(heavy)
+    inc = sol.instance.incidence
+    return frozenset(
+        e for e, ks in _demand_lists(sol.instance)
+        if all(sol.y[k, inc[e]].sum() >= 0.5 - HALF_TIE_TOL for k in ks)
+    )
 
 
 def _preserve_totals(y2: np.ndarray, z2: np.ndarray, total: np.ndarray) -> None:
@@ -143,6 +133,7 @@ def preprocess_half(
     set has already been halved.
     """
     inst = sol.instance
+    inc = inst.incidence
     demand = _demand_lists(inst)
     y2 = sol.y.copy()
     z2 = sol.z.copy()
@@ -152,11 +143,10 @@ def preprocess_half(
     while True:
         to_halve: set[int] = set()
         for e, ks in demand:
-            items = list(inst.covering_items(e))
-            masses = y2[:, items].sum(axis=1)[ks]
+            masses = y2[:, inc[e]].sum(axis=1)[ks]
             high = masses >= 0.5 - HALF_TIE_TOL
             if high.any() and not high.all():
-                to_halve.update(s for s in items if not halved[s])
+                to_halve.update(np.flatnonzero(inc[e] & ~halved).tolist())
         if not to_halve:
             break
         cols = sorted(to_halve)
@@ -167,27 +157,27 @@ def preprocess_half(
         z2[:, cols] = sub_z
         halved[cols] = True
 
-    value_before = fractional_cover_value(inst, sol.x, sol.y, sol.z)
-    value_after = fractional_cover_value(inst, sol.x, y2, z2)
+    w = np.asarray(inst.weights, dtype=float)
+    probs = [p for p, _ in inst.scenarios.scenarios]
+    value_before, value_after = (
+        stage_price(inst.policy, probs, float(sol.x @ w), y @ w, z @ w).total
+        for y, z in ((sol.y, sol.z), (y2, z2))
+    )
     inflation = value_after / value_before if value_before > 0 else 1.0
     out = FractionalCoverSolution(inst, sol.x.copy(), y2, z2, value_after)
     return out, HalfMassReport(classify_heavy(out), inflation)
 
 
-def _greedy_cover(
-    inst: CoverInstance, inc: np.ndarray, uncovered: set[int], owned: set[int]
-) -> set[int]:
-    """Cheapest-ratio greedy cover of ``uncovered``; deterministic tie-break.
-    ``inc`` is ``inst.incidence()``."""
+def _greedy_cover(inst: CoverInstance, clients, bought: set[int]) -> set[int]:
+    """Cheapest-ratio greedy cover of what ``bought`` leaves uncovered in ``clients``;
+    deterministic tie-break.  A bought or added item has gain 0 on what remains."""
+    inc, w = inst.incidence, inst.weights
     added: set[int] = set()
-    remaining = set(uncovered)
-    w = np.asarray(inst.weights, dtype=float)
+    remaining = _uncovered(inst, clients, bought)
     while remaining:
+        gains = inc[sorted(remaining)].sum(axis=0).tolist()
         best_s, best_ratio = -1, math.inf
-        for s in range(inst.n_items):  # ascending s keeps ties deterministic
-            if s in owned or s in added:
-                continue
-            gain = sum(1 for e in remaining if inc[e, s])
+        for s, gain in enumerate(gains):  # ascending s keeps ties deterministic
             if gain and w[s] / gain < best_ratio - 1e-15:
                 best_s, best_ratio = s, w[s] / gain
         if best_s < 0:
@@ -209,11 +199,13 @@ def _ids(mask: np.ndarray) -> frozenset[int]:
     return frozenset(int(v) for v in np.flatnonzero(mask))
 
 
-def _uncovered(inc: np.ndarray, clients, bought: set[int]) -> set[int]:
+def _uncovered(inst: CoverInstance, clients, bought: set[int]) -> set[int]:
+    """The elements of ``clients`` that no item of ``bought`` covers."""
+    inc = inst.incidence
     return {e for e in clients if not any(inc[e, s] for s in bought)}
 
 
-def double_sampler(sol: FractionalCoverSolution) -> Callable[[int, dict | None], TwoStageSolution]:
+def double_sampler(sol: FractionalCoverSolution) -> Sampler:
     """Round a preprocessed solution with coupled stage-1/stage-2 coins.
 
     Stage 1 repeats rounds that pick every set s independently with
@@ -226,7 +218,6 @@ def double_sampler(sol: FractionalCoverSolution) -> Callable[[int, dict | None],
     runs here, once; the returned ``sample(seed, stats=None)`` draws per seed.
     """
     inst = sol.instance
-    inc = inst.incidence()
     n_elem = max(inst.n_elements, 1)
     cap = math.ceil(4.0 * (math.log(n_elem) + 4.0))
     xhat = np.minimum(sol.x, 1.0)
@@ -241,15 +232,13 @@ def double_sampler(sol: FractionalCoverSolution) -> Callable[[int, dict | None],
         rng = np.random.default_rng(seed)
         reserved: set[int] = set()
         rounds: list[np.ndarray] = []
-        n_rounds = 0
-        while _uncovered(inc, heavy, reserved) and n_rounds < cap:
+        while _uncovered(inst, heavy, reserved) and len(rounds) < cap:
             picked = np.flatnonzero(rng.random(inst.n_items) < xhat)
             rounds.append(picked)
             reserved.update(int(s) for s in picked)
-            n_rounds += 1
-        missing = _uncovered(inc, heavy, reserved)
-        if missing:
-            extra = _greedy_cover(inst, inc, missing, reserved)
+        n_rounds = len(rounds)
+        extra = _greedy_cover(inst, heavy, reserved)
+        if extra:
             rounds.append(np.array(sorted(extra), dtype=int))
             reserved.update(extra)
 
@@ -262,16 +251,12 @@ def double_sampler(sol: FractionalCoverSolution) -> Callable[[int, dict | None],
 
             recoursed: set[int] = set()
             t = 0
-            while _uncovered(inc, light, exercised | recoursed) and t < cap:
+            while _uncovered(inst, light, exercised | recoursed) and t < cap:
                 picked = np.flatnonzero(rng.random(inst.n_items) < z)
                 recoursed.update(int(s) for s in picked)
                 t += 1
-            leftover = _uncovered(inc, clients, exercised | recoursed)
-            if leftover:
-                recoursed |= _greedy_cover(inst, inc, leftover, exercised | recoursed)
-            stages.append(
-                StageDecision(frozenset(exercised), frozenset(recoursed - exercised))
-            )
+            recoursed |= _greedy_cover(inst, clients, exercised | recoursed)
+            stages.append(StageDecision(frozenset(exercised), frozenset(recoursed - exercised)))
 
         if stats is not None:
             stats["stage1_rounds"] = n_rounds
@@ -328,53 +313,44 @@ def scale_factor(n: int) -> float:
     return max(math.log(max(n, 1)) + default_psi(n), 1.0)
 
 
-def srinivasan_round_set_cover(
-    sol: FractionalCoverSolution, seed: int = 0, stats: dict | None = None
-) -> TwoStageSolution:
+def srinivasan_sampler(sol: FractionalCoverSolution) -> Sampler:
     """Scale the raw optimum by L = ln n + psi(n) and sample each stage.
 
-    Reserves each set with probability min(L*x, 1), exercises reserved sets
-    with probability y'/x', and recourses with probability min(L*z, 1), so a
-    demanded element survives uncovered with probability at most
-    exp(-psi)/n.  Rare failures are repaired greedily at recourse price; the
-    pre-repair objective and repair count land in ``stats``.
+    Reserves each set with probability x' = min(L*x, 1), exercises reserved
+    sets with probability y'/x', and recourses with probability
+    min(L*z, 1), so a demanded element survives uncovered with probability
+    at most exp(-psi)/n.  Rare failures are repaired greedily at recourse
+    price.  L, x' and every scenario's odds are computed here, once; the
+    returned ``sample(seed, stats=None)`` draws per seed and puts the drawn
+    plan's objective before repair and the repair count in ``stats``.
     """
     inst = sol.instance
-    rng = np.random.default_rng(seed)
     big_l = scale_factor(inst.n_elements)
     xp = np.minimum(big_l * sol.x, 1.0)
-    reserved_mask = rng.random(inst.n_items) < xp
-    reserved = _ids(reserved_mask)
+    # Per scenario: its clients, the exercise odds y'/x' and the recourse odds.
+    scenarios = [
+        (clients, _odds(np.minimum(big_l * sol.y[k], 1.0), xp), np.minimum(big_l * sol.z[k], 1.0))
+        for k, (_, clients) in enumerate(inst.scenarios.scenarios)
+    ]
 
-    w = np.asarray(inst.weights, dtype=float)
-    inc = inst.incidence()
-    sigma = inst.policy.sigma
-    lam = inst.policy.lam
-    pre_repair = sigma * float(w[list(reserved)].sum()) if reserved else 0.0
-    repairs = 0
-    stages = []
-    for k, (p, clients) in enumerate(inst.scenarios.scenarios):
-        yp = np.minimum(big_l * sol.y[k], 1.0)
-        zp = np.minimum(big_l * sol.z[k], 1.0)
-        exercised = {
-            int(v)
-            for v in np.flatnonzero(reserved_mask & (rng.random(inst.n_items) < _odds(yp, xp)))
-        }
-        recoursed = {int(v) for v in np.flatnonzero(rng.random(inst.n_items) < zp)}
-        pre_repair += p * (
-            (1.0 - sigma) * float(w[list(exercised)].sum() if exercised else 0.0)
-            + lam * float(w[list(recoursed - exercised)].sum() if recoursed - exercised else 0.0)
-        )
-        missing = _uncovered(inc, clients, exercised | recoursed)
-        if missing:
-            recoursed |= _greedy_cover(inst, inc, missing, exercised | recoursed)
-            repairs += 1
-        stages.append(StageDecision(frozenset(exercised), frozenset(recoursed - exercised)))
+    def sample(seed: int, stats: dict | None = None) -> TwoStageSolution:
+        rng = np.random.default_rng(seed)
+        reserved_mask = rng.random(inst.n_items) < xp
+        drawn, stages = [], []
+        for clients, odds, zp in scenarios:
+            exercised = _ids(reserved_mask & (rng.random(inst.n_items) < odds))
+            recoursed = _ids(rng.random(inst.n_items) < zp) - exercised
+            drawn.append(StageDecision(exercised, recoursed))
+            recoursed |= _greedy_cover(inst, clients, exercised | recoursed)
+            stages.append(StageDecision(exercised, recoursed))
+        reserved = _ids(reserved_mask)
+        if stats is not None:
+            before = TwoStageSolution(reserved, tuple(drawn))
+            stats["pre_repair_value"] = evaluate_objective(before, inst.policy, inst.scenarios).total
+            stats["scenarios_repaired"] = sum(a != b for a, b in zip(drawn, stages))
+        return TwoStageSolution(reserved, tuple(stages))
 
-    if stats is not None:
-        stats["pre_repair_value"] = pre_repair
-        stats["scenarios_repaired"] = repairs
-    return TwoStageSolution(reserved, tuple(stages))
+    return sample
 
 
 def srinivasan_round_vertex_cover(sol: FractionalCoverSolution) -> TwoStageSolution:
@@ -456,14 +432,14 @@ def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
     w = np.asarray(inst.weights, dtype=float)
     probs = [p for p, _ in inst.scenarios.scenarios]
 
+    inc = inst.incidence
     demand = _demand_lists(inst)
-    freq = max((len(inst.covering_items(e)) for e, _ in demand), default=1)
+    counts = inc.sum(axis=1).tolist()
+    freq = max((counts[e] for e, _ in demand), default=1)
     candidates = np.unique(np.concatenate([x, t.ravel(), [0.0, np.max(x, initial=0.0) + 1.0]]))
     # solve_lp clips z at 0, so t >= x: U covers (k, e) iff some covering t[k, s] >= U
-    top = min(
-        (float(t[k, list(inst.covering_items(e))].max()) for e, ks in demand for k in ks),
-        default=math.inf,
-    )
+    reach = np.where(inc, t[:, None, :], -np.inf).max(axis=2, initial=-np.inf)
+    top = min((float(reach[k, e]) for e, ks in demand for k in ks), default=math.inf)
 
     best_cost, best = math.inf, None
     for u in candidates[candidates <= top]:

@@ -25,8 +25,8 @@ __all__ = ["generate_instance", "GENERATOR_KINDS"]
 def _check_policy(sigma: float, lam: float) -> None:
     if not 0.0 < sigma < 1.0:
         raise InstanceError(f"sigma must be in (0, 1), got {sigma}")
-    if lam <= 1.0:
-        raise InstanceError(f"lam must exceed 1, got {lam}")
+    if not 1.0 < lam < np.inf:
+        raise InstanceError(f"lam must be finite and exceed 1, got {lam}")
 
 
 def _scenario_set(
@@ -89,7 +89,8 @@ def _vertex_cover(
     if n_edges is None:
         n_edges = min(len(pairs), 2 * n_vertices)
     if not 1 <= n_edges <= len(pairs):
-        raise InstanceError(f"need between 1 and {len(pairs)} edges, got {n_edges}")
+        raise InstanceError(
+            f"vertex_cover parameter 'n_edges' must be in [1, {len(pairs)}], got {n_edges}")
     order = rng.permutation(len(pairs))
     edges = tuple(pairs[i] for i in order[:n_edges])
     w = _weights(rng, n_vertices)
@@ -150,7 +151,8 @@ def _steiner(
         n_edges = min(n_vertices - 1 + max(2, n_vertices // 2), n_vertices - 1 + len(pairs))
     extra = n_edges - (n_vertices - 1)
     if not 0 <= extra <= len(pairs):
-        raise InstanceError(f"need between {n_vertices - 1} and {n_vertices - 1 + len(pairs)} edges")
+        raise InstanceError(f"steiner parameter 'n_edges' must be in [{n_vertices - 1}, "
+                            f"{n_vertices - 1 + len(pairs)}], got {n_edges}")
     order = rng.permutation(len(pairs))
     edges += [pairs[i] for i in order[:extra]]
     w = _weights(rng, len(edges))
@@ -174,6 +176,14 @@ GENERATOR_KINDS = {
 _TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float)}
 _PARAMS = {kind: {k: v for k, v in make.__annotations__.items() if k not in ("rng", "return")}
            for kind, make in GENERATOR_KINDS.items()}
+# the least count each kind builds from (a set may draw two members); n_edges
+# depends on n_vertices, and its generator checks it
+_LEAST = {
+    "set_cover": {"n_elements": 2, "n_sets": 1, "scenarios": 0},
+    "vertex_cover": {"n_vertices": 2, "scenarios": 0},
+    "ufl": {"n_facilities": 1, "n_clients": 0, "scenarios": 0},
+    "steiner": {"n_vertices": 1, "scenarios": 0},
+}
 
 
 def generate_instance(kind: str, seed: int = 0, **params):
@@ -190,4 +200,9 @@ def generate_instance(kind: str, seed: int = 0, **params):
             raise InstanceError(f"{kind} has no parameter {name!r}; it takes {sorted(accepted)}")
         if type(value) not in _TYPES[want]:
             raise InstanceError(f"{kind} parameter {name!r} must be {want}, got {value!r}")
+        least = _LEAST[kind].get(name)
+        if least is not None and value < least:
+            raise InstanceError(f"{kind} parameter {name!r} must be at least {least}, got {value}")
+        if name == "client_prob" and not 0.0 <= value <= 1.0:
+            raise InstanceError(f"{kind} parameter 'client_prob' must be in [0, 1], got {value}")
     return make(np.random.default_rng(seed), **params)

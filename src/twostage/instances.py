@@ -9,6 +9,7 @@ Steiner.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -47,6 +48,11 @@ def _check_finite(field: str, values) -> None:
         at = tuple(int(i) for i in bad[0])
         index = "".join(f"[{i}]" for i in at)
         raise InstanceError(f"{field}{index} must be finite, got {arr[at]}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_ground_weights(policy: CostPolicy, weights: tuple[float, ...]) -> None:
@@ -101,16 +107,14 @@ class SetCoverInstance:
     def n_items(self) -> int:
         return len(self.sets)
 
+    @functools.cached_property
     def incidence(self) -> np.ndarray:
-        """Boolean (n_elements, n_items): which items cover which element."""
+        """Read-only boolean (n_elements, n_items), built once: the items covering each element."""
         m = np.zeros((self.n_elements, self.n_items), dtype=bool)
         for s, members in enumerate(self.sets):
             for e in members:
                 m[e, s] = True
-        return m
-
-    def covering_items(self, element: int) -> tuple[int, ...]:
-        return tuple(s for s, members in enumerate(self.sets) if element in members)
+        return _frozen(m)
 
     def covers_demand(self, clients: frozenset[int], items: frozenset[int]) -> bool:
         covered: set[int] = set()
@@ -146,16 +150,13 @@ class VertexCoverInstance:
     def n_elements(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
     def incidence(self) -> np.ndarray:
+        """Read-only boolean (n_edges, n_vertices), built once: each edge's two endpoints."""
         m = np.zeros((len(self.edges), self.n_vertices), dtype=bool)
         for e, (u, v) in enumerate(self.edges):
-            m[e, u] = True
-            m[e, v] = True
-        return m
-
-    def covering_items(self, element: int) -> tuple[int, ...]:
-        u, v = self.edges[element]
-        return (u, v) if u < v else (v, u)
+            m[e, u] = m[e, v] = True
+        return _frozen(m)
 
     def covers_demand(self, clients: frozenset[int], items: frozenset[int]) -> bool:
         return all(self.edges[e][0] in items or self.edges[e][1] in items for e in clients)
@@ -229,9 +230,10 @@ class UflInstance:
     def n_items(self) -> int:
         return self.n_facilities
 
-    @property
+    @functools.cached_property
     def dist(self) -> np.ndarray:
-        return np.asarray(self.distance, dtype=float)
+        """Read-only (n_facilities, n_clients) array of ``distance``, built once."""
+        return _frozen(np.array(self.distance, dtype=float))
 
     @property
     def lam(self) -> float:

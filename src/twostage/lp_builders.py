@@ -66,10 +66,11 @@ class FractionalCoverSolution:
             raise ValueError("solution arrays do not match the instance")
         if np.any(self.y > self.x + 1e-9):
             raise InstanceError("exercised mass exceeds reserved mass")
+        inc = self.instance.incidence
         for i, (_, clients) in enumerate(self.instance.scenarios.scenarios):
             for e in clients:
-                items = list(self.instance.covering_items(e))
-                if self.y[i, items].sum() + self.z[i, items].sum() < 1.0 - 1e-7:
+                # a boolean row gathers the covering items in ascending order
+                if self.y[i, inc[e]].sum() + self.z[i, inc[e]].sum() < 1.0 - 1e-7:
                     raise InstanceError(
                         f"element {e} undercovered in scenario {i}"
                     )
@@ -163,10 +164,9 @@ def _cover_blocks(inst: CoverInstance, demand: list[list[int]]) -> list[np.ndarr
 
     Raises on the first uncoverable element in (scenario, element) order.
     """
-    incidence = inst.incidence().astype(float)
     blocks = []
     for k, elements in enumerate(demand):
-        block = incidence[elements]
+        block = inst.incidence[elements].astype(float)
         bad = np.flatnonzero(~block.any(axis=1))
         if bad.size:
             raise InstanceError(f"element {elements[bad[0]]} of scenario {k} is uncoverable")

@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioSet",
     "StageDecision",
     "TwoStageSolution",
+    "stage_price",
     "evaluate_objective",
     "check_feasible",
 ]
@@ -197,6 +198,17 @@ class FeasibilityReport:
         return self.feasible
 
 
+def stage_price(policy: CostPolicy, probs, first: float, exercise, recourse) -> ObjectiveBreakdown:
+    """The objective of the module docstring from masses: ``first`` is w(F0),
+    and ``exercise[k]`` and ``recourse[k]`` are w(F1) and w(F2) in the scenario
+    of probability ``probs[k]``; a fractional plan passes fractional masses."""
+    return ObjectiveBreakdown(
+        policy.sigma * first,
+        (1.0 - policy.sigma) * math.fsum(p * m for p, m in zip(probs, exercise)),
+        policy.lam * math.fsum(p * m for p, m in zip(probs, recourse)),
+    )
+
+
 def evaluate_objective(
     sol: TwoStageSolution, policy: CostPolicy, scen: ScenarioSet
 ) -> ObjectiveBreakdown:
@@ -207,16 +219,11 @@ def evaluate_objective(
         raise StructureError(
             f"solution has {len(sol.stages)} stage entries for {len(scen)} scenarios"
         )
-    first = policy.sigma * policy.weight(sol.reserved)
-    exercise = (1.0 - policy.sigma) * math.fsum(
-        p * policy.weight(stage.exercised)
-        for (p, _), stage in zip(scen.scenarios, sol.stages)
+    weight = policy.weight
+    return stage_price(
+        policy, [p for p, _ in scen.scenarios], weight(sol.reserved),
+        [weight(st.exercised) for st in sol.stages], [weight(st.recoursed) for st in sol.stages],
     )
-    recourse = policy.lam * math.fsum(
-        p * policy.weight(stage.recoursed)
-        for (p, _), stage in zip(scen.scenarios, sol.stages)
-    )
-    return ObjectiveBreakdown(first, exercise, recourse)
 
 
 def check_feasible(
@@ -261,17 +268,15 @@ def monte_carlo_cost(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    base = policy.sigma * policy.weight(first_stage)
+    first = policy.weight(first_stage)
     costs = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         clients = scen.sample(rng)
         exercised, recoursed = decide(clients)
-        costs[t] = (
-            base
-            + (1.0 - policy.sigma) * policy.weight(exercised)
-            + policy.lam * policy.weight(recoursed)
-        )
+        costs[t] = stage_price(
+            policy, (1.0,), first, (policy.weight(exercised),), (policy.weight(recoursed),)
+        ).total
     mean = float(np.mean(costs))
     stderr = 0.0 if trials == 1 else float(np.std(costs, ddof=1) / math.sqrt(trials))
     return mean, stderr

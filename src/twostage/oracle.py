@@ -58,6 +58,7 @@ from .instances import (
     SteinerInstance,
     UflInstance,
     VertexCoverInstance,
+    _frozen,
 )
 from .model import StageDecision, TwoStageSolution
 
@@ -284,11 +285,6 @@ def _nearest_fold(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return minc, owner
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # Inside ``_shared_preparation`` the covering and Steiner branches of
 # ``_prepare`` keep their scenario-independent tables and each client set's
 # candidates here, keyed by the bytes they are built from.  Outside it every
@@ -327,7 +323,7 @@ def _prepare(inst: Instance) -> _Prep:
             g = inst.graph
             source = (g.n_vertices, g.root, g.edges)
         else:
-            inc = inst.incidence()
+            inc = inst.incidence
             source = (inc.shape, inc.tobytes())
         key = (steiner, source, w.tobytes(), np.array([sigma, lam]).tobytes())
         shared = _SHARED.get()
@@ -338,7 +334,7 @@ def _prepare(inst: Instance) -> _Prep:
             c = lam - 1.0 + sigma
             shared[key] = (
                 _frozen(table), _frozen(c * table), _frozen(sigma * table),
-                _pruning_is_exact(w, lam, c), _frozen(_root_reach(g) if steiner else inc),
+                _pruning_is_exact(w, lam, c), _frozen(_root_reach(g)) if steiner else inc,
             )
         table, save_table, first_vec, prune, structure = shared[key]
         distinct = dict.fromkeys(clients for _, clients in scen)

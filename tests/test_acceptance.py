@@ -21,7 +21,7 @@ from twostage.cover import (
     preprocess_half,
     scale_factor,
     default_psi,
-    srinivasan_round_set_cover,
+    srinivasan_sampler,
 )
 from twostage.generators import generate_instance
 from twostage.instances import UflInstance
@@ -210,9 +210,10 @@ def test_criterion_05_set_cover_scaling():
         n = inst.n_elements
         repairs = 0
         pre = 0.0
+        sample = srinivasan_sampler(sol)
         for s in range(n_seeds):
             stats = {}
-            out = srinivasan_round_set_cover(sol, seed=s, stats=stats)
+            out = sample(s, stats)
             assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
             repairs += stats["scenarios_repaired"]
             pre += stats["pre_repair_value"]
@@ -373,7 +374,7 @@ def test_criterion_12_bitwise_reproducibility(tmp_path):
 
     sc = generate_instance("set_cover", seed=1)
     sol = solve_cover_lp(sc)
-    ok = ok and srinivasan_round_set_cover(sol, seed=9) == srinivasan_round_set_cover(sol, seed=9)
+    ok = ok and srinivasan_sampler(sol)(9) == srinivasan_sampler(sol)(9)
 
     gadget = solve_ufl_lp(odd_cycle_ufl(extra_scenario=True))
     prep = prepare_improved(gadget)

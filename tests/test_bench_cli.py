@@ -590,6 +590,23 @@ def test_generator_parameters_are_refused_by_name(tmp_path, capsys, argv, messag
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--format"), ("gen", "--assert-bounds"),
+     ("solve-lp", "--seed"), ("solve-lp", "--assert-bounds"),
+     ("oracle", "--seed"), ("oracle", "--format"), ("oracle", "--assert-bounds"),
+     ("saa", "--format"), ("saa", "--assert-bounds")],
+)
+def test_a_subcommand_refuses_a_shared_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    inst = gen_file(tmp_path, "set_cover", "set_cover")
+    required = ["--kind", "set_cover"] if command == "gen" else ["--instance", str(inst)]
+    value = {"--seed": ["1"], "--format": ["json"], "--assert-bounds": []}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, *value])
+    assert exc.value.code == EXIT_ERROR
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_run_algorithm_refuses_an_unknown_name_with_a_value_error():
     inst = generate_instance("set_cover", seed=0)
     with pytest.raises(ValueError, match="unknown algorithm 'nope'; registered: buyall"):

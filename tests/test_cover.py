@@ -17,7 +17,7 @@ from twostage.cover import (
     half_mass_inflation_bound,
     preprocess_half,
     scale_factor,
-    srinivasan_round_set_cover,
+    srinivasan_sampler,
     srinivasan_round_vertex_cover,
     threshold_recourse_cover,
     threshold_round_vertex_cover,
@@ -213,20 +213,32 @@ def test_prepared_double_sample_equals_one_shot_rounding(inst):
 
 
 def test_each_rounding_builds_the_incidence_once(monkeypatch):
-    inst = generate_instance("set_cover", seed=3, n_elements=8, n_sets=8, scenarios=3)
-    sol = solve_cover_lp(inst)
-    builds = []
-    real = SetCoverInstance.incidence
-    monkeypatch.setattr(SetCoverInstance, "incidence", lambda self: builds.append(1) or real(self))
-    sample = bench.prepare(inst, "double").sample
-    prepared = len(builds)
-    assert prepared == 2  # the relaxation's rows and the sampler's, once each
-    for seed in range(5):
-        sample(seed)
-    assert len(builds) == prepared
-    for seed in range(5):
-        srinivasan_round_set_cover(sol, seed=seed)
-    assert len(builds) == prepared + 5
+    # The relaxation, every rounding's preparation and samples, and the oracle
+    # all read one cached matrix per instance, built on first use.
+    for kind, params, algorithms in [
+        ("set_cover", {"n_elements": 8, "n_sets": 8}, ("double", "srini-sc", "buyall")),
+        ("vertex_cover", {"n_vertices": 8}, ("double", "threshold", "srini-vc", "buyall")),
+    ]:
+        inst = generate_instance(kind, seed=3, scenarios=3, **params)
+        prop = type(inst).__dict__["incidence"]
+        builds = []
+        monkeypatch.setattr(prop, "func", lambda self, real=prop.func: builds.append(1) or real(self))
+        for algorithm in algorithms:
+            sample = bench.prepare(inst, algorithm).sample
+            for seed in range(5):
+                sample(seed)
+        brute_force_optimal(inst)
+        assert len(builds) == 1, kind
+
+
+def test_incidence_and_distances_are_read_only():
+    # built once per instance and shared by every reader, so no reader may write
+    for kind, name in [("set_cover", "incidence"), ("vertex_cover", "incidence"), ("ufl", "dist")]:
+        inst = generate_instance(kind, seed=0)
+        table = getattr(inst, name)
+        assert getattr(inst, name) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = table[0, 0]
 
 
 # -- threshold rounding -------------------------------------------------------
@@ -328,7 +340,8 @@ def test_saturated_values_buy_everything():
         np.array([[0.5, 0.5]]),
         value=2.0,
     )
-    outs = {srinivasan_round_set_cover(sol, seed=s) for s in range(10)}
+    sample = srinivasan_sampler(sol)
+    outs = {sample(s) for s in range(10)}
     assert len(outs) == 1  # saturation leaves nothing to chance
     out = outs.pop()
     assert out.reserved == frozenset({0, 1})
@@ -343,7 +356,8 @@ def test_srini_sc_coins_fire_on_the_fano_plane():
     inst = singleton_sc(weights=(1.0,) * 7, sets=lines, pairs=((1.0, range(7)),))
     sol = solve_cover_lp(inst)
     assert np.allclose(sol.x, 1.0 / 3.0)
-    plans = {srinivasan_round_set_cover(sol, seed=s) for s in range(20)}
+    sample = srinivasan_sampler(sol)
+    plans = {sample(s) for s in range(20)}
     assert len(plans) > 1
     for plan in plans:
         assert check_feasible(plan, inst.scenarios, inst.covers_demand).feasible
@@ -355,9 +369,10 @@ def test_repairs_are_rare_and_prerepair_cost_is_bounded():
     repairs = 0
     pre_costs = []
     n_seeds = 600
+    sample = srinivasan_sampler(sol)
     for seed in range(n_seeds):
         stats = {}
-        out = srinivasan_round_set_cover(sol, seed=seed, stats=stats)
+        out = sample(seed, stats)
         assert check_feasible(out, inst.scenarios, inst.covers_demand).feasible
         repairs += stats["scenarios_repaired"] > 0
         pre_costs.append(stats["pre_repair_value"])

@@ -64,9 +64,24 @@ def test_unknown_kind_is_rejected():
      ("set_cover", {"scenarios": True}, "set_cover parameter 'scenarios' must be int, got True"),
      ("vertex_cover", {"n_edges": 5.0}, "vertex_cover parameter 'n_edges' must be int | None, got 5.0"),
      ("ufl", {"sigma": "0.5"}, "ufl parameter 'sigma' must be float, got '0.5'"),
-     ("steiner", {"client_prob": None}, "steiner parameter 'client_prob' must be float, got None")],
+     ("steiner", {"client_prob": None}, "steiner parameter 'client_prob' must be float, got None"),
+     ("set_cover", {"n_sets": 0}, "set_cover parameter 'n_sets' must be at least 1, got 0"),
+     ("set_cover", {"n_elements": 1}, "set_cover parameter 'n_elements' must be at least 2, got 1"),
+     ("set_cover", {"scenarios": -1}, "set_cover parameter 'scenarios' must be at least 0, got -1"),
+     ("ufl", {"n_facilities": 0}, "ufl parameter 'n_facilities' must be at least 1, got 0"),
+     ("ufl", {"n_clients": -1}, "ufl parameter 'n_clients' must be at least 0, got -1"),
+     ("vertex_cover", {"n_vertices": 1}, "vertex_cover parameter 'n_vertices' must be at least 2, got 1"),
+     ("steiner", {"n_vertices": 0}, "steiner parameter 'n_vertices' must be at least 1, got 0"),
+     ("vertex_cover", {"n_edges": 0}, "vertex_cover parameter 'n_edges' must be in [1, 15], got 0"),
+     ("steiner", {"n_edges": 2}, "steiner parameter 'n_edges' must be in [7, 28], got 2"),
+     ("set_cover", {"client_prob": 2}, "set_cover parameter 'client_prob' must be in [0, 1], got 2"),
+     ("ufl", {"lam": math.inf}, "lam must be finite and exceed 1, got inf"),
+     ("steiner", {"sigma": math.nan}, "sigma must be in (0, 1), got nan")],
     ids=["unknown", "other-kinds-name", "string-count", "float-count", "bool-count",
-         "float-n-edges", "string-sigma", "none-client-prob"],
+         "float-n-edges", "string-sigma", "none-client-prob", "no-sets", "one-element",
+         "negative-scenarios", "no-facilities", "negative-clients", "one-vertex",
+         "no-steiner-vertex", "no-edges", "too-few-steiner-edges", "client-prob-above-1",
+         "infinite-lam", "nan-sigma"],
 )
 def test_unknown_or_wrongly_typed_parameters_are_refused_by_name(kind, params, message):
     with pytest.raises(InstanceError) as exc:

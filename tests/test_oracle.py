@@ -22,6 +22,7 @@ from twostage.instances import (
 from twostage.model import CostPolicy, ScenarioSet, check_feasible, evaluate_objective
 from twostage.oracle import MAX_ITEMS, MAX_SCENARIOS, best_completion, brute_force_optimal
 from twostage.saa import SaaConfig, repeating_saa
+from twostage.ufl import UflPlan, evaluate_ufl_cost
 from twostage.generators import generate_instance
 
 
@@ -33,6 +34,13 @@ def cover_instance(weights, sets, scen_pairs, sigma=0.5, lam=2.0, n_elements=2):
         policy=CostPolicy(sigma, lam, dict(enumerate(weights))),
         scenarios=ScenarioSet.explicit(scen_pairs),
     )
+
+
+def covering_items(inst, e):
+    """The items covering element e, read off the instance's sets or edges."""
+    if isinstance(inst, VertexCoverInstance):
+        return sorted(inst.edges[e])
+    return [s for s, members in enumerate(inst.sets) if e in members]
 
 
 def test_no_scenarios_costs_nothing():
@@ -65,14 +73,39 @@ def test_two_scenario_three_set_frozen_value():
     assert bd.total == pytest.approx(res.optimal_cost)
 
 
+def evaluated_cost(inst, sol):
+    """A plan's cost by its family's evaluator; a facility plan serves each
+    demanded client from its nearest bought facility."""
+    if not isinstance(inst, UflInstance):
+        return evaluate_objective(sol, inst.policy, inst.scenarios).total
+    assignment = tuple(
+        {j: min(stage.bought, key=lambda i: inst.dist[i, j]) for j in clients}
+        for (_, clients), stage in zip(inst.scenarios.scenarios, sol.stages)
+    )
+    return evaluate_ufl_cost(inst, UflPlan(sol, assignment)).total
+
+
 def test_oracle_solution_is_feasible_and_priced_right():
-    for seed in range(5):
-        inst = generate_instance("set_cover", seed=seed, n_elements=5, n_sets=6, scenarios=3)
-        res = brute_force_optimal(inst)
-        rep = check_feasible(res.optimal_solution, inst.scenarios, inst.covers_demand)
-        assert rep.feasible
-        bd = evaluate_objective(res.optimal_solution, inst.policy, inst.scenarios)
-        assert bd.total == pytest.approx(res.optimal_cost, abs=1e-9)
+    # The optimum and best completions of random reservations, each priced
+    # by its family's evaluator, independently of the oracle's tables.
+    rng = np.random.default_rng(7)
+    sizes = {
+        "set_cover": {"n_elements": 5, "n_sets": 6},
+        "vertex_cover": {"n_vertices": 6, "n_edges": 8},
+        "ufl": {"n_facilities": 5, "n_clients": 5},
+        "steiner": {"n_vertices": 6, "n_edges": 8},
+    }
+    for kind, params in sizes.items():
+        for seed in range(5):
+            inst = generate_instance(kind, seed=seed, scenarios=3, **params)
+            res = brute_force_optimal(inst)
+            plans = [(res.optimal_solution, res.optimal_cost)]
+            for _ in range(3):
+                reserved = frozenset(np.flatnonzero(rng.random(inst.n_items) < 0.5).tolist())
+                plans.append(best_completion(inst, reserved))
+            for sol, cost in plans:
+                assert check_feasible(sol, inst.scenarios, inst.covers_demand).feasible
+                assert evaluated_cost(inst, sol) == pytest.approx(cost, rel=1e-9), (kind, seed)
 
 
 def test_oracle_is_deterministic():
@@ -125,7 +158,7 @@ def ref_covering_masks(inst, clients, n):
     elem_masks = []
     for e in sorted(clients):
         cm = 0
-        for s in inst.covering_items(e):
+        for s in covering_items(inst, e):
             cm |= 1 << s
         if cm == 0:
             raise InstanceError(f"element {e} is uncoverable")
@@ -342,9 +375,9 @@ def test_covering_masks_are_exactly_the_covers(data):
     covered = frozenset().union(*sets)
     if not clients <= covered:
         with pytest.raises(InstanceError):
-            oracle._covering_feasible(inst.incidence(), [clients])
+            oracle._covering_feasible(inst.incidence, [clients])
         return
-    ok = oracle._covering_feasible(inst.incidence(), [clients])
+    ok = oracle._covering_feasible(inst.incidence, [clients])
     assert ok.shape == (1, 1 << len(sets))
     feasible = set(np.flatnonzero(ok[0]).tolist())
     for x in range(1 << len(sets)):
@@ -665,7 +698,7 @@ def test_minimal_masks_are_feasible_with_no_feasible_one_bit_removal(data):
 def test_minimal_masks_of_a_cover_are_its_inclusion_minimal_covers():
     # sets {0}, {1}, {0, 1}, {2}: element 0 or 1 and element 2 demanded
     inst = cover_instance([1.0] * 4, [{0}, {1}, {0, 1}, {2}], [(1.0, [0, 1, 2])], n_elements=3)
-    ok = oracle._covering_feasible(inst.incidence(), [frozenset({0, 1, 2})])
+    ok = oracle._covering_feasible(inst.incidence, [frozenset({0, 1, 2})])
     assert np.flatnonzero(oracle._minimal_masks(ok)[0]).tolist() == [0b1011, 0b1100]
 
 
@@ -817,7 +850,7 @@ def loop_covering_feasible(inst, clients, n):
     ok = np.ones(x.size, dtype=bool)
     for e in sorted(clients):
         cm = 0
-        for s in inst.covering_items(e):
+        for s in covering_items(inst, e):
             cm |= 1 << s
         if cm == 0:
             raise InstanceError(f"element {e} is uncoverable")
