@@ -23,6 +23,7 @@ from twostage import bench, cover, lp, lp_builders, ufl
 from twostage.cli import EXIT_BOUND, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from twostage.generators import GENERATOR_KINDS, generate_instance
 from twostage.instances import (
+    SetCoverInstance,
     UflInstance,
     VertexCoverInstance,
     instance_to_dict,
@@ -769,3 +770,104 @@ def plan_digest(tmp_path) -> str:
 def test_plans_match_the_golden_digest(tmp_path):
     digest = plan_digest(tmp_path)
     assert digest == GOLDEN_PLAN_DIGEST, f'GOLDEN_PLAN_DIGEST = "{digest}"'
+
+
+# ---------------------------------------------------------------------------
+# Golden coin stream.  The plan digest's randomized roundings mostly saturate
+# on the generated corpora, so it cannot see a sampler draw the wrong coin.
+# This digest hashes the plans of seeds 0-499 of three samplers on hand-built
+# fractional solutions whose coins fire: the improved UFL rounding, cluster
+# sampling and srini-sc on the Fano plane.  It is not regenerated by a
+# refactor; a change to it is an output change, declared in CHANGES.md.
+GOLDEN_COIN_DIGEST = "e1ea82defaa22ff5991b8e2907af71065a2da0f9e5640c409dd79684ac36eebe"
+
+COIN_SEEDS = range(500)
+
+
+def tilted_ufl_solution():
+    """A fractional two-stage plan on the odd cycle plus a farther facility 3.
+
+    Scenario 1 exercises less than it reserves, so the one cluster's copies
+    carry exercise odds 1 (facility 0) and 0 (facility 1) there, and reserved
+    copies outside the cluster exercise with odds 1 in scenario 0 and 0 or 1
+    in scenario 1.  (An odds row is a copy's layer mass over its opening
+    mass; ``make_complete`` cuts copies at the layer breakpoints, so on any
+    relaxation it is 0 or 1.)  Opening coins of 0.24-0.72 fire inside and
+    outside the cluster, and scenario 1's client 2 is a second-stage pair.
+    """
+    dist = [[1.0 if i in (j, (j + 1) % 3) else 3.0 for j in range(3)] for i in range(3)]
+    inst = UflInstance(
+        open_cost=(2.0, 2.0, 2.0, 1.0),
+        scenario_open_cost=((4.0,) * 4, (4.0,) * 4),
+        distance=tuple(tuple(r) for r in dist) + ((2.0, 2.0, 2.0),),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(0.5, [0, 1, 2]), (0.5, [0, 2])]),
+    )
+    x = np.zeros((2, 3, 4))
+    x[0, 0, [0, 1]] = 0.4, 0.6
+    x[0, 1, [1, 2, 3]] = 0.5, 0.2, 0.3
+    x[0, 2, [2, 0]] = 0.7, 0.3
+    x[1, 0, [0, 3]] = 0.4, 0.6
+    x[1, 2, 3] = 1.0
+    return lp_builders.FractionalUflSolution(
+        inst,
+        y0=np.array([0.7, 0.7, 0.7, 0.3]),
+        yk=np.array([[0.7, 0.7, 0.7, 0.3], [0.4, 0.0, 0.0, 0.3]]),
+        zk=np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        x=x,
+        value=0.0,
+    )
+
+
+def cluster_sampling_case():
+    """(distance, clients, y, serve, duals) of a complete single-stage
+    solution: clients 0 and 1 share the cluster {0, 1} at y = 0.3 / 0.7,
+    client 2 founds {3, 4} at 0.4 / 0.6, and facility 2 (y = 0.3) is in
+    no cluster."""
+    d = np.array([
+        [1.0, 3.0, 3.0],
+        [1.0, 1.5, 3.0],
+        [2.0, 1.5, 3.0],
+        [3.0, 3.0, 2.0],
+        [3.0, 3.0, 2.0],
+    ])
+    y = np.array([0.3, 0.7, 0.3, 0.4, 0.6])
+    serve = np.array([[0.3, 0.7, 0.0, 0.0, 0.0], [0.0, 0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.4, 0.6]])
+    return d, (0, 1, 2), y, serve, np.zeros(3)
+
+
+def fano_solution():
+    """x = 1/3 on the seven lines of the Fano plane, exercised at 1/4 and
+    recoursed at 1/10, so every srini-sc coin lies strictly inside (0, 1)."""
+    lines = ({0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5})
+    inst = SetCoverInstance(
+        n_elements=7,
+        sets=tuple(frozenset(s) for s in lines),
+        weights=(1.0,) * 7,
+        policy=CostPolicy(0.5, 2.0, dict.fromkeys(range(7), 1.0)),
+        scenarios=ScenarioSet.explicit([(0.5, range(7)), (0.5, [0, 1, 2])]),
+    )
+    return lp_builders.FractionalCoverSolution(
+        inst, np.full(7, 1 / 3), np.full((2, 7), 0.25), np.full((2, 7), 0.1), value=0.0
+    )
+
+
+def coin_samplers():
+    """Each sampler's draw as a function of the seed, prepared once."""
+    prep = ufl.prepare_improved(tilted_ufl_solution())
+    d, clients, y, serve, duals = cluster_sampling_case()
+    fano = cover.srinivasan_sampler(fano_solution())
+    return (
+        lambda seed: ufl.sample_improved(prep, seed),
+        lambda seed: ufl.cs_round_deterministic_ufl(np.ones(5), d, clients, y, serve, duals, seed=seed),
+        fano,
+    )
+
+
+def test_coins_match_the_golden_coin_digest():
+    h = hashlib.sha256()
+    for draw in coin_samplers():
+        lines = [repr(plan_record(draw(seed))).encode() for seed in COIN_SEEDS]
+        assert len(set(lines)) > 1  # the coins fire
+        h.update(b"\n".join(lines) + b"\n")
+    assert h.hexdigest() == GOLDEN_COIN_DIGEST, f'GOLDEN_COIN_DIGEST = "{h.hexdigest()}"'
