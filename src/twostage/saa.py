@@ -67,21 +67,33 @@ class SaaConfig:
         that is ceil(2 ln 10) = 5.  The per-repetition sample count is
         ``c_n`` times the squared recourse ratio, epsilon^-4, k_reps, the
         log of the first-stage space (bits * ln 2) and ln(1/delta).  Both
-        counts are clamped to at least 1.  A recourse ratio that is not
-        finite (facility location with a free ground opening price and a
-        priced recourse one), or so large that the sample count overflows,
-        is a ValueError.
+        counts are clamped to at least 1.  Before any arithmetic, epsilon or
+        delta outside (0, 1), a ``c_n`` that is not finite and positive, and a
+        recourse ratio that is not finite (facility location with a free
+        ground opening price and a priced recourse one) are ValueErrors
+        naming the parameter; so is a sample count that overflows.
         """
+        bounds = [("epsilon", epsilon, 1.0), ("delta", delta, 1.0), ("c_n", c_n, math.inf)]
+        for name, value, top in bounds:
+            if not 0.0 < value < top:
+                raise ValueError(f"{name} must lie strictly inside (0, {top:g}), got {value}")
         if not math.isfinite(recourse_ratio):
             raise ValueError(f"recourse ratio must be finite, got {recourse_ratio}")
         confidence = math.log(1.0 / delta)
-        k = max(1, math.ceil(1.0 / epsilon * confidence))
         ln_x = max(first_stage_bits, 1) * math.log(2.0)
         try:
+            k = max(1, math.ceil(1.0 / epsilon * confidence))
             count = c_n * recourse_ratio**2 * epsilon**-4 * k * ln_x * confidence
             n = max(1, math.ceil(count))
         except OverflowError as exc:
-            raise ValueError(f"sample count overflows at recourse ratio {recourse_ratio}") from exc
+            # the count grows as c_n ratio^2 epsilon^-5 ln(1/delta)^2; name its largest factor
+            _, name, value = max(
+                (math.log(c_n), "c_n", c_n),
+                (2 * math.log(abs(recourse_ratio) or 1.0), "recourse ratio", recourse_ratio),
+                (-5 * math.log(epsilon), "epsilon", epsilon),
+                (2 * math.log(confidence), "delta", delta),
+            )
+            raise ValueError(f"sample count overflows at {name} {value}") from exc
         return cls(epsilon, delta, k, n)
 
 

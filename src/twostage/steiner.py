@@ -96,16 +96,12 @@ def sampling_heuristic(
     approximate tree of their union at ground prices, and leaves stage 2 to
     :meth:`SamplingPlan.decide`.  Explicit and black-box scenario sets draw
     through ``ScenarioSet.sample``, so the draw stream depends only on the
-    seed.
+    seed.  An empty explicit set draws nothing and reserves nothing.
     """
-    m = math.ceil(policy.lam / policy.sigma)
+    m = math.ceil(policy.lam / policy.sigma) if scen.is_black_box or scen.scenarios else 0
     rng = np.random.default_rng(seed)
     draws = tuple(scen.sample(rng) for _ in range(m))
-    union: set[int] = set()
-    for s in draws:
-        union |= s
-    first = mst_steiner_approx(g, union)
-    return SamplingPlan(g, policy, first, draws)
+    return SamplingPlan(g, policy, mst_steiner_approx(g, frozenset().union(*draws)), draws)
 
 
 def mst_recourse_steiner(inst: SteinerInstance) -> RecoursePlan:

@@ -3,20 +3,24 @@
 All four roundings share one filter-and-cluster step, ``_greedy_balls``:
 items are visited cheapest first, and each joins the earliest founder
 whose ball meets its own, or founds its own ball.  ``round_5approx`` runs
-it on the demanded (scenario, client) pairs.  The improved rounding
-(``prepare_improved`` once, ``sample_improved`` per seed) splits pairs into
-a first-stage side (clustered over facility copies, then sampled) and a
-second-stage side (``deterministic_ufl_approx`` per scenario), trading
-determinism for a smaller factor.  Cluster sampling
-(``cs_round_deterministic_ufl``) clusters one stage the same way.
+it on the demanded (scenario, client) pairs.  Both samplers are prepared
+once and sampled per seed, where they only draw.  The improved rounding
+(``prepare_improved``, ``sample_improved``) splits pairs into a first-stage
+side (clustered over facility copies, then sampled) and a second-stage
+side (``deterministic_ufl_approx`` per scenario), trading determinism for
+a smaller factor.  Cluster sampling (``prepare_chudak_shmoys``,
+``sample_chudak_shmoys``; Chudak & Shmoys 2003) clusters one stage the
+same way.
 
-Both produce a :class:`UflPlan`: reserved / exercised / recoursed facility
-sets plus a per-scenario client assignment.  ``evaluate_ufl_cost`` is the
-single costing routine every test and benchmark goes through.
+The two-stage roundings produce a :class:`UflPlan`: reserved / exercised /
+recoursed facility sets plus a per-scenario client assignment.
+``evaluate_ufl_cost`` is the single costing routine every test and
+benchmark goes through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -345,11 +349,8 @@ def make_complete(
             serve_cols.append(np.where(rows[:, i] >= hi - _TOL, hi - lo, 0.0))
             if layers is not None:
                 aux_cols.append(np.where(layers[:, i] >= hi - _TOL, hi - lo, 0.0))
-    n_c = len(src)
-    serve_out = np.array(serve_cols).T if n_c else np.zeros((rows.shape[0], 0))
-    aux_out = None
-    if layers is not None:
-        aux_out = np.array(aux_cols).T if n_c else np.zeros((layers.shape[0], 0))
+    serve_out = np.array(serve_cols).reshape(len(src), rows.shape[0]).T
+    aux_out = None if layers is None else np.array(aux_cols).reshape(len(src), layers.shape[0]).T
     return CompleteUfl(np.array(src, dtype=int), np.array(mass), serve_out, aux_out)
 
 
@@ -440,6 +441,11 @@ def _greedy_clusters(balls: list[frozenset], keys: list[tuple]) -> ClusterPlan:
 # the improved pipeline
 
 
+def _nearest_open(d: np.ndarray, opened, clients) -> dict[int, int]:
+    """Each client, in order, to its nearest open facility (lowest id on ties)."""
+    return {j: min(opened, key=lambda i: (d[i, j], i)) for j in clients}
+
+
 @dataclass(frozen=True)
 class PreparedImproved:
     """Seed-independent part of the improved rounding on one relaxation.
@@ -447,7 +453,7 @@ class PreparedImproved:
     ``needed[k]`` lists the clusters backing a demanded first-stage pair of
     scenario k; ``second_opened[k]`` is the scenario's second-stage
     opening.  ``complete``, ``filtered`` and ``clusters`` are None when no
-    pair is first-stage.
+    pair is first-stage; the arrays below are derived from them once.
     """
 
     sol: FractionalUflSolution
@@ -456,6 +462,31 @@ class PreparedImproved:
     clusters: ClusterPlan | None
     needed: tuple[tuple[int, ...], ...]
     second_opened: tuple[frozenset[int], ...]
+
+    @functools.cached_property
+    def cluster_coins(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Per cluster: its copies, their opening odds and the likeliest
+        copy, which is bought outright after REJECTION_CAP empty rounds."""
+        coins = [(c, self.filtered.open_hat[c]) for c in map(np.array, self.clusters.members)]
+        return tuple((c, odds, int(c[np.argmax(odds)])) for c, odds in coins)
+
+    @functools.cached_property
+    def loose(self) -> np.ndarray:
+        """The copies outside every cluster, ascending."""
+        return np.setdiff1d(np.arange(self.complete.source.size), sum(self.clusters.members, ()))
+
+    @functools.cached_property
+    def exercise_odds(self) -> np.ndarray:
+        """(scenario, copy) exercise odds aux_hat / open_hat of a reserved copy."""
+        return self.filtered.aux_hat / self.filtered.open_hat
+
+    @functools.cached_property
+    def fallback_rank(self) -> np.ndarray:
+        """Copies ranked by (f0 of the facility, facility, copy), the copy
+        order kept by the stable sort: a cluster whose held copies all have
+        zero odds exercises its lowest-ranked one."""
+        src = self.complete.source
+        return np.argsort(np.lexsort((src, np.asarray(self.sol.instance.open_cost)[src])))
 
 
 def prepare_improved(sol: FractionalUflSolution) -> PreparedImproved:
@@ -471,9 +502,7 @@ def prepare_improved(sol: FractionalUflSolution) -> PreparedImproved:
     if first:
         serve = np.array([split.first[k, j] for k, j in first]) / THETA
         comp = make_complete(sol.y0 / THETA, serve, aux=sol.yk / THETA)
-        dmat = np.array([c[comp.source, j] for _, j in first])
-        dmat = dmat.reshape(len(first), comp.source.size)
-        filtered = swamy_filter(comp, dmat, GAMMA)
+        filtered = swamy_filter(comp, c[np.ix_(comp.source, [j for _, j in first])].T, GAMMA)
         keys = [(b.c_gamma, j, k) for b, (k, j) in zip(filtered.balls, first)]
         plan = _greedy_clusters([frozenset(b.copies) for b in filtered.balls], keys)
         needed = tuple(
@@ -489,112 +518,71 @@ def prepare_improved(sol: FractionalUflSolution) -> PreparedImproved:
         if not cl:
             second_opened.append(frozenset())
             continue
-        serve_rows = np.minimum(
-            np.array([split.second[k, j] for j in cl]) / (1.0 - THETA), 1.0
-        )
+        rows = np.minimum(split.second[k, list(cl)] / (1.0 - THETA), 1.0)
         open_mass = np.minimum(sol.zk[k] / (1.0 - THETA), 1.0)
-        opened, _ = deterministic_ufl_approx(
-            np.asarray(inst.scenario_open_cost[k]), c, cl, open_mass, serve_rows
-        )
+        opened, _ = deterministic_ufl_approx(inst.scenario_open_cost[k], c, cl, open_mass, rows)
         second_opened.append(opened)
     return PreparedImproved(sol, comp, filtered, plan, needed, tuple(second_opened))
 
 
 def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
-    """Randomized two-sided rounding; ``prepare_improved`` does all of it
-    but the draws, once per relaxation.
+    """One seed of the improved rounding: only the draws, on the state
+    ``prepare_improved`` built once per relaxation.
 
-    First-stage pairs (service mass >= THETA on exercised capacity) are
-    rescaled by 1/THETA, made complete, prefix-filtered at GAMMA and
-    clustered.  Reservation samples each cluster copy with its filtered
-    ground mass, retrying until the cluster holds something (each round
-    succeeds w.p. >= 1 - 1/e; after REJECTION_CAP tries the likeliest copy
-    is bought outright).  Copies outside clusters flip independent coins.
-    Per scenario, every cluster backing a demanded first-stage pair
-    exercises exactly one reserved copy via a categorical draw weighted by
-    exercised/ground mass ratios; all-zero weights fall back to the
-    cheapest-f0 copy.  Non-cluster reserved copies exercise independently
-    with that ratio.  Second-stage pairs are rounded per scenario by
-    ``deterministic_ufl_approx`` on the recourse masses rescaled by
-    1/(1 - THETA).  Clients always go to the nearest open facility.
+    Each cluster reserves each of its copies with the copy's filtered ground
+    mass, retrying until it holds one (each round succeeds w.p. >= 1 - 1/e;
+    after REJECTION_CAP tries the likeliest copy is bought outright), and
+    copies outside clusters flip independent coins.  Per scenario, every
+    cluster backing a demanded first-stage pair exercises one reserved copy,
+    drawn with the exercise odds as weights (all-zero weights fall back to
+    the cheapest-f0 copy), and reserved copies outside clusters exercise at
+    their odds.  A reserved second-stage opening is exercised, any other is
+    bought at recourse, and clients go to the nearest open facility.
     """
     inst = prep.sol.instance
     rng = np.random.default_rng(seed)
-    c = inst.dist
-    comp, filtered, plan = prep.complete, prep.filtered, prep.clusters
-
-    reserved_orig: set[int] = set()
-    exercised_orig: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
-    if plan is not None:
-        open_hat = filtered.open_hat
-        aux_hat = filtered.aux_hat
-        reserved_copies: set[int] = set()
-        for m in plan.members:
-            copies = np.array(m, dtype=int)
+    reserved: frozenset[int] = frozenset()
+    exercised = [frozenset()] * len(inst.scenarios)
+    if prep.clusters is not None:
+        source, loose, odds = prep.complete.source, prep.loose, prep.exercise_odds
+        held = np.zeros(source.size, dtype=bool)
+        for copies, open_odds, forced in prep.cluster_coins:
             for _ in range(REJECTION_CAP):
-                hit = copies[rng.random(copies.size) < open_hat[copies]]
-                if hit.size:
-                    reserved_copies.update(int(x) for x in hit)
+                hit = rng.random(copies.size) < open_odds
+                if hit.any():
+                    held[copies[hit]] = True
                     break
             else:
-                forced = copies[int(np.argmax(open_hat[copies]))]
-                reserved_copies.add(int(forced))
-        clustered = {cc for m in plan.members for cc in m}
-        loose = np.array(
-            sorted(set(range(comp.source.size)) - clustered), dtype=int
-        )
-        if loose.size:
-            hit = loose[rng.random(loose.size) < open_hat[loose]]
-            reserved_copies.update(int(x) for x in hit)
-        reserved_orig = {int(comp.source[cc]) for cc in reserved_copies}
-
-        f0 = np.asarray(inst.open_cost)
-        for k in range(len(inst.scenarios)):
-            for ci in prep.needed[k]:
-                held = np.array(
-                    sorted(set(plan.members[ci]) & reserved_copies), dtype=int
-                )
-                w = aux_hat[k, held] / open_hat[held]
+                held[forced] = True
+        held[loose] = rng.random(loose.size) < prep.filtered.open_hat[loose]
+        reserved = frozenset(source[held].tolist())
+        stray = loose[held[loose]]
+        for k, needed in enumerate(prep.needed):
+            drawn = np.zeros(source.size, dtype=bool)
+            for ci in needed:
+                copies = prep.cluster_coins[ci][0]
+                mine = copies[held[copies]]
+                w = odds[k, mine]
                 total = float(w.sum())
                 if total <= _TOL:
-                    pick = held[
-                        np.lexsort((held, comp.source[held], f0[comp.source[held]]))[0]
-                    ]
+                    drawn[mine[np.argmin(prep.fallback_rank[mine])]] = True
                 else:
-                    pick = rng.choice(held, p=w / total)
-                exercised_orig[k].add(int(comp.source[int(pick)]))
-            stray = np.array(
-                sorted(reserved_copies - clustered), dtype=int
-            )
-            if stray.size:
-                ratio = aux_hat[k, stray] / open_hat[stray]
-                hit = stray[rng.random(stray.size) < ratio]
-                exercised_orig[k].update(int(comp.source[cc]) for cc in hit)
+                    drawn[rng.choice(mine, p=w / total)] = True
+            drawn[stray] = rng.random(stray.size) < odds[k, stray]
+            exercised[k] = frozenset(source[drawn].tolist())
 
-    recoursed: list[set[int]] = [set() for _ in inst.scenarios.scenarios]
-    for k, opened in enumerate(prep.second_opened):
-        for i in opened:
-            if i in reserved_orig:
-                exercised_orig[k].add(i)  # exercising a reservation beats rebuying
-            else:
-                recoursed[k].add(i)
-
+    # a second-stage opening that is reserved is exercised: cheaper than rebuying
     stages = tuple(
-        StageDecision(frozenset(exercised_orig[k]), frozenset(recoursed[k]))
-        for k in range(len(inst.scenarios))
+        StageDecision(ex | (opened & reserved), opened - reserved)
+        for ex, opened in zip(exercised, prep.second_opened)
     )
-    assignment: list[dict[int, int]] = []
+    assignment = []
     for k, (_, clients) in enumerate(inst.scenarios.scenarios):
-        open_now = sorted(stages[k].exercised | stages[k].recoursed)
-        amap: dict[int, int] = {}
-        for j in sorted(clients):
-            if not open_now:
-                raise InstanceError(f"no facility open for scenario {k}")
-            amap[j] = min(open_now, key=lambda i: (c[i, j], i))
-        assignment.append(amap)
-    return UflPlan(
-        TwoStageSolution(frozenset(reserved_orig), stages), tuple(assignment)
-    )
+        open_now = stages[k].exercised | stages[k].recoursed
+        if clients and not open_now:
+            raise InstanceError(f"no facility open for scenario {k}")
+        assignment.append(_nearest_open(inst.dist, open_now, sorted(clients)))
+    return UflPlan(TwoStageSolution(reserved, stages), tuple(assignment))
 
 
 def clustered_approx_factor(
@@ -638,54 +626,54 @@ def solve_deterministic_ufl_lp(
     return y, x, duals, sol.objective_value
 
 
-def cs_round_deterministic_ufl(
-    open_cost: np.ndarray,
-    distance: np.ndarray,
-    clients: tuple[int, ...],
-    open_mass: np.ndarray,
-    serve: np.ndarray,
+@dataclass(frozen=True)
+class PreparedChudakShmoys:
+    """Seed-independent part of cluster sampling on one complete solution:
+    each cluster's facilities and weights, the rest and their odds."""
+
+    distance: np.ndarray
+    clients: tuple[int, ...]
+    clusters: ClusterPlan
+    pools: tuple[tuple[np.ndarray, np.ndarray], ...]
+    loose: np.ndarray
+    loose_odds: np.ndarray
+
+
+def prepare_chudak_shmoys(
+    distance: np.ndarray, clients: tuple[int, ...], open_mass: np.ndarray, serve: np.ndarray,
     duals: np.ndarray,
-    seed: int = 0,
-    trace: dict | None = None,
-) -> tuple[frozenset[int], dict[int, int]]:
-    """Cluster sampling on a complete single-stage solution.
+) -> PreparedChudakShmoys:
+    """Check that the solution is complete and cluster it, once.
 
     Clients are ordered by fractional service cost plus dual budget; each
     either founds a cluster on its support or points at the earliest
-    overlapping one.  Exactly one facility opens per cluster (categorical
-    over the center's support, i.e. the opening masses), facilities outside
-    clusters flip independent coins, and everyone walks to the nearest open
-    facility — the cluster guarantees there always is one.  The per-client
-    expected distance is C_j + (2/e) * dual_j.
+    overlapping one.
     """
-    f = np.asarray(open_cost, dtype=float)
     d = np.asarray(distance, dtype=float)
     y = np.asarray(open_mass, dtype=float)
-    for t in range(len(clients)):
-        hot = serve[t] > 1e-9
-        if np.any(np.abs(serve[t, hot] - y[hot]) > 1e-7):
-            raise ValueError("cluster sampling needs a complete solution")
-    supports = [
-        frozenset(int(i) for i in np.flatnonzero(serve[t] > 1e-9)) for t in range(len(clients))
-    ]
+    hot = serve > 1e-9
+    if np.any(hot & (np.abs(serve - y) > 1e-7)):
+        raise ValueError("cluster sampling needs a complete solution")
+    supports = [frozenset(np.flatnonzero(row).tolist()) for row in hot]
     keys = [(float(serve[t] @ d[:, j]) + duals[t], j) for t, j in enumerate(clients)]
     plan = _greedy_clusters(supports, keys)
+    pools = tuple((pool, y[pool] / float(y[pool].sum())) for pool in map(np.array, plan.members))
+    loose = np.setdiff1d(np.arange(y.size), sum(plan.members, ()))
+    return PreparedChudakShmoys(d, tuple(clients), plan, pools, loose, np.minimum(y[loose], 1.0))
+
+
+def sample_chudak_shmoys(
+    prep: PreparedChudakShmoys, seed: int = 0
+) -> tuple[frozenset[int], dict[int, int]]:
+    """Cluster sampling (Chudak & Shmoys 2003) on a prepared solution.
+
+    Exactly one facility opens per cluster (categorical over the center's
+    support, i.e. the opening masses), facilities outside clusters flip
+    independent coins, and everyone walks to the nearest open facility —
+    the cluster guarantees there always is one.  The per-client expected
+    distance is C_j + (2/e) * dual_j.
+    """
     rng = np.random.default_rng(seed)
-    opened: set[int] = set()
-    for m in plan.members:
-        pool = np.array(m, dtype=int)
-        w = y[pool] / float(y[pool].sum())
-        opened.add(int(rng.choice(pool, p=w)))
-    clustered = {i for m in plan.members for i in m}
-    loose = np.array(sorted(set(range(f.size)) - clustered), dtype=int)
-    if loose.size:
-        hit = loose[rng.random(loose.size) < np.minimum(y[loose], 1.0)]
-        opened.update(int(i) for i in hit)
-    ranked = sorted(opened)
-    assignment = {
-        j: min(ranked, key=lambda i: (d[i, j], i)) for j in clients
-    }
-    if trace is not None:
-        trace["centers"] = tuple(clients[t] for t in plan.centers)
-        trace["members"] = plan.members
-    return frozenset(opened), assignment
+    opened = {int(rng.choice(pool, p=w)) for pool, w in prep.pools}
+    opened.update(prep.loose[rng.random(prep.loose.size) < prep.loose_odds].tolist())
+    return frozenset(opened), _nearest_open(prep.distance, opened, prep.clients)

@@ -35,11 +35,12 @@ from twostage.ufl import (
     ALPHA,
     THETA,
     clustered_approx_factor,
-    cs_round_deterministic_ufl,
     evaluate_ufl_cost,
     make_complete,
+    prepare_chudak_shmoys,
     prepare_improved,
     round_5approx,
+    sample_chudak_shmoys,
     sample_improved,
     solve_deterministic_ufl_lp,
 )
@@ -277,13 +278,12 @@ def test_criterion_07_cluster_sampling_distance():
     for f, d, clients in cases:
         y, x, duals, _ = solve_deterministic_ufl_lp(f, d, clients)
         comp = make_complete(y, x)
-        fc, dc = f[comp.source], d[comp.source]
+        dc = d[comp.source]
+        prep = prepare_chudak_shmoys(dc, clients, comp.open_mass, comp.serve, duals)
         s1 = np.zeros(len(clients))
         s2 = np.zeros(len(clients))
         for s in range(n_seeds):
-            _, amap = cs_round_deterministic_ufl(
-                fc, dc, clients, comp.open_mass, comp.serve, duals, seed=s
-            )
+            _, amap = sample_chudak_shmoys(prep, seed=s)
             for t, j in enumerate(clients):
                 got = dc[amap[j], j]
                 s1[t] += got

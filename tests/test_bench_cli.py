@@ -641,6 +641,13 @@ def test_saa_runs_every_registered_algorithm(tmp_path, capsys, algorithm):
     assert payload["estimates"][payload["chosen_rep"]] == min(payload["estimates"])
 
 
+def test_steiner_sample_prices_an_instance_without_scenarios_at_zero(capsys):
+    argv = ["bench", "--instance", "steiner", "--algorithm", "steiner-sample", "--trials", "2"]
+    assert main(argv + ["--param", "scenarios=0"]) == EXIT_OK
+    rows = [r for r in csv.DictReader(io.StringIO(capsys.readouterr().out)) if r["algorithm"]]
+    assert [(r["cost"], r["feasible"]) for r in rows] == [("0.0", "1"), ("0.0", "1")]
+
+
 def test_saa_refuses_an_unknown_algorithm_at_parse_time(tmp_path, capsys):
     inst = gen_file(tmp_path, "set_cover", "sc")
     with pytest.raises(SystemExit) as exc:
@@ -726,13 +733,10 @@ def golden_single_stage_records():
         trace = {}
         yield ufl.deterministic_ufl_approx(f, d, clients, y, x, trace=trace), trace["profiles"]
         comp = ufl.make_complete(y, x)
+        prep = ufl.prepare_chudak_shmoys(d[comp.source], clients, comp.open_mass, comp.serve, duals)
+        centers = tuple(clients[t] for t in prep.clusters.centers)
         for s in range(4):
-            trace = {}
-            out = ufl.cs_round_deterministic_ufl(
-                f[comp.source], d[comp.source], clients, comp.open_mass, comp.serve, duals,
-                seed=s, trace=trace,
-            )
-            yield out, trace["members"], trace["centers"]
+            yield ufl.sample_chudak_shmoys(prep, s), prep.clusters.members, centers
 
 
 def plan_digest(tmp_path) -> str:
@@ -855,12 +859,11 @@ def fano_solution():
 def coin_samplers():
     """Each sampler's draw as a function of the seed, prepared once."""
     prep = ufl.prepare_improved(tilted_ufl_solution())
-    d, clients, y, serve, duals = cluster_sampling_case()
-    fano = cover.srinivasan_sampler(fano_solution())
+    chudak_shmoys = ufl.prepare_chudak_shmoys(*cluster_sampling_case())
     return (
         lambda seed: ufl.sample_improved(prep, seed),
-        lambda seed: ufl.cs_round_deterministic_ufl(np.ones(5), d, clients, y, serve, duals, seed=seed),
-        fano,
+        lambda seed: ufl.sample_chudak_shmoys(chudak_shmoys, seed),
+        cover.srinivasan_sampler(fano_solution()),
     )
 
 

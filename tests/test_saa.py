@@ -74,6 +74,30 @@ def test_saa_cli_refuses_a_free_ufl_opening_with_a_message(tmp_path, capsys):
     assert capsys.readouterr().err == "error: recourse ratio must be finite, got inf\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--epsilon", "0", "epsilon must lie strictly inside (0, 1), got 0.0"),
+        ("--epsilon", "1", "epsilon must lie strictly inside (0, 1), got 1.0"),
+        ("--epsilon", "nan", "epsilon must lie strictly inside (0, 1), got nan"),
+        ("--delta", "0", "delta must lie strictly inside (0, 1), got 0.0"),
+        ("--delta", "nan", "delta must lie strictly inside (0, 1), got nan"),
+        ("--c-n", "nan", "c_n must lie strictly inside (0, inf), got nan"),
+        ("--c-n", "inf", "c_n must lie strictly inside (0, inf), got inf"),
+        ("--c-n", "-1", "c_n must lie strictly inside (0, inf), got -1.0"),
+        ("--epsilon", "1e-300", "sample count overflows at epsilon 1e-300"),
+        ("--delta", "1e-320", "sample count overflows at delta 1e-320"),
+    ],
+)
+def test_saa_cli_refuses_bad_accuracy_targets_by_name(tmp_path, capsys, flag, value, message):
+    from twostage import cli
+
+    path = tmp_path / "sc.json"
+    assert cli.main(["gen", "--kind", "set_cover", "--seed", "1", "--out", str(path)]) == cli.EXIT_OK
+    assert cli.main(["saa", "--instance", str(path), flag, value]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_saa_cli_has_no_c_k_flag(tmp_path, capsys):
     from twostage import cli
 

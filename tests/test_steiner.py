@@ -131,6 +131,15 @@ def test_draw_count_follows_markup_ratio():
     assert len(plan.draws) == 6
 
 
+def test_an_empty_explicit_set_draws_nothing_and_a_black_box_still_draws():
+    g = path_graph(1.0)
+    policy = CostPolicy(0.5, 3.0, {0: 1.0})
+    plan = sampling_heuristic(g, policy, ScenarioSet.explicit([]), seed=0)
+    assert plan.draws == () and plan.first_stage == frozenset()
+    box = ScenarioSet.black_box(lambda rng: frozenset({int(rng.integers(2))}))
+    assert len(sampling_heuristic(g, policy, box, seed=0).draws) == 6
+
+
 def test_sampling_plan_is_feasible_and_reproducible():
     for seed in range(6):
         inst = generate_instance("steiner", seed=seed, n_vertices=8, scenarios=3)

@@ -24,12 +24,13 @@ from twostage.ufl import (
     UflPlan,
     classify_pairs,
     clustered_approx_factor,
-    cs_round_deterministic_ufl,
     deterministic_ufl_approx,
     evaluate_ufl_cost,
     make_complete,
+    prepare_chudak_shmoys,
     prepare_improved,
     round_5approx,
+    sample_chudak_shmoys,
     sample_improved,
     solve_deterministic_ufl_lp,
     split_assignment,
@@ -392,6 +393,15 @@ def test_round_improved_equals_sampling_a_shared_prepared_state(inst):
         assert sample_improved(prepare_improved(sol), seed=seed) == sample_improved(prep, seed=seed)
 
 
+def test_an_empty_draw_leaves_the_stream_where_it_was():
+    # Both samplers draw rng.random(0) when no copy or facility is loose or
+    # stray; that keeps their plans equal to a sampler that skips the empty
+    # draw only because the call consumes nothing.
+    rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
+    assert rng.random(0).size == 0
+    assert rng.random(5).tolist() == fresh.random(5).tolist()
+
+
 # -- single-stage reference rounding -------------------------------------------
 
 
@@ -422,16 +432,15 @@ def test_cs_round_wants_complete_input():
     y, x, duals, _ = solve_deterministic_ufl_lp(f, d, (0, 1, 2))
     bad = x.copy()
     bad[0] = np.array([0.3, 0.7, 0.0])  # positive entry below its opening
-    with pytest.raises(ValueError):
-        cs_round_deterministic_ufl(f, d, (0, 1, 2), np.ones(3), bad, duals, seed=0)
+    with pytest.raises(ValueError, match="needs a complete solution"):
+        prepare_chudak_shmoys(d, (0, 1, 2), np.ones(3), bad, duals)
 
 
 def test_cs_round_single_pair():
-    f = np.array([2.0])
-    d = np.array([[1.5]])
-    opened, amap = cs_round_deterministic_ufl(
-        f, d, (0,), np.array([1.0]), np.array([[1.0]]), np.array([0.0]), seed=0
+    prep = prepare_chudak_shmoys(
+        np.array([[1.5]]), (0,), np.array([1.0]), np.array([[1.0]]), np.array([0.0])
     )
+    opened, amap = sample_chudak_shmoys(prep, seed=0)
     assert opened == frozenset({0})
     assert amap == {0: 0}
 
@@ -442,13 +451,10 @@ def test_cs_round_opens_exactly_one_per_cluster():
     clients = (0, 1, 2)
     y, x, duals, _ = solve_deterministic_ufl_lp(f, d, clients)
     comp = make_complete(y, x)
-    fc, dc = f[comp.source], d[comp.source]
+    prep = prepare_chudak_shmoys(d[comp.source], clients, comp.open_mass, comp.serve, duals)
     for seed in range(300):
-        trace = {}
-        opened, amap = cs_round_deterministic_ufl(
-            fc, dc, clients, comp.open_mass, comp.serve, duals, seed=seed, trace=trace
-        )
-        for members in trace["members"]:
+        opened, amap = sample_chudak_shmoys(prep, seed=seed)
+        for members in prep.clusters.members:
             assert len(opened & set(members)) == 1
         assert all(amap[j] in opened for j in clients)
 
@@ -459,14 +465,13 @@ def test_cs_round_mean_distance_within_lemma_budget():
     clients = (0, 1, 2)
     y, x, duals, _ = solve_deterministic_ufl_lp(f, d, clients)
     comp = make_complete(y, x)
-    fc, dc = f[comp.source], d[comp.source]
+    dc = d[comp.source]
+    prep = prepare_chudak_shmoys(dc, clients, comp.open_mass, comp.serve, duals)
     n_seeds = 1500
     dist_sum = np.zeros(3)
     dist_sq = np.zeros(3)
     for seed in range(n_seeds):
-        _, amap = cs_round_deterministic_ufl(
-            fc, dc, clients, comp.open_mass, comp.serve, duals, seed=seed
-        )
+        _, amap = sample_chudak_shmoys(prep, seed=seed)
         for t, j in enumerate(clients):
             got = dc[amap[j], j]
             dist_sum[t] += got
