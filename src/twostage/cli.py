@@ -192,7 +192,7 @@ def _run(argv: list[str] | None) -> int:
             "status": sol.status,
             "objective": sol.objective_value,
             "lp_opt": sol.objective_value,
-            "values": sol.by_name() if sol.values is not None else {},
+            "values": dict(zip(lp.names, sol.values.tolist())) if sol.values is not None else {},
             "duals": (
                 {n: float(v) for n, v in zip(lp.row_names, dual.values)}
                 if dual is not None

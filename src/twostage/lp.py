@@ -16,11 +16,17 @@ Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
 primal and dual objectives agree and complementary slackness holds within
 the stated tolerances; anything the solver cannot certify is returned as
 status "failed", never as a wrong optimum.
+
+The duals come from one ``np.linalg.solve`` of the basis, whose last bits
+depend on the BLAS thread count: dual bytes are reproducible only at a fixed
+thread count (say ``OPENBLAS_NUM_THREADS=1``).  Primal values and
+objectives are read off the tableau and came out equal under one and two
+threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -85,17 +91,6 @@ class LpSolution:
     status: Literal["optimal", "infeasible", "unbounded", "failed"]
     values: np.ndarray | None
     objective_value: float
-    names: tuple[str, ...] = ()
-
-    def __getitem__(self, name: str) -> float:
-        if self.values is None:
-            raise KeyError("no values on a non-optimal solution")
-        return float(self.values[self.names.index(name)])
-
-    def by_name(self) -> dict[str, float]:
-        if self.values is None:
-            return {}
-        return {n: float(v) for n, v in zip(self.names, self.values)}
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
         T[:, -1] = np.subtract.reduce(terms)
 
     def fail() -> tuple[LpSolution, None]:
-        return LpSolution("failed", None, float("nan"), lp.names), None
+        return LpSolution("failed", None, float("nan")), None
 
     if m > 0:
         phase1_costs = np.zeros(n_cols)
@@ -212,7 +207,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
         if status == "failed":
             return fail()
         if -T[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, float("nan"), lp.names), None
+            return LpSolution("infeasible", None, float("nan")), None
 
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and dropped.
@@ -233,7 +228,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     if status == "failed":
         return fail()
     if status == "unbounded":
-        return LpSolution("unbounded", None, float("-inf"), lp.names), None
+        return LpSolution("unbounded", None, float("-inf")), None
 
     values_ext = np.zeros(n_ext)
     values_ext[basis] = T[-1, :-1]
@@ -272,5 +267,5 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     if abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value)):
         return fail()
 
-    primal = LpSolution("optimal", x, objective_value, lp.names)
+    primal = LpSolution("optimal", x, objective_value)
     return primal, DualSolution(values=y, objective_value=dual_value)

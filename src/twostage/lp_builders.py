@@ -265,7 +265,7 @@ def solve_ufl_lp(inst: UflInstance) -> FractionalUflSolution:
 
 
 def build_deterministic_ufl_lp(
-    open_cost: np.ndarray, distance: np.ndarray, clients: tuple[int, ...] | None = None
+    open_cost: np.ndarray, distance: np.ndarray, clients: tuple[int, ...]
 ) -> LinearProgram:
     """Single-stage facility-location relaxation.
 
@@ -277,8 +277,6 @@ def build_deterministic_ufl_lp(
     f = np.asarray(open_cost, dtype=float)
     dist = np.asarray(distance, dtype=float)
     n_i = f.size
-    if clients is None:
-        clients = tuple(range(dist.shape[1]))
     n_j = len(clients)
     obj = np.concatenate([f, dist[:, list(clients)].T.ravel()])
     rows = np.zeros((n_j + n_j * n_i, obj.size))

@@ -131,17 +131,16 @@ class ScenarioSet:
     def sample(self, rng: np.random.Generator) -> frozenset[int]:
         if self.sampler is not None:
             return self.sampler(rng)
+        return self.scenarios[self.sample_index(rng)][1]
+
+    def sample_index(self, rng: np.random.Generator) -> int:
+        """Index of one draw from an explicit set, by the uniform ``sample`` uses."""
         if not self.scenarios:
             raise ValueError("an empty scenario set has nothing to sample")
         # the draw of rng.choice(len(self), p=probs): one uniform, inverted
         # (bisect_right is searchsorted's side="right", without numpy's
         # per-call overhead on a scalar)
-        return self.scenarios[bisect.bisect_right(self._cdf, rng.random())][1]
-
-    def sample_many(self, seed: int, count: int) -> list[frozenset[int]]:
-        """Same seed, same sequence; the reproducibility contract for SAA."""
-        rng = np.random.default_rng(seed)
-        return [self.sample(rng) for _ in range(count)]
+        return bisect.bisect_right(self._cdf, rng.random())
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,6 @@ class FeasibilityReport:
     feasible: bool
     violations: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def stage_price(policy: CostPolicy, probs, first: float, exercise, recourse) -> ObjectiveBreakdown:
     """The objective of the module docstring from masses: ``first`` is w(F0),
@@ -234,7 +230,8 @@ def check_feasible(
     """Structural invariants plus the per-scenario coverage predicate.
 
     ``covers(clients, bought)`` decides whether the bought items satisfy the
-    realized demand.  Returns a falsy report with one line per violation.
+    realized demand.  The report holds one line per violation and is feasible
+    when there are none.
     """
     problems: list[str] = []
     if len(sol.stages) != len(scen):
@@ -251,32 +248,3 @@ def check_feasible(
             problems.append(f"scenario {k}: demand not covered")
     return FeasibilityReport(not problems, tuple(problems))
 
-
-def monte_carlo_cost(
-    first_stage: frozenset[int],
-    decide: Callable[[frozenset[int]], tuple[frozenset[int], frozenset[int]]],
-    policy: CostPolicy,
-    scen: ScenarioSet,
-    trials: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Estimate expected cost of (first-stage set, second-stage rule).
-
-    Per-trial generators are seeded ``seed + trial_index`` so trials could be
-    farmed out without changing the estimate.  Returns (mean, stderr); the
-    stderr of a single trial is defined as 0.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    first = policy.weight(first_stage)
-    costs = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        clients = scen.sample(rng)
-        exercised, recoursed = decide(clients)
-        costs[t] = stage_price(
-            policy, (1.0,), first, (policy.weight(exercised),), (policy.weight(recoursed),)
-        ).total
-    mean = float(np.mean(costs))
-    stderr = 0.0 if trials == 1 else float(np.std(costs, ddof=1) / math.sqrt(trials))
-    return mean, stderr

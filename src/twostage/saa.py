@@ -97,6 +97,21 @@ class SaaConfig:
         return cls(epsilon, delta, k, n)
 
 
+def _empirical(draw: Callable[[np.random.Generator], object], n: int, seed: int):
+    """``saa_build``'s probabilities and distinct draws, for any hashable draw."""
+    if n < 1:
+        raise ValueError("need at least one draw")
+    rng = np.random.default_rng(seed)
+    counts: dict[object, int] = {}
+    for _ in range(n):
+        s = draw(rng)
+        counts[s] = counts.get(s, 0) + 1
+    probs = [c / n for c in counts.values()]
+    slack = 1.0 - math.fsum(probs)
+    probs[int(np.argmax(probs))] += slack
+    return probs, list(counts)
+
+
 def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:
     """Empirical distribution of n draws from the sampler.
 
@@ -106,17 +121,22 @@ def saa_build(scen: ScenarioSet, n: int, seed: int = 0) -> ScenarioSet:
     ``ScenarioSet.sample``, the stream a black box of it gives, so the draws
     depend only on the seed.
     """
-    if n < 1:
-        raise ValueError("need at least one draw")
-    rng = np.random.default_rng(seed)
-    counts: dict[frozenset[int], int] = {}
-    for _ in range(n):
-        s = scen.sample(rng)
-        counts[s] = counts.get(s, 0) + 1
-    probs = [c / n for c in counts.values()]
-    slack = 1.0 - math.fsum(probs)
-    probs[int(np.argmax(probs))] += slack
-    return ScenarioSet(tuple(zip(probs, counts.keys())))
+    probs, drawn = _empirical(scen.sample, n, seed)
+    return ScenarioSet(tuple(zip(probs, drawn)))
+
+
+def _ufl_build(inst: UflInstance, n: int, seed: int) -> UflInstance:
+    """The empirical facility-location instance: each draw keeps the price
+    row of the scenario it drew, by the uniform ``ScenarioSet.sample`` uses,
+    and draws merge on (client set, price row)."""
+    scen = inst.scenarios
+    pairs = [(c, row) for (_, c), row in zip(scen.scenarios, inst.scenario_open_cost)]
+    probs, drawn = _empirical(lambda rng: pairs[scen.sample_index(rng)], n, seed)
+    return dataclasses.replace(
+        inst,
+        scenarios=ScenarioSet(tuple((p, c) for p, (c, _) in zip(probs, drawn))),
+        scenario_open_cost=tuple(row for _, row in drawn),
+    )
 
 
 @dataclass(frozen=True)
@@ -148,21 +168,25 @@ def repeating_saa(
     table and each distinct client set's candidates once per call instead
     of once per repetition.  The scope ends with the call.
 
-    Facility location is refused: its per-scenario opening prices are
-    indexed by the original scenarios and cannot follow an empirical sample.
+    On facility location each empirical scenario carries the opening price
+    row of the scenario it was drawn from, so its scenario list must be
+    explicit: a black box gives no price rows and is refused.
     """
-    if isinstance(instance, UflInstance):
+    ufl = isinstance(instance, UflInstance)
+    if ufl and instance.scenarios.is_black_box:
         raise ValueError(
-            "SAA does not run on facility location: the per-scenario opening "
-            "prices (scenario_open_cost) cannot follow an empirical sample "
-            "(ROADMAP item 4)"
+            "SAA on facility location needs an explicit scenario list: each draw "
+            "keeps its scenario's opening prices (scenario_open_cost)"
         )
     candidates: list[frozenset[int]] = []
     estimates: list[float] = []
     with _shared_preparation():
         for rep in range(cfg.k_reps):
-            empirical = saa_build(instance.scenarios, cfg.n_samples, seed + rep)
-            inst_hat = dataclasses.replace(instance, scenarios=empirical)
+            if ufl:
+                inst_hat = _ufl_build(instance, cfg.n_samples, seed + rep)
+            else:
+                empirical = saa_build(instance.scenarios, cfg.n_samples, seed + rep)
+                inst_hat = dataclasses.replace(instance, scenarios=empirical)
             try:
                 first_stage, estimate = inner_solver(inst_hat)
             except Exception as exc:

@@ -56,7 +56,9 @@ DET_FACTOR_CITED = 1.52
 # Splitting threshold balancing the first-stage component (~2.29) against
 # the cited single-stage factor.
 THETA = 2.29 / (2.29 + 1.52)
-GAMMA = 1.0 / 1.447
+# The prefix filter keeps a 1 / BOOST share of each pair's service mass.
+BOOST = 1.447
+GAMMA = 1.0 / BOOST
 
 # Cluster reservation retries before falling back to the likeliest copy.
 REJECTION_CAP = 64
@@ -283,17 +285,17 @@ def split_assignment(sol: FractionalUflSolution) -> SplitAssignment:
 
 
 def classify_pairs(
-    split: SplitAssignment, theta: float = THETA
+    split: SplitAssignment,
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Pairs with first-stage service mass >= theta (boundary inclusive) are
+    """Pairs with first-stage service mass >= THETA (boundary inclusive) are
     rounded with the reservation machinery; the rest carry recourse mass
-    >= 1 - theta and are rounded per scenario."""
+    >= 1 - THETA and are rounded per scenario."""
     inst = split.instance
     first: list[tuple[int, int]] = []
     second: list[tuple[int, int]] = []
     for k in range(len(inst.scenarios)):
         for j in inst.demanded(k):
-            if float(split.first[k, j].sum()) >= theta - _TOL:
+            if float(split.first[k, j].sum()) >= THETA - _TOL:
                 first.append((k, j))
             else:
                 second.append((k, j))
@@ -585,24 +587,17 @@ def sample_improved(prep: PreparedImproved, seed: int = 0) -> UflPlan:
     return UflPlan(TwoStageSolution(reserved, stages), tuple(assignment))
 
 
-def clustered_approx_factor(
-    boost: float = 1.447,
-    theta: float = THETA,
-    det_factor: float = DET_FACTOR_CITED,
-    retry_factor: float = RETRY_FACTOR,
-) -> float:
-    """Guarantee of the improved pipeline as a function of its parameters.
+def clustered_approx_factor(det_factor: float = DET_FACTOR_CITED) -> float:
+    """Guarantee of the improved pipeline at its shipped constants, with
+    ``det_factor`` the quality of the second-stage rounding.
 
-    ``boost`` is the reciprocal of the prefix-filter strength.  The three
-    components cover reservation/exercise cost, the assignment tail of
-    clustered pairs, and the second-stage rounding; the factor is their max.
-    At the defaults this evaluates to about 3.81.
+    The three components cover reservation/exercise cost, the assignment
+    tail of clustered pairs, and the second-stage rounding; the factor is
+    their max.  At the cited 1.52 this evaluates to about 3.81.
     """
-    if boost <= 1.0:
-        raise ValueError("filter boost must exceed 1")
-    reserve_side = boost * retry_factor / theta
-    tail = (1.0 + math.exp(-boost) * (boost + 1.0) / (boost - 1.0)) / theta
-    second_side = det_factor / (1.0 - theta)
+    reserve_side = BOOST * RETRY_FACTOR / THETA
+    tail = (1.0 + math.exp(-BOOST) * (BOOST + 1.0) / (BOOST - 1.0)) / THETA
+    second_side = det_factor / (1.0 - THETA)
     return max(reserve_side, tail, second_side)
 
 

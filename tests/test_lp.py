@@ -87,11 +87,59 @@ def test_lower_bounds_shift():
     assert sol.objective_value == pytest.approx(1.0)
 
 
-def test_named_access():
-    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], (">=",), [1.0], names=("a", "b"))
-    sol, _ = solve_lp(lp)
-    assert sol["a"] == pytest.approx(1.0)
-    assert sol.by_name()["b"] == pytest.approx(0.0)
+def _cap_hit_on_call(n):
+    """Patch ``_run_simplex`` to report the iteration cap on its n-th call."""
+    def patch(m):
+        real, calls = twostage.lp._run_simplex, []
+
+        def run(*args):
+            calls.append(n)
+            return "failed" if len(calls) == n else real(*args)
+
+        m.setattr(twostage.lp, "_run_simplex", run)
+    return patch
+
+
+def _residual_out_of_tolerance(m):
+    # FEAS_TOL turns negative once phase 2 is done, so phase 1's own
+    # feasibility test passes and the residual check is the first to trip
+    real, calls = twostage.lp._run_simplex, []
+
+    def run(*args):
+        calls.append(1)
+        status = real(*args)
+        if len(calls) == 2:
+            m.setattr(twostage.lp, "FEAS_TOL", -1.0)
+        return status
+
+    m.setattr(twostage.lp, "_run_simplex", run)
+
+
+def _singular_basis(m):
+    def solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    m.setattr(np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize(
+    "trip",
+    [
+        pytest.param(_cap_hit_on_call(1), id="phase-1-cap"),
+        pytest.param(_cap_hit_on_call(2), id="phase-2-cap"),
+        pytest.param(_residual_out_of_tolerance, id="residual"),
+        pytest.param(_singular_basis, id="singular-basis"),
+        pytest.param(lambda m: m.setattr(twostage.lp, "DUALITY_TOL", -1.0), id="duality"),
+    ],
+)
+def test_a_tripped_certificate_returns_failed_and_no_answer(monkeypatch, trip):
+    # min x + 2y s.t. x + y >= 1 runs both phases and has a one-row dual
+    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], (">=",), [1.0])
+    assert solve_lp(lp)[0].status == "optimal"
+    trip(monkeypatch)
+    sol, dual = solve_lp(lp)
+    assert (sol.status, sol.values, dual) == ("failed", None, None)
+    assert np.isnan(sol.objective_value)
 
 
 def random_feasible_lp(rng, max_vars=20, max_rows=30):
@@ -451,7 +499,7 @@ def ref_solve_lp(lp):
         return obj
 
     def fail():
-        return LpSolution("failed", None, float("nan"), lp.names), None
+        return LpSolution("failed", None, float("nan")), None
 
     if m > 0:
         phase1_costs = np.zeros(n_cols)
@@ -462,7 +510,7 @@ def ref_solve_lp(lp):
         if status == "failed":
             return fail()
         if -obj1[-1] > FEAS_TOL:
-            return LpSolution("infeasible", None, float("nan"), lp.names), None
+            return LpSolution("infeasible", None, float("nan")), None
         art_set = set(art_col_of.values())
         drop = []
         for r in range(m):
@@ -486,7 +534,7 @@ def ref_solve_lp(lp):
     if status == "failed":
         return fail()
     if status == "unbounded":
-        return LpSolution("unbounded", None, float("-inf"), lp.names), None
+        return LpSolution("unbounded", None, float("-inf")), None
 
     values_ext = np.zeros(n_cols)
     for r, b in enumerate(tab.basis):
@@ -526,7 +574,7 @@ def ref_solve_lp(lp):
     if abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value)):
         return fail()
     return (
-        LpSolution("optimal", x, objective_value, lp.names),
+        LpSolution("optimal", x, objective_value),
         DualSolution(values=y, objective_value=dual_value),
     )
 

@@ -251,7 +251,9 @@ def golden_builder_corpus():
                 if kind in ("set_cover", "vertex_cover"):
                     yield _recourse_cover_lp(inst)
                 elif kind == "ufl":
-                    yield build_deterministic_ufl_lp(inst.open_cost, inst.dist)
+                    yield build_deterministic_ufl_lp(
+                        inst.open_cost, inst.dist, tuple(range(inst.n_clients))
+                    )
                     for _, clients in inst.scenarios.scenarios:
                         yield build_deterministic_ufl_lp(
                             inst.open_cost, inst.dist, tuple(sorted(clients))

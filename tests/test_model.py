@@ -11,7 +11,6 @@ from twostage.model import (
     TwoStageSolution,
     check_feasible,
     evaluate_objective,
-    monte_carlo_cost,
 )
 
 
@@ -145,10 +144,14 @@ def test_explicit_and_black_box_are_exclusive():
 def test_black_box_wrapper_reproduces_the_distribution():
     scen = ScenarioSet.explicit([(0.25, [0]), (0.75, [1])])
     box = ScenarioSet.black_box_of(scen)
-    draws = box.sample_many(seed=7, count=4000)
-    frac = sum(1 for d in draws if d == frozenset({1})) / 4000
+
+    def draws(seed, count):
+        rng = np.random.default_rng(seed)
+        return [box.sample(rng) for _ in range(count)]
+
+    frac = sum(1 for d in draws(7, 4000) if d == frozenset({1})) / 4000
     assert abs(frac - 0.75) < 0.03
-    assert box.sample_many(seed=7, count=50) == box.sample_many(seed=7, count=50)
+    assert draws(7, 50) == draws(7, 50)
 
 
 @pytest.mark.parametrize(
@@ -182,46 +185,6 @@ def test_empty_and_nan_scenario_sets_are_refused():
         ScenarioSet.explicit([]).sample(np.random.default_rng(0))
     with pytest.raises(StructureError):
         ScenarioSet.explicit([(math.nan, [0])])
-
-
-# -- monte carlo ------------------------------------------------------------
-
-
-def test_single_scenario_monte_carlo_matches_exact():
-    scen = ScenarioSet.explicit([(1.0, [0])])
-    pol = policy()
-    sol = TwoStageSolution.of([0], [({0}, {1})])
-
-    def decide(realized):
-        return frozenset({0}), frozenset({1})
-
-    mean, err = monte_carlo_cost(frozenset({0}), decide, pol, scen, trials=64, seed=1)
-    assert mean == pytest.approx(evaluate_objective(sol, pol, scen).total)
-    assert err == 0.0
-
-
-def test_two_point_distribution_converges():
-    # costs 2 and 4 with equal probability -> expectation 3
-    scen = ScenarioSet.explicit([(0.5, [0]), (0.5, [1])])
-    pol = CostPolicy(0.5, 2.0, {0: 2.0, 1: 4.0})
-
-    def decide(realized):
-        return frozenset(), frozenset(realized)
-
-    mean, err = monte_carlo_cost(frozenset(), decide, pol, scen, trials=10000, seed=3)
-    assert abs(mean - 2.0 * 3.0) <= 3.0 * err  # lam=2 doubles each draw
-
-
-def test_monte_carlo_same_seed_same_numbers():
-    scen = ScenarioSet.explicit([(0.3, [0]), (0.7, [1])])
-    pol = policy()
-
-    def decide(realized):
-        return frozenset(), frozenset(realized)
-
-    a = monte_carlo_cost(frozenset(), decide, pol, scen, trials=500, seed=11)
-    b = monte_carlo_cost(frozenset(), decide, pol, scen, trials=500, seed=11)
-    assert a == b
 
 
 def test_policy_validation():

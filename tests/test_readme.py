@@ -1,5 +1,6 @@
 """Every README example runs: the Python quick start and each CLI line."""
 import importlib
+import json
 import pkgutil
 import re
 import shlex
@@ -32,12 +33,13 @@ def test_quick_start_runs(capsys):
 
 
 @pytest.fixture(scope="module")
-def exit_codes(tmp_path_factory):
-    """Run the CLI block top to bottom in one directory, as a reader would."""
+def readme_run(tmp_path_factory):
+    """Run the CLI block top to bottom in one directory, as a reader would:
+    the directory and each line's exit code."""
     work = tmp_path_factory.mktemp("readme")
     with pytest.MonkeyPatch.context() as m:
         m.chdir(work)
-        return [cli.main(shlex.split(line)[1:]) for line in cli_lines()]
+        return work, [cli.main(shlex.split(line)[1:]) for line in cli_lines()]
 
 
 def test_cli_block_has_every_subcommand():
@@ -46,23 +48,15 @@ def test_cli_block_has_every_subcommand():
     ]
 
 
-SAA_ON_UFL = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: UFL's per-scenario price rows cannot follow an empirical "
-    "sample, so repeating_saa refuses facility location and `saa --algorithm ufl5` "
-    "exits 1",
-)
+@pytest.mark.parametrize("index", range(len(cli_lines())))
+def test_cli_line_succeeds(readme_run, index):
+    assert readme_run[1][index] == 0, cli_lines()[index]
 
 
-@pytest.mark.parametrize(
-    "index",
-    [
-        pytest.param(i, marks=SAA_ON_UFL) if line.startswith("twostage saa") and "ufl5" in line else i
-        for i, line in enumerate(cli_lines())
-    ],
-)
-def test_cli_line_succeeds(exit_codes, index):
-    assert exit_codes[index] == 0, cli_lines()[index]
+def test_solve_lp_line_writes_the_values_and_duals_its_comment_promises(readme_run):
+    payload = json.loads((readme_run[0] / "ufl_lp.json").read_text())
+    assert payload["status"] == "optimal"
+    assert payload["values"] and payload["duals"]
 
 
 def guarantee_column():

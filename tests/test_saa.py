@@ -200,35 +200,127 @@ def test_empirical_lp_value_converges_to_the_true_one():
     assert gaps[1] <= 0.25 * (1.0 + true_value)
 
 
-UFL_REFUSAL = (
-    "error: SAA does not run on facility location: the per-scenario opening prices "
-    "(scenario_open_cost) cannot follow an empirical sample (ROADMAP item 4)\n"
-)
+def drawn_with_generator_choice(inst, n, seed):
+    """(client set, price row) -> count for n draws of rng.choice, first-appearance order."""
+    scen = inst.scenarios.scenarios
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for _ in range(n):
+        k = int(rng.choice(len(scen), p=np.array([p for p, _ in scen])))
+        key = (scen[k][1], inst.scenario_open_cost[k])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_each_scenario_keeps_its_price_row(inst, cfg, seed):
+    """Check the empirical instances repeating_saa hands its inner solver
+    against the reference draws; returns them."""
+    seen = []
+
+    def recording(inst_hat):
+        seen.append(inst_hat)
+        return frozenset(), 0.0
+
+    repeating_saa(inst, recording, cfg, seed=seed)
+    assert len(seen) == cfg.k_reps
+    for rep, inst_hat in enumerate(seen):
+        counts = drawn_with_generator_choice(inst, cfg.n_samples, seed + rep)
+        got = [(c, row) for (_, c), row in zip(inst_hat.scenarios.scenarios,
+                                                inst_hat.scenario_open_cost)]
+        assert got == list(counts)
+        assert [p for p, _ in inst_hat.scenarios.scenarios] == pytest.approx(
+            [m / cfg.n_samples for m in counts.values()], abs=1e-15
+        )
+        assert math.fsum(p for p, _ in inst_hat.scenarios.scenarios) == 1.0
+    return seen
 
 
 @pytest.mark.parametrize("algorithm", ["exact", "ufl5"])
-def test_saa_refuses_facility_location_before_any_repetition(tmp_path, capsys, algorithm):
-    # With exactly K distinct draws nothing else would raise, and every price
-    # row of scenario_open_cost would be paired with a reordered scenario.
+def test_saa_runs_on_facility_location_and_each_draw_keeps_its_price_row(
+    tmp_path, capsys, algorithm
+):
     from twostage import cli
     from twostage.instances import save_instance
 
     inst = generate_instance("ufl", seed=11, n_facilities=5, n_clients=6, scenarios=3)
+    assert_each_scenario_keeps_its_price_row(inst, SaaConfig(0.5, 0.3, k_reps=3, n_samples=5), 2)
+    path = tmp_path / "ufl.json"
+    save_instance(inst, path)
+    argv = ["saa", "--instance", str(path), "--algorithm", algorithm, "--epsilon", "0.5",
+            "--delta", "0.3", "--c-n", "0.01", "--seed", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["estimates"]) == payload["k_reps"]
+
+
+def two_price_rows_instance(scenarios):
+    """Two facilities, two clients; price row A or B per scenario."""
+    from twostage.instances import UflInstance
+
+    rows = {"A": (2.0, 3.0), "B": (3.0, 2.0)}
+    return UflInstance(
+        open_cost=(1.0, 1.0),
+        scenario_open_cost=tuple(rows[r] for _, _, r in scenarios),
+        distance=((1.0, 2.0), (2.0, 1.0)),
+        sigma=0.5,
+        scenarios=ScenarioSet.explicit([(p, c) for p, c, _ in scenarios]),
+    )
+
+
+def test_one_client_set_under_two_price_rows_stays_two_scenarios():
+    # scenarios 0 and 3 are one (client set, price row) pair and merge;
+    # scenario 1 has their client set under the other row and stays apart
+    inst = two_price_rows_instance(
+        [(0.25, [0], "A"), (0.25, [0], "B"), (0.25, [0, 1], "A"), (0.25, [0], "A")]
+    )
+    cfg = SaaConfig(0.5, 0.3, k_reps=2, n_samples=40)
+    seen = assert_each_scenario_keeps_its_price_row(inst, cfg, 1)
+    for inst_hat in seen:
+        clients = [c for _, c in inst_hat.scenarios.scenarios]
+        assert sorted(map(sorted, clients)) == [[0], [0], [0, 1]]
+        assert len(set(inst_hat.scenario_open_cost)) == 2
+    # the exact inner solver runs on each empirical instance, rows and all
+    from test_oracle import exact_inner
+
+    res = repeating_saa(inst, exact_inner, cfg, seed=1)
+    assert res.estimates == tuple(exact_inner(h)[1] for h in seen)
+
+
+def test_saa_refuses_a_black_box_facility_location_before_any_repetition():
+    inst = two_price_rows_instance([(1.0, [0], "A")])
+    inst = dataclasses.replace(
+        inst, scenario_open_cost=(), scenarios=ScenarioSet.black_box_of(inst.scenarios)
+    )
     calls = []
 
     def counting(inst_hat):
         calls.append(1)
         return frozenset(), 0.0
 
-    with pytest.raises(ValueError, match="cannot follow an empirical sample"):
-        repeating_saa(inst, counting, SaaConfig(0.5, 0.3, k_reps=3, n_samples=5), seed=2)
+    with pytest.raises(ValueError, match="needs an explicit scenario list"):
+        repeating_saa(inst, counting, SaaConfig(0.5, 0.3, k_reps=2, n_samples=5))
     assert calls == []
-    path = tmp_path / "ufl.json"
-    save_instance(inst, path)
-    argv = ["saa", "--instance", str(path), "--algorithm", algorithm, "--epsilon", "0.5",
-            "--delta", "0.3", "--c-n", "0.01", "--seed", "2"]
-    assert cli.main(argv) == cli.EXIT_ERROR
-    assert capsys.readouterr().err == UFL_REFUSAL
+
+
+def test_saa_cli_with_the_exact_default_equals_repeating_saa(tmp_path, capsys):
+    from test_oracle import exact_inner
+    from twostage import cli
+    from twostage.instances import load_instance
+
+    path = tmp_path / "sc.json"
+    assert cli.main(["gen", "--kind", "set_cover", "--seed", "4", "--out", str(path)]) == 0
+    assert cli.main(["saa", "--instance", str(path), "--c-n", "0.001", "--seed", "3"]) == 0
+    inst = load_instance(path)
+    cfg = SaaConfig.from_eps_delta(0.5, 0.1, inst.policy.lam, inst.n_items, c_n=0.001)
+    res = repeating_saa(inst, exact_inner, cfg, seed=3)
+    assert json.loads(capsys.readouterr().out) == {
+        "instance_id": "sc",
+        "k_reps": cfg.k_reps,
+        "n_samples": cfg.n_samples,
+        "chosen_rep": res.chosen_rep,
+        "chosen": sorted(res.chosen),
+        "estimates": list(res.estimates),
+    }
 
 
 # ---------------------------------------------------------------------------

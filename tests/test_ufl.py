@@ -322,8 +322,6 @@ def test_factor_evaluator_frozen_arithmetic():
     )
     # with the in-repo second stage the recourse side dominates
     assert clustered_approx_factor(det_factor=5.0) == pytest.approx(5.0 / (1 - th))
-    with pytest.raises(ValueError):
-        clustered_approx_factor(boost=0.9)
 
 
 def test_round_improved_same_seed_same_plan():
