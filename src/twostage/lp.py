@@ -1,15 +1,20 @@
-"""Two-phase primal simplex on a dense column-major tableau, with duals.
+"""Dense column-major simplex tableau, solving an LP or its dual, with duals.
 
 Small LPs only (hundreds of variables); everything the rounding algorithms
 need fits comfortably.  Row j of the array ``T`` is tableau column j of a
 structural or slack variable, with that column's reduced cost as its last
-entry; the last row is the rhs, ending in minus the objective value.  The
-phase-1 artificials get no column: an artificial never re-enters the basis,
-so it is only a basis id past the last column.  A pivot is one block
-update of the columns where the pivot row is nonzero; the relaxations are
-sparse, and a skipped column could only lose the sign of a zero.
-Minimization form with row senses '<=', '>=', '==' and per-variable lower
-bounds (default 0, shifted out internally).
+entry; the last row is the rhs, ending in minus the objective value.  A
+pivot is one block update of the columns where the pivot row is nonzero;
+the relaxations are sparse, and a skipped column could only lose the sign
+of a zero.  Minimization form with row senses '<=', '>=', '==' and
+per-variable lower bounds (default 0, shifted out internally).
+
+An LP with rows and no negative cost (every LP the package builds) is
+solved through its dual, whose slack basis is feasible: one simplex run,
+with x read off the reduced costs and y off the basic values.  Any other LP
+runs the two-phase primal simplex.  Its phase-1 artificials get no column:
+an artificial never re-enters the basis, so it is only a basis id past the
+last column.
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
 '<=' rows get duals <= 0, equality rows are free.  At optimal status the
@@ -17,11 +22,11 @@ primal and dual objectives agree and complementary slackness holds within
 the stated tolerances; anything the solver cannot certify is returned as
 status "failed", never as a wrong optimum.
 
-The duals come from one ``np.linalg.solve`` of the basis, whose last bits
-depend on the BLAS thread count: dual bytes are reproducible only at a fixed
-thread count (say ``OPENBLAS_NUM_THREADS=1``).  Primal values and
-objectives are read off the tableau and came out equal under one and two
-threads.
+On the primal route the duals come from one ``np.linalg.solve`` of the
+basis, whose last bits depend on the BLAS thread count: for an LP with a
+negative cost, dual bytes are reproducible only at a fixed thread count
+(say ``OPENBLAS_NUM_THREADS=1``).  The dual route reads everything off the
+tableau, and its bytes came out equal under one and two threads.
 """
 from __future__ import annotations
 
@@ -156,18 +161,83 @@ def _run_simplex(
 def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     """Solve to proven optimality; returns (primal, dual).
 
-    The dual is None unless the status is "optimal".
+    An LP with rows and no negative cost is solved through its dual, which
+    starts feasible; any other LP runs both primal phases.  The dual is
+    None unless the status is "optimal".
     """
+    lb = lp.lower_bounds
+    rhs = lp.rhs - lp.rows @ lb
+    sense = np.array(lp.senses, dtype="<U2")
+    if lp.n_rows and not (lp.objective < 0.0).any():
+        status, x, y = _solve_dual(lp, rhs, sense)
+    else:
+        status, x, y = _solve_primal(lp, rhs, sense)
+    if status == "optimal":
+        # Both routes share the certificates: row residuals and duality gap.
+        x = np.clip(x, 0.0, None) + lb
+        resid = lp.rows @ x - lp.rhs
+        objective_value = float(lp.objective @ x)
+        shift_const = float(lp.objective @ lb)
+        dual_value = float(y @ rhs) + shift_const if lp.n_rows else shift_const
+        if (
+            np.any((resid > FEAS_TOL) & (sense != ">="))
+            or np.any((resid < -FEAS_TOL) & (sense != "<="))
+            or abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value))
+        ):
+            status = "failed"
+    if status != "optimal":
+        value = float("-inf") if status == "unbounded" else float("nan")
+        return LpSolution(status, None, value), None
+    primal = LpSolution("optimal", x, objective_value)
+    return primal, DualSolution(values=y, objective_value=dual_value)
+
+
+def _solve_dual(
+    lp: LinearProgram, rhs: np.ndarray, sense: np.ndarray
+) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+    """Status, x - lb before clipping, and y, from a simplex run on the dual.
+
+    The dual is max rhs·y s.t. rows^T y <= c, y >= 0 on '>=' rows, <= 0 on
+    '<=' rows and free on '==' rows.  It is solved as a minimization in
+    u = sign·y >= 0, where each '==' row gets a second, negated copy (a
+    split free variable).  Its rows are the primal variables, each with a
+    slack; with c >= 0 the slack basis is feasible, so there is no phase 1.
+    At the optimum y is the basic values, mapped back, and x - lb is the
+    slacks' reduced costs.  An unbounded dual means an infeasible primal.
+    """
+    m, n = lp.n_rows, lp.n_vars
+    sign = np.where(sense == "<=", -1.0, 1.0)
+    eq = (sense == "==").nonzero()[0]
+    m_d = m + eq.size
+    T = np.zeros((m_d + n + 1, n + 1))
+    np.multiply(lp.rows, sign[:, None], out=T[:m, :n])
+    np.negative(lp.rows[eq], out=T[m:m_d, :n])
+    np.fill_diagonal(T[m_d:-1, :n], 1.0)
+    T[-1, :n] = lp.objective
+    T[:m, n] = -sign * rhs
+    T[m:m_d, n] = rhs[eq]
+    n_cols = m_d + n
+    basis = np.arange(m_d, n_cols)
+    status = _run_simplex(T, basis, n_cols, 2000 + 40 * (n + n_cols))
+    if status != "optimal":
+        return ("infeasible" if status == "unbounded" else "failed"), None, None
+    u = np.zeros(m_d + n)
+    u[basis] = T[-1, :-1]
+    y = sign * u[:m]
+    y[eq] -= u[m:m_d]
+    return "optimal", T[m_d:-1, -1], y
+
+
+def _solve_primal(
+    lp: LinearProgram, rhs: np.ndarray, sense: np.ndarray
+) -> tuple[str, np.ndarray | None, np.ndarray | None]:
+    """Status, x - lb before clipping, and y, by the two-phase primal simplex."""
     n = lp.n_vars
     m = lp.n_rows
-    lb = lp.lower_bounds
-    shift_const = float(lp.objective @ lb)
-    rhs = lp.rhs - lp.rows @ lb
 
     # Normalize to nonnegative rhs, remembering sign flips for dual recovery.
     flips = np.where(rhs < 0, -1.0, 1.0)
-    rhs *= flips
-    sense = np.array(lp.senses, dtype="<U2")
+    rhs = rhs * flips
     le = np.where(flips < 0, sense == ">=", sense == "<=")
     ge = np.where(flips < 0, sense == "<=", sense == ">=")
 
@@ -196,18 +266,15 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
         terms[1:] = c_basic[rows, None] * T[:, rows].T
         T[:, -1] = np.subtract.reduce(terms)
 
-    def fail() -> tuple[LpSolution, None]:
-        return LpSolution("failed", None, float("nan")), None
-
     if m > 0:
         phase1_costs = np.zeros(n_cols)
         phase1_costs[n_ext:] = 1.0
         reduced_row(phase1_costs)
         status = _run_simplex(T, basis, n_cols, max_iter)
         if status == "failed":
-            return fail()
+            return "failed", None, None
         if -T[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, float("nan")), None
+            return "infeasible", None, None
 
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are redundant and dropped.
@@ -225,47 +292,27 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     phase2_costs[:n] = lp.objective
     reduced_row(phase2_costs)
     status = _run_simplex(T, basis, n_cols, max_iter)
-    if status == "failed":
-        return fail()
-    if status == "unbounded":
-        return LpSolution("unbounded", None, float("-inf")), None
+    if status != "optimal":
+        return status, None, None
 
     values_ext = np.zeros(n_ext)
     values_ext[basis] = T[-1, :-1]
-    x = np.clip(values_ext[:n], 0.0, None) + lb
+    if m == 0:
+        return "optimal", values_ext[:n], np.zeros(0)
 
-    resid = lp.rows @ x - lp.rhs
-    if np.any((resid > FEAS_TOL) & (sense != ">=")) or np.any(
-        (resid < -FEAS_TOL) & (sense != "<=")
-    ):
-        return fail()
-
-    objective_value = float(lp.objective @ x)
-
-    if m > 0:
-        # y solves B^T y = c_B over the kept rows; dropped (redundant) rows
-        # get dual 0, and flipped rows get their sign restored.  B^T is
-        # gathered from the flipped rows and the slack signs: the entries
-        # the tableau started from.
-        Bt = np.zeros((basis.size, m))
-        struct = basis < n
-        Bt[struct] = (lp.rows[:, basis[struct]] * flips[:, None]).T
-        slack_at = slack_rows[basis[~struct] - n]
-        Bt[~struct, slack_at] = np.where(le[slack_at], 1.0, -1.0)
-        try:
-            y_kept = np.linalg.solve(Bt[:, kept], phase2_costs[basis])
-        except np.linalg.LinAlgError:
-            return fail()
-        y = np.zeros(m)
-        y[kept] = y_kept
-        y *= flips
-        dual_value = float(y @ (lp.rhs - lp.rows @ lb)) + shift_const
-    else:
-        y = np.zeros(0)
-        dual_value = shift_const
-
-    if abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value)):
-        return fail()
-
-    primal = LpSolution("optimal", x, objective_value)
-    return primal, DualSolution(values=y, objective_value=dual_value)
+    # y solves B^T y = c_B over the kept rows; dropped (redundant) rows get
+    # dual 0, and flipped rows get their sign restored.  B^T is gathered
+    # from the flipped rows and the slack signs: the entries the tableau
+    # started from.
+    Bt = np.zeros((basis.size, m))
+    struct = basis < n
+    Bt[struct] = (lp.rows[:, basis[struct]] * flips[:, None]).T
+    slack_at = slack_rows[basis[~struct] - n]
+    Bt[~struct, slack_at] = np.where(le[slack_at], 1.0, -1.0)
+    try:
+        y_kept = np.linalg.solve(Bt[:, kept], phase2_costs[basis])
+    except np.linalg.LinAlgError:
+        return "failed", None, None
+    y = np.zeros(m)
+    y[kept] = y_kept
+    return "optimal", values_ext[:n], y * flips

@@ -669,7 +669,7 @@ def test_saa_refuses_a_wrong_kind_algorithm_before_sampling(tmp_path, capsys, mo
 # with the roundings' traces, the gen JSON bytes and both Python demos'
 # stdout.  A change to it is an output change: declare it in CHANGES.md and
 # paste the new value.
-GOLDEN_PLAN_DIGEST = "4c2496cc5c03fe995be8681cb7d516789a11805cee16601e83d94329475e1e81"
+GOLDEN_PLAN_DIGEST = "94f13ab692c5e095b0e3ae4271057a66c4be7373d1de42f82fe4036279dd30be"
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 

@@ -6,9 +6,9 @@ redundant, infeasible and unbounded ones) and must agree on the status and
 the optimum.  A golden digest pins the solver's output bytes on a fixed
 corpus.  Two older forms of the solver are kept here as references, and the
 output must be byte-equal to both: the full rank-one update of every
-tableau entry, and the whole solver as it was before the artificial columns
-were dropped from the tableau and the update narrowed to the pivot row's
-support.
+tableau entry, and, on the primal route that LPs with a negative cost take,
+the whole solver as it was before the artificial columns were dropped from
+the tableau and the update narrowed to the pivot row's support.
 """
 import hashlib
 import os
@@ -133,12 +133,67 @@ def _singular_basis(m):
     ],
 )
 def test_a_tripped_certificate_returns_failed_and_no_answer(monkeypatch, trip):
-    # min x + 2y s.t. x + y >= 1 runs both phases and has a one-row dual
+    # min 2x + 3y - z s.t. x + y - z >= 1: the cost of z sends it through
+    # both primal phases, and it has a one-row dual
+    lp = LinearProgram([2.0, 3.0, -1.0], [[1.0, 1.0, -1.0]], (">=",), [1.0])
+    assert solve_lp(lp)[0].status == "optimal"
+    trip(monkeypatch)
+    sol, dual = solve_lp(lp)
+    assert (sol.status, sol.values, dual) == ("failed", None, None)
+    assert np.isnan(sol.objective_value)
+
+
+@pytest.mark.parametrize(
+    "trip",
+    [
+        pytest.param(_cap_hit_on_call(1), id="cap"),
+        pytest.param(lambda m: m.setattr(twostage.lp, "FEAS_TOL", -1.0), id="residual"),
+        pytest.param(lambda m: m.setattr(twostage.lp, "DUALITY_TOL", -1.0), id="duality"),
+    ],
+)
+def test_a_tripped_certificate_on_the_dual_route_returns_failed(monkeypatch, trip):
     lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]], (">=",), [1.0])
     assert solve_lp(lp)[0].status == "optimal"
     trip(monkeypatch)
     sol, dual = solve_lp(lp)
     assert (sol.status, sol.values, dual) == ("failed", None, None)
+    assert np.isnan(sol.objective_value)
+
+
+def spy_simplex(monkeypatch):
+    """Log the status of every ``_run_simplex`` call."""
+    real, statuses = twostage.lp._run_simplex, []
+
+    def run(*args):
+        statuses.append(real(*args))
+        return statuses[-1]
+
+    monkeypatch.setattr(twostage.lp, "_run_simplex", run)
+    return statuses
+
+
+def test_nonnegative_costs_take_the_dual_route_in_one_run(monkeypatch):
+    # One simplex run from the slack basis, and no basis solve for the duals.
+    statuses = spy_simplex(monkeypatch)
+    _singular_basis(monkeypatch)
+    lp = LinearProgram(
+        [1.0, 2.0, 0.5], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+        (">=", "==", "<="), [1.0, 1.0, 3.0], lower_bounds=np.array([0.0, 0.5, 0.0]),
+    )
+    sol, dual = solve_lp(lp)
+    assert statuses == ["optimal"]
+    assert sol.status == "optimal"
+    assert sol.values == pytest.approx([0.5, 0.5, 0.5])
+    assert sol.objective_value == pytest.approx(1.75)
+    assert dual.values == pytest.approx([1.0, 0.5, 0.0])
+    assert dual.objective_value == pytest.approx(1.75)
+
+
+def test_an_unbounded_dual_means_an_infeasible_primal(monkeypatch):
+    statuses = spy_simplex(monkeypatch)
+    sol, dual = solve_lp(LinearProgram([1.0], [[1.0]], ("<=",), [-1.0]))
+    assert statuses == ["unbounded"]
+    assert (sol.status, sol.values, dual) == ("infeasible", None, None)
     assert np.isnan(sol.objective_value)
 
 
@@ -217,6 +272,7 @@ def highs(lp):
         b_ub=np.concatenate([lp.rhs[le], -lp.rhs[ge]]),
         A_eq=lp.rows[eq] if eq.any() else None,
         b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=[(lo, None) for lo in lp.lower_bounds],
         method="highs",
     )
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message), res.fun
@@ -274,6 +330,73 @@ def test_agrees_with_highs_on_degenerate_redundant_infeasible_and_unbounded(lp):
     assert sol.status == status
     if status == "optimal":
         assert abs(sol.objective_value - objective) <= 1e-6 * (1.0 + abs(objective))
+
+
+@st.composite
+def nonnegative_cost_programs(draw):
+    """Small integer programs with costs >= 0 and lower bounds in {-1, 0, 1},
+    which the dual route solves, of three shapes: mixed senses, feasible by
+    a planted point; redundant equalities (a scaled and a summed copy); and
+    infeasible (a row asked to be both <= t and >= t + 1)."""
+    shape = draw(st.sampled_from(["mixed", "redundant", "infeasible"]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+
+    def ints(lo, hi, size):
+        values = st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+        return np.array(draw(values), dtype=float)
+
+    rows = ints(-3, 3, m * n).reshape(m, n)
+    senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
+    lb = ints(-1, 1, n)
+    slack = ints(0, 2, m) * [{"<=": 1.0, ">=": -1.0, "==": 0.0}[s] for s in senses]
+    rhs = rows @ (lb + ints(0, 2, n)) + slack
+    if shape == "redundant":
+        senses[0] = senses[-1] = "=="
+        rhs[0] -= slack[0]
+        rhs[-1] -= slack[-1]
+        rows = np.vstack([rows, 2.0 * rows[0], rows[0] + rows[-1]])
+        rhs = np.append(rhs, [2.0 * rhs[0], rhs[0] + rhs[-1]])
+        senses += ["==", "=="]
+    elif shape == "infeasible":
+        t = float(draw(st.integers(-2, 2)))
+        rows = np.vstack([rows, rows[0], rows[0]])
+        rhs = np.append(rhs, [t, t + 1.0])
+        senses += ["<=", ">="]
+    return LinearProgram(ints(0, 3, n), rows, tuple(senses), rhs, lower_bounds=lb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=nonnegative_cost_programs())
+def test_dual_route_agrees_with_highs_and_certifies_its_answer(lp):
+    sol, dual = solve_lp(lp)
+    status, objective = highs(lp)
+    assert sol.status == status
+    if status != "optimal":
+        return
+    value = sol.objective_value
+    assert abs(value - objective) <= 1e-6 * (1.0 + abs(objective))
+    x, y = sol.values, dual.values
+    assert np.all(x - lp.lower_bounds >= 0.0)
+    senses = np.array(lp.senses)
+    assert np.all(y[senses == ">="] >= -FEAS_TOL)
+    assert np.all(y[senses == "<="] <= FEAS_TOL)
+    assert np.all(lp.objective - lp.rows.T @ y >= -1e-6 * (1.0 + lp.objective))
+    dual_value = y @ (lp.rhs - lp.rows @ lp.lower_bounds) + lp.objective @ lp.lower_bounds
+    for v in (dual_value, dual.objective_value):
+        assert abs(v - value) <= 1e-6 * max(1.0, abs(v), abs(value))
+
+
+def test_odd_cycle_relaxations_come_back_on_the_half_grid_exactly():
+    # srini-vc's per-run bound, cost <= 2 x LP, has a relative slack of only
+    # 1e-12, so the dual route's x must sit on the grid it rounds at.
+    from test_oracle import odd_cycle_vc
+
+    rng = np.random.default_rng(29)
+    for n, k in ((9, 3), (15, 4), (21, 5)) * 20:
+        sol, _ = solve_lp(build_relaxation(odd_cycle_vc(rng, n, k)))
+        assert sol.status == "optimal"
+        assert np.all(2.0 * sol.values == np.round(2.0 * sol.values)), sol.values
 
 
 def test_dual_signs_follow_row_senses():
@@ -336,20 +459,22 @@ def test_bland_switch_breaks_beales_cycle(monkeypatch):
 
 
 def test_redundant_equality_rows_are_dropped_with_zero_dual(monkeypatch):
+    # z costs -1, so the primal simplex runs; its cap row z <= 1 is row 3
     pivots = record_pivots(monkeypatch)
     lp = LinearProgram(
-        [1.0, 3.0],
-        [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
-        ("==", "==", "=="),
-        [2.0, 2.0, 4.0],
+        [1.0, 3.0, -1.0],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+        ("==", "==", "==", "<="),
+        [2.0, 2.0, 4.0, 1.0],
     )
     sol, dual = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.values == pytest.approx([2.0, 0.0])
-    assert len(pivots) == 1
+    assert sol.values == pytest.approx([2.0, 0.0, 1.0])
+    # Phase 1 pivots x in, phase 2 pivots z in.
+    assert len(pivots) == 2
     # Only the first row keeps a basic variable; the two copies are dropped.
-    assert list(dual.values) == [pytest.approx(1.0), 0.0, 0.0]
-    assert dual.objective_value == pytest.approx(2.0)
+    assert list(dual.values) == [pytest.approx(1.0), 0.0, 0.0, pytest.approx(-1.0)]
+    assert dual.objective_value == pytest.approx(1.0)
 
 
 def dense_pivot(T, row, col):
@@ -655,10 +780,11 @@ def lean_tableau_corpus():
 
 
 # SHA-256 of solve_lp's output on golden_solve_corpus(). A change to it is an
-# output change: declare it in CHANGES.md and paste the new value. Dual bytes
+# output change: declare it in CHANGES.md and paste the new value. The duals
+# of an LP with a negative cost come from a basis solve whose last bits
 # depend on the BLAS thread count, so a child process pinned to one thread
 # takes the digest.
-GOLDEN_SOLVE_DIGEST = "07c44dbcabaff79ec05329784fa80b526f9b728d96593a2f54821d494ff03e4c"
+GOLDEN_SOLVE_DIGEST = "9719ca7e0035f6f896b4dedfd0a50db8fe912b0a692347bf2df48be9c99faf41"
 
 
 def golden_solve_corpus():
@@ -694,25 +820,68 @@ def solve_digest(lps) -> str:
     return h.hexdigest()
 
 
-def test_solve_lp_matches_the_golden_digest():
+def relax_corpus():
+    """Two seeds of each relax-ladder size: set cover seed 0 at 17 x 21 is one
+    whose basis-solve duals moved with the BLAS thread count."""
+    for kind, sizes in RELAX_SIZES:
+        for seed in range(2):
+            yield build_relaxation(generate_instance(kind, seed=seed, **sizes))
+
+
+def child_digest(threads, *args):
+    """``solve_digest`` of the corpus this file's main block picks by
+    ``args``, in a child process at ``threads`` BLAS threads."""
     src = str(Path(twostage.lp.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True
+        [sys.executable, __file__, *args], env=env, capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
-    digest = child.stdout.strip()
+    return child.stdout.strip()
+
+
+def test_solve_lp_matches_the_golden_digest():
+    digest = child_digest(1)
     assert digest == GOLDEN_SOLVE_DIGEST, f'GOLDEN_SOLVE_DIGEST = "{digest}"'
 
 
+def test_dual_route_bytes_do_not_depend_on_the_blas_thread_count():
+    assert child_digest(1, "relax") == child_digest(2, "relax")
+
+
+def with_a_negative_cost(lp):
+    """The same program plus a variable at cost -1 that only a new last row
+    caps at 1: still bounded, and the primal simplex solves it."""
+    rows = np.zeros((lp.n_rows + 1, lp.n_vars + 1))
+    rows[:-1, :-1] = lp.rows
+    rows[-1, -1] = 1.0
+    return LinearProgram(
+        np.append(lp.objective, -1.0),
+        rows,
+        lp.senses + ("<=",),
+        np.append(lp.rhs, 1.0),
+        lower_bounds=np.append(lp.lower_bounds, 0.0),
+    )
+
+
+def primal_route_corpus():
+    """The lean-tableau corpus as the primal simplex sees it: each program
+    with a negative cost or no rows as it is, each other one (the dual
+    route's) through ``with_a_negative_cost``."""
+    for lp in lean_tableau_corpus():
+        yield lp if lp.n_rows == 0 or (lp.objective < 0.0).any() else with_a_negative_cost(lp)
+
+
 def test_lean_tableau_is_bit_identical_to_the_artificial_column_reference():
-    corpus = list(lean_tableau_corpus())
+    corpus = list(primal_route_corpus())
     lean = [solution_bytes(lp) for lp in corpus]
     ref = [solution_bytes(lp, solve=ref_solve_lp) for lp in corpus]
     statuses = [s[0] for s in lean]
     assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
     assert statuses.count("optimal") == len(corpus) - 14
+    senses = {s for lp in corpus for s in lp.senses}
+    assert senses == {"<=", ">=", "=="}
     assert lean == ref
 
 
@@ -756,4 +925,4 @@ def test_bland_switch_with_artificials_matches_the_reference(monkeypatch):
 
 
 if __name__ == "__main__":
-    print(solve_digest(golden_solve_corpus()))
+    print(solve_digest(relax_corpus() if sys.argv[1:] == ["relax"] else golden_solve_corpus()))
