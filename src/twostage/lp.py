@@ -1,4 +1,4 @@
-"""Dense column-major simplex tableau, solving an LP or its dual, with duals.
+"""Dense column-major simplex tableau on an LP's dual, with duals.
 
 Small LPs only (hundreds of variables); everything the rounding algorithms
 need fits comfortably.  Row j of the array ``T`` is tableau column j of a
@@ -9,24 +9,17 @@ the relaxations are sparse, and a skipped column could only lose the sign
 of a zero.  Minimization form with row senses '<=', '>=', '==' and
 per-variable lower bounds (default 0, shifted out internally).
 
-An LP with rows and no negative cost (every LP the package builds) is
-solved through its dual, whose slack basis is feasible: one simplex run,
-with x read off the reduced costs and y off the basic values.  Any other LP
-runs the two-phase primal simplex.  Its phase-1 artificials get no column:
-an artificial never re-enters the basis, so it is only a basis id past the
-last column.
+Every LP is solved through its dual.  With no negative cost (every LP the
+package builds) the dual's slack basis is feasible: one simplex run.  A
+negative cost adds one artificial column and a phase 1 before it.  x is
+read off the reduced costs and y off the basic values, with no basis
+solve, so the bytes do not depend on the BLAS thread count.
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
 '<=' rows get duals <= 0, equality rows are free.  At optimal status the
 primal and dual objectives agree and complementary slackness holds within
 the stated tolerances; anything the solver cannot certify is returned as
 status "failed", never as a wrong optimum.
-
-On the primal route the duals come from one ``np.linalg.solve`` of the
-basis, whose last bits depend on the BLAS thread count: for an LP with a
-negative cost, dual bytes are reproducible only at a fixed thread count
-(say ``OPENBLAS_NUM_THREADS=1``).  The dual route reads everything off the
-tableau, and its bytes came out equal under one and two threads.
 """
 from __future__ import annotations
 
@@ -77,6 +70,8 @@ class LinearProgram:
                 raise ValueError("LP data must be finite")
         if self.names and len(self.names) != obj.size:
             raise ValueError("one name per variable required")
+        if self.row_names and len(self.row_names) != rhs.size:
+            raise ValueError("one name per row required")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -115,11 +110,11 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray, basis: np.ndarray, n_cols: int, max_iter: int
+    T: np.ndarray, basis: np.ndarray, max_iter: int
 ) -> Literal["optimal", "unbounded", "failed"]:
     m = T.shape[1] - 1
-    # The Bland threshold counts the artificials, as if each had a column.
-    bland_after = 2 * (m + n_cols + 1)
+    # 2 * (rows + columns + 1): T holds one row per column, then the rhs.
+    bland_after = 2 * (m + T.shape[0])
     reduced = T[:-1, m]
     rhs = T[-1, :m]
     degenerate_streak = 0
@@ -159,26 +154,23 @@ def _run_simplex(
 
 
 def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
-    """Solve to proven optimality; returns (primal, dual).
+    """Solve to proven optimality through the dual; returns (primal, dual).
 
-    An LP with rows and no negative cost is solved through its dual, which
-    starts feasible; any other LP runs both primal phases.  The dual is
-    None unless the status is "optimal".
+    x is clipped at 0 before lb is added back.  It is the slacks' reduced
+    costs at the optimum, each at least -PIVOT_TOL (the optimality
+    tolerance), so the clip moves an entry by at most PIVOT_TOL.  The dual
+    is None unless the status is "optimal".
     """
     lb = lp.lower_bounds
     rhs = lp.rhs - lp.rows @ lb
     sense = np.array(lp.senses, dtype="<U2")
-    if lp.n_rows and not (lp.objective < 0.0).any():
-        status, x, y = _solve_dual(lp, rhs, sense)
-    else:
-        status, x, y = _solve_primal(lp, rhs, sense)
+    status, x, y = _solve_dual(lp.rows, lp.objective, rhs, sense)
     if status == "optimal":
-        # Both routes share the certificates: row residuals and duality gap.
+        # The certificates: row residuals and duality gap.
         x = np.clip(x, 0.0, None) + lb
         resid = lp.rows @ x - lp.rhs
         objective_value = float(lp.objective @ x)
-        shift_const = float(lp.objective @ lb)
-        dual_value = float(y @ rhs) + shift_const if lp.n_rows else shift_const
+        dual_value = float(y @ rhs) + float(lp.objective @ lb)
         if (
             np.any((resid > FEAS_TOL) & (sense != ">="))
             or np.any((resid < -FEAS_TOL) & (sense != "<="))
@@ -193,7 +185,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
 
 
 def _solve_dual(
-    lp: LinearProgram, rhs: np.ndarray, sense: np.ndarray
+    rows: np.ndarray, c: np.ndarray, rhs: np.ndarray, sense: np.ndarray
 ) -> tuple[str, np.ndarray | None, np.ndarray | None]:
     """Status, x - lb before clipping, and y, from a simplex run on the dual.
 
@@ -201,118 +193,64 @@ def _solve_dual(
     '<=' rows and free on '==' rows.  It is solved as a minimization in
     u = sign·y >= 0, where each '==' row gets a second, negated copy (a
     split free variable).  Its rows are the primal variables, each with a
-    slack; with c >= 0 the slack basis is feasible, so there is no phase 1.
-    At the optimum y is the basic values, mapped back, and x - lb is the
-    slacks' reduced costs.  An unbounded dual means an infeasible primal.
+    slack; with c >= 0 the slack basis is feasible and one run solves it.
+    Otherwise phase 1 minimizes one artificial column, -1 in each row with
+    c_j < 0 and pivoted in where c is least, and phase 2 starts from the
+    basis it leaves.  At the optimum y is the basic values, mapped back,
+    and x - lb is the slacks' reduced costs.  An unbounded dual means an
+    infeasible primal.  An infeasible dual means an unbounded or infeasible
+    primal; the dual of the zero-cost LP tells which, as it is bounded
+    exactly when the primal is feasible.
     """
-    m, n = lp.n_rows, lp.n_vars
+    m, n = rows.shape
     sign = np.where(sense == "<=", -1.0, 1.0)
     eq = (sense == "==").nonzero()[0]
     m_d = m + eq.size
-    T = np.zeros((m_d + n + 1, n + 1))
-    np.multiply(lp.rows, sign[:, None], out=T[:m, :n])
-    np.negative(lp.rows[eq], out=T[m:m_d, :n])
-    np.fill_diagonal(T[m_d:-1, :n], 1.0)
-    T[-1, :n] = lp.objective
+    n_cols = m_d + n
+    neg = (c < 0.0).nonzero()[0]
+    # The artificial, if there is one, is column n_cols: the row before the rhs.
+    T = np.zeros((n_cols + 1 + (neg.size > 0), n + 1))
+    np.multiply(rows, sign[:, None], out=T[:m, :n])
+    np.negative(rows[eq], out=T[m:m_d, :n])
+    np.fill_diagonal(T[m_d:n_cols, :n], 1.0)
+    T[-1, :n] = c
     T[:m, n] = -sign * rhs
     T[m:m_d, n] = rhs[eq]
-    n_cols = m_d + n
     basis = np.arange(m_d, n_cols)
-    status = _run_simplex(T, basis, n_cols, 2000 + 40 * (n + n_cols))
+    max_iter = 2000 + 40 * (n + n_cols)
+    if neg.size:
+        costs = T[:n_cols, n].copy()
+        T[:n_cols, n] = 0.0
+        T[n_cols, neg] = -1.0
+        T[n_cols, n] = 1.0
+        row = int(c.argmin())
+        _pivot(T, row, n_cols)
+        basis[row] = n_cols
+        if _run_simplex(T, basis, max_iter) != "optimal":
+            return "failed", None, None
+        if -T[-1, n] > FEAS_TOL:
+            status = _solve_dual(rows, np.zeros(n), rhs, sense)[0]
+            return ("unbounded" if status == "optimal" else status), None, None
+        # [rows^T | I] has full row rank, so an artificial left basic at 0
+        # has a nonzero entry to leave on, and no row is dropped.
+        for row in (basis == n_cols).nonzero()[0]:
+            col = int(np.abs(T[:n_cols, row]).argmax())
+            _pivot(T, row, col)
+            basis[row] = col
+        T = np.delete(T, n_cols, axis=0)
+        # Phase-2 reduced costs: costs minus c_b times basic row b, folded
+        # left to right in row order.
+        c_basic = costs[basis]
+        at = c_basic.nonzero()[0]
+        terms = np.zeros((at.size + 1, n_cols + 1))
+        terms[0, :n_cols] = costs
+        terms[1:] = c_basic[at, None] * T[:, at].T
+        T[:, n] = np.subtract.reduce(terms)
+    status = _run_simplex(T, basis, max_iter)
     if status != "optimal":
         return ("infeasible" if status == "unbounded" else "failed"), None, None
-    u = np.zeros(m_d + n)
+    u = np.zeros(n_cols)
     u[basis] = T[-1, :-1]
     y = sign * u[:m]
     y[eq] -= u[m:m_d]
     return "optimal", T[m_d:-1, -1], y
-
-
-def _solve_primal(
-    lp: LinearProgram, rhs: np.ndarray, sense: np.ndarray
-) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-    """Status, x - lb before clipping, and y, by the two-phase primal simplex."""
-    n = lp.n_vars
-    m = lp.n_rows
-
-    # Normalize to nonnegative rhs, remembering sign flips for dual recovery.
-    flips = np.where(rhs < 0, -1.0, 1.0)
-    rhs = rhs * flips
-    le = np.where(flips < 0, sense == ">=", sense == "<=")
-    ge = np.where(flips < 0, sense == "<=", sense == ">=")
-
-    # Slacks first, then surpluses; every row but a '<=' one starts on an
-    # artificial.
-    slack_rows = np.concatenate([le.nonzero()[0], ge.nonzero()[0]])
-    art_rows = (~le).nonzero()[0]
-    n_ext = n + slack_rows.size
-    n_cols = n_ext + art_rows.size
-
-    T = np.zeros((n_ext + 1, m + 1))
-    T[:n, :m] = (lp.rows * flips[:, None]).T
-    T[n + np.arange(slack_rows.size), slack_rows] = np.where(le[slack_rows], 1.0, -1.0)
-    T[-1, :m] = rhs
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = n + np.arange(slack_rows.size)
-    basis[art_rows] = n_ext + np.arange(art_rows.size)
-    max_iter = 2000 + 40 * (m + n_cols)
-
-    def reduced_row(costs: np.ndarray) -> None:
-        # c - sum of c_b times basic row b, folded left to right in row order.
-        c_basic = costs[basis]
-        rows = c_basic.nonzero()[0]
-        terms = np.zeros((rows.size + 1, n_ext + 1))
-        terms[0, :n_ext] = costs[:n_ext]
-        terms[1:] = c_basic[rows, None] * T[:, rows].T
-        T[:, -1] = np.subtract.reduce(terms)
-
-    if m > 0:
-        phase1_costs = np.zeros(n_cols)
-        phase1_costs[n_ext:] = 1.0
-        reduced_row(phase1_costs)
-        status = _run_simplex(T, basis, n_cols, max_iter)
-        if status == "failed":
-            return "failed", None, None
-        if -T[-1, -1] > FEAS_TOL:
-            return "infeasible", None, None
-
-        # Pivot leftover artificials out of the basis; rows that cannot be
-        # pivoted are redundant and dropped.
-        for r in (basis >= n_ext).nonzero()[0]:
-            options = np.flatnonzero(np.abs(T[:n_ext, r]) > FEAS_TOL)
-            if options.size:
-                _pivot(T, r, int(options[0]))
-                basis[r] = options[0]
-        kept = (basis < n_ext).nonzero()[0]
-        if kept.size < m:
-            T = T[:, np.append(kept, m)]
-            basis = basis[kept]
-
-    phase2_costs = np.zeros(n_ext)
-    phase2_costs[:n] = lp.objective
-    reduced_row(phase2_costs)
-    status = _run_simplex(T, basis, n_cols, max_iter)
-    if status != "optimal":
-        return status, None, None
-
-    values_ext = np.zeros(n_ext)
-    values_ext[basis] = T[-1, :-1]
-    if m == 0:
-        return "optimal", values_ext[:n], np.zeros(0)
-
-    # y solves B^T y = c_B over the kept rows; dropped (redundant) rows get
-    # dual 0, and flipped rows get their sign restored.  B^T is gathered
-    # from the flipped rows and the slack signs: the entries the tableau
-    # started from.
-    Bt = np.zeros((basis.size, m))
-    struct = basis < n
-    Bt[struct] = (lp.rows[:, basis[struct]] * flips[:, None]).T
-    slack_at = slack_rows[basis[~struct] - n]
-    Bt[~struct, slack_at] = np.where(le[slack_at], 1.0, -1.0)
-    try:
-        y_kept = np.linalg.solve(Bt[:, kept], phase2_costs[basis])
-    except np.linalg.LinAlgError:
-        return "failed", None, None
-    y = np.zeros(m)
-    y[kept] = y_kept
-    return "optimal", values_ext[:n], y * flips

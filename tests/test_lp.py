@@ -2,19 +2,16 @@
 
 The scipy comparison is the independent route: both solvers see the same
 programs (random feasible bounded ones, and hypothesis-drawn degenerate,
-redundant, infeasible and unbounded ones) and must agree on the status and
-the optimum.  A golden digest pins the solver's output bytes on a fixed
-corpus.  Two older forms of the solver are kept here as references, and the
-output must be byte-equal to both: the full rank-one update of every
-tableau entry, and, on the primal route that LPs with a negative cost take,
-the whole solver as it was before the artificial columns were dropped from
-the tableau and the update narrowed to the pivot row's support.
+redundant, infeasible and unbounded ones, with and without negative costs)
+and must agree on the status and the optimum.  A golden digest pins the
+solver's output bytes on a fixed corpus, and they must not move with the
+BLAS thread count.  The full rank-one update of every tableau entry is kept
+as a reference pivot, and the output must be byte-equal to it.
 """
 import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +22,7 @@ from scipy.optimize import linprog
 
 import twostage.lp
 from twostage.generators import generate_instance
-from twostage.lp import (
-    DUALITY_TOL,
-    FEAS_TOL,
-    PIVOT_TOL,
-    DualSolution,
-    LinearProgram,
-    LpSolution,
-    solve_lp,
-)
+from twostage.lp import DUALITY_TOL, FEAS_TOL, LinearProgram, solve_lp
 from twostage.lp_builders import build_relaxation
 
 
@@ -64,7 +53,25 @@ def test_conflicting_rows_are_infeasible():
 def test_unbounded_direction_detected():
     lp = LinearProgram([-1.0], np.zeros((0, 1)), (), [])
     sol, _ = solve_lp(lp)
-    assert sol.status == "unbounded"
+    assert sol.status == "unbounded" == highs(lp)[0]
+
+
+def test_a_row_free_lp_with_nonnegative_costs_sits_at_its_lower_bounds():
+    lp = LinearProgram([1.0, 0.0, 2.0], np.zeros((0, 3)), (), [], lower_bounds=[0.5, -1.0, 0.0])
+    sol, dual = solve_lp(lp)
+    assert sol.status == "optimal" == highs(lp)[0]
+    assert list(sol.values) == [0.5, -1.0, 0.0]
+    assert sol.objective_value == dual.objective_value == 0.5
+    assert dual.values.size == 0
+
+
+def test_an_infeasible_primal_with_an_infeasible_dual_is_infeasible():
+    # min -x1 - x2 s.t. x1 - x2 >= 1 and -x1 + x2 >= 1: the rows add up to
+    # 0 >= 2, and the dual asks for y1 - y2 <= -1 and y2 - y1 <= -1.
+    lp = LinearProgram([-1.0, -1.0], [[1.0, -1.0], [-1.0, 1.0]], (">=", ">="), [1.0, 1.0])
+    sol, dual = solve_lp(lp)
+    assert (sol.status, sol.values, dual) == ("infeasible", None, None)
+    assert highs(lp)[0] == "infeasible"
 
 
 def test_equality_row():
@@ -115,26 +122,18 @@ def _residual_out_of_tolerance(m):
     m.setattr(twostage.lp, "_run_simplex", run)
 
 
-def _singular_basis(m):
-    def solve(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    m.setattr(np.linalg, "solve", solve)
-
-
 @pytest.mark.parametrize(
     "trip",
     [
         pytest.param(_cap_hit_on_call(1), id="phase-1-cap"),
         pytest.param(_cap_hit_on_call(2), id="phase-2-cap"),
         pytest.param(_residual_out_of_tolerance, id="residual"),
-        pytest.param(_singular_basis, id="singular-basis"),
         pytest.param(lambda m: m.setattr(twostage.lp, "DUALITY_TOL", -1.0), id="duality"),
     ],
 )
 def test_a_tripped_certificate_returns_failed_and_no_answer(monkeypatch, trip):
-    # min 2x + 3y - z s.t. x + y - z >= 1: the cost of z sends it through
-    # both primal phases, and it has a one-row dual
+    # min 2x + 3y - z s.t. x + y - z >= 1: the cost of z makes the dual's
+    # slack basis infeasible, so phase 1 runs before phase 2
     lp = LinearProgram([2.0, 3.0, -1.0], [[1.0, 1.0, -1.0]], (">=",), [1.0])
     assert solve_lp(lp)[0].status == "optimal"
     trip(monkeypatch)
@@ -173,9 +172,8 @@ def spy_simplex(monkeypatch):
 
 
 def test_nonnegative_costs_take_the_dual_route_in_one_run(monkeypatch):
-    # One simplex run from the slack basis, and no basis solve for the duals.
+    # One simplex run from the slack basis.
     statuses = spy_simplex(monkeypatch)
-    _singular_basis(monkeypatch)
     lp = LinearProgram(
         [1.0, 2.0, 0.5], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
         (">=", "==", "<="), [1.0, 1.0, 3.0], lower_bounds=np.array([0.0, 0.5, 0.0]),
@@ -195,6 +193,27 @@ def test_an_unbounded_dual_means_an_infeasible_primal(monkeypatch):
     assert statuses == ["unbounded"]
     assert (sol.status, sol.values, dual) == ("infeasible", None, None)
     assert np.isnan(sol.objective_value)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        pytest.param(LinearProgram([1.0, 2.0, -1.0], [[2.0, -2.0, 1.0]], ("<=",), [6.0]), id="one-row"),
+        pytest.param(
+            LinearProgram([1.0, -1.0], [[2.0, -2.0], [1.0, -1.0]], ("==", "=="), [0.0, 0.0]),
+            id="redundant-rows",
+        ),
+    ],
+)
+def test_an_artificial_left_basic_at_zero_is_pivoted_out(lp):
+    # Phase 1 ends on a ratio tie that the artificial, the highest basis id,
+    # loses: it stays basic at 0 and must be pivoted out before phase 2.
+    sol, dual = solve_lp(lp)
+    status, objective = highs(lp)
+    assert sol.status == status == "optimal"
+    assert sol.objective_value == pytest.approx(objective, abs=1e-9)
+    assert np.all(lp.objective - lp.rows.T @ dual.values >= -1e-9)
+    assert dual.objective_value == pytest.approx(objective, abs=1e-9)
 
 
 def random_feasible_lp(rng, max_vars=20, max_rows=30):
@@ -419,48 +438,65 @@ def test_shape_mismatch_rejected():
         LinearProgram([1.0], [[1.0]], (">=", "<="), [1.0])
 
 
-def record_pivots(monkeypatch, owner=twostage.lp, name="_pivot"):
-    """Log (row, col) of every pivot made through ``owner.name``: the
-    solver's ``_pivot(T, row, col)`` or a reference ``pivot(self, row, col, obj)``."""
+def test_a_name_list_of_the_wrong_length_is_refused_by_name():
+    # solve-lp zips row_names with the duals, so a short list would drop one.
+    with pytest.raises(ValueError, match="one name per row"):
+        LinearProgram([1, 2], [[1, 1], [1, 0]], (">=", ">="), [1, 0.5], row_names=("only",))
+    with pytest.raises(ValueError, match="one name per variable"):
+        LinearProgram([1, 2], [[1, 1]], (">=",), [1], names=("x", "y", "z"))
+
+
+def record_pivots(monkeypatch):
+    """Log (row, col) of every ``_pivot(T, row, col)`` the solver makes."""
     pivots = []
-    pivot = getattr(owner, name)
+    pivot = twostage.lp._pivot
 
-    def logged(*args):
-        pivots.append(tuple(args[1:3]))
-        pivot(*args)
+    def logged(T, row, col):
+        pivots.append((row, col))
+        pivot(T, row, col)
 
-    monkeypatch.setattr(owner, name, logged)
+    monkeypatch.setattr(twostage.lp, "_pivot", logged)
     return pivots
 
 
+BEALE_ROWS = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+
+
 def beale_lp():
-    return LinearProgram(
-        [-0.75, 20.0, -0.5, 6.0],
-        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-        ("<=", "<=", "<="),
-        [0.0, 0.0, 1.0],
-    )
+    """Beale's (1955) cycling LP; its negative costs send it through phase 1."""
+    return LinearProgram([-0.75, 20.0, -0.5, 6.0], BEALE_ROWS, ("<=",) * 3, [0.0, 0.0, 1.0])
+
+
+def beale_dual_lp():
+    """The LP whose dual tableau is Beale's: min x3 s.t. B^T x >= -c."""
+    return LinearProgram([0.0, 0.0, 1.0], np.transpose(BEALE_ROWS), (">=",) * 4,
+                         [0.75, -20.0, 0.5, -6.0])
 
 
 def test_bland_switch_breaks_beales_cycle(monkeypatch):
-    # Beale's LP cycles with period 6 under the Dantzig rule; the optimum is
-    # reached only once the degenerate streak exceeds 2 * (m + columns + 1)
-    # = 2 * (3 + 7 + 1) = 22 and the entering rule switches to Bland's.
+    # The dual tableau is Beale's, which cycles with period 6 under the
+    # Dantzig rule; the optimum is reached only once the degenerate streak
+    # exceeds 2 * (rows + columns + 1) = 2 * (3 + 7 + 1) = 22 and the
+    # entering rule switches to Bland's.
+    lp = beale_dual_lp()
     pivots = record_pivots(monkeypatch)
-    sol, dual = solve_lp(beale_lp())
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(-1.25)
-    assert sol.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
-    assert dual.objective_value == pytest.approx(-1.25)
+    sol, dual = solve_lp(lp)
+    status, objective = highs(lp)
+    assert sol.status == status == "optimal"
+    assert sol.objective_value == pytest.approx(objective) == 1.25
+    # The duals are Beale's optimum.
+    assert dual.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert dual.objective_value == pytest.approx(1.25)
     assert len(pivots) == 25
     cycle = pivots[:6]
     assert pivots[:23] == (cycle * 4)[:23]
     assert pivots[23] != cycle[23 % 6]
 
 
-def test_redundant_equality_rows_are_dropped_with_zero_dual(monkeypatch):
-    # z costs -1, so the primal simplex runs; its cap row z <= 1 is row 3
-    pivots = record_pivots(monkeypatch)
+def test_redundant_equality_rows_are_dropped_with_zero_dual():
+    # Rows 1 and 2 repeat row 0, so no dual is unique; z costs -1, so phase 1
+    # runs, and its cap row z <= 1 is row 3.  The answer and the dual's
+    # certificate are checked, not which dual vertex comes out.
     lp = LinearProgram(
         [1.0, 3.0, -1.0],
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
@@ -470,10 +506,13 @@ def test_redundant_equality_rows_are_dropped_with_zero_dual(monkeypatch):
     sol, dual = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.values == pytest.approx([2.0, 0.0, 1.0])
-    # Phase 1 pivots x in, phase 2 pivots z in.
-    assert len(pivots) == 2
-    # Only the first row keeps a basic variable; the two copies are dropped.
-    assert list(dual.values) == [pytest.approx(1.0), 0.0, 0.0, pytest.approx(-1.0)]
+    assert sol.objective_value == pytest.approx(1.0)
+    y = dual.values
+    assert y[3] == pytest.approx(-1.0)
+    # Dual feasible, tight on the columns x and z that are nonzero.
+    reduced = lp.objective - lp.rows.T @ y
+    assert reduced == pytest.approx([0.0, 2.0, 0.0])
+    assert y @ lp.rhs == pytest.approx(1.0)
     assert dual.objective_value == pytest.approx(1.0)
 
 
@@ -484,8 +523,8 @@ def dense_pivot(T, row, col):
     T[:, row] = pr
 
 
-def solution_bytes(lp, solve=solve_lp):
-    sol, dual = solve(lp)
+def solution_bytes(lp):
+    sol, dual = solve_lp(lp)
     values = None if sol.values is None else sol.values.tobytes()
     duals = None if dual is None else (dual.values.tobytes(), dual.objective_value)
     return sol.status, values, np.float64(sol.objective_value).tobytes(), duals
@@ -513,195 +552,6 @@ def test_sparse_row_pivot_is_bit_identical_to_dense_update(monkeypatch):
     dense = [solution_bytes(lp) for lp in corpus]
     assert all(s[0] == "optimal" for s in sparse)
     assert sparse == dense
-
-
-# -- the solver before the lean tableau, kept as the reference ---------------
-#
-# A frozen copy of the tableau that stored one artificial column per '>=' or
-# '==' row and updated the full width of every row the pivot column touched.
-
-
-@dataclass
-class RefTableau:
-    body: np.ndarray          # (m, n_cols + 1), last column is the rhs
-    basis: list[int]
-    n_enter: int              # columns [0, n_enter) are eligible to enter
-
-    def pivot(self, row, col, obj):
-        body = self.body
-        body[row] /= body[row, col]
-        pivot_row = body[row]
-        hit = body[:, col].nonzero()[0]
-        hit = hit[hit != row]
-        body[hit] -= body[hit, col, None] * pivot_row
-        obj -= obj[col] * pivot_row
-        self.basis[row] = col
-
-
-def ref_run_simplex(tab, obj, max_iter):
-    m = tab.body.shape[0]
-    degenerate_streak = 0
-    bland = False
-    for _ in range(max_iter):
-        reduced = obj[:tab.n_enter]
-        if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
-                return "optimal"
-            col = int(candidates[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -PIVOT_TOL:
-                return "optimal"
-        column = tab.body[:, col]
-        rhs = tab.body[:, -1]
-        eligible = (column > PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
-            return "unbounded"
-        ratios = rhs[eligible] / column[eligible]
-        best = ratios.min()
-        ties = eligible[ratios <= best + PIVOT_TOL]
-        row = int(ties[0]) if ties.size == 1 else int(min(ties, key=lambda r: tab.basis[r]))
-        if best <= PIVOT_TOL:
-            degenerate_streak += 1
-            if degenerate_streak > 2 * (m + tab.body.shape[1]):
-                bland = True
-        else:
-            degenerate_streak = 0
-        tab.pivot(row, col, obj)
-    return "failed"
-
-
-def ref_solve_lp(lp):
-    n = lp.n_vars
-    m = lp.n_rows
-    lb = lp.lower_bounds
-    shift_const = float(lp.objective @ lb)
-    rhs = lp.rhs - lp.rows @ lb
-
-    flips = np.where(rhs < 0, -1.0, 1.0)
-    rows = lp.rows * flips[:, None]
-    rhs *= flips
-    flipped = {"<=": ">=", ">=": "<=", "==": "=="}
-    senses = [flipped[s] if f < 0 else s for s, f in zip(lp.senses, flips)]
-
-    slack_cols = [i for i, s in enumerate(senses) if s == "<="]
-    surplus_cols = [i for i, s in enumerate(senses) if s == ">="]
-    art_rows = [i for i, s in enumerate(senses) if s != "<="]
-    n_slack = len(slack_cols) + len(surplus_cols)
-    n_ext = n + n_slack
-    n_cols = n_ext + len(art_rows)
-
-    body = np.zeros((m, n_cols + 1))
-    body[:, :n] = rows
-    body[:, -1] = rhs
-    col = n
-    slack_col_of = {}
-    for i in slack_cols:
-        body[i, col] = 1.0
-        slack_col_of[i] = col
-        col += 1
-    for i in surplus_cols:
-        body[i, col] = -1.0
-        slack_col_of[i] = col
-        col += 1
-    art_col_of = {}
-    for i in art_rows:
-        body[i, col] = 1.0
-        art_col_of[i] = col
-        col += 1
-
-    basis = [art_col_of[i] if i in art_col_of else slack_col_of[i] for i in range(m)]
-    tab = RefTableau(body=body, basis=basis, n_enter=n_ext)
-    max_iter = 2000 + 40 * (m + n_cols)
-
-    def reduced_row(costs):
-        obj = np.zeros(n_cols + 1)
-        obj[:n_cols] = costs
-        for r, b in enumerate(tab.basis):
-            if costs[b] != 0.0:
-                obj -= costs[b] * tab.body[r]
-        return obj
-
-    def fail():
-        return LpSolution("failed", None, float("nan")), None
-
-    if m > 0:
-        phase1_costs = np.zeros(n_cols)
-        for c in art_col_of.values():
-            phase1_costs[c] = 1.0
-        obj1 = reduced_row(phase1_costs)
-        status = ref_run_simplex(tab, obj1, max_iter)
-        if status == "failed":
-            return fail()
-        if -obj1[-1] > FEAS_TOL:
-            return LpSolution("infeasible", None, float("nan")), None
-        art_set = set(art_col_of.values())
-        drop = []
-        for r in range(m):
-            if tab.basis[r] in art_set:
-                options = np.flatnonzero(np.abs(tab.body[r, :n_ext]) > FEAS_TOL)
-                if options.size:
-                    tab.pivot(r, int(options[0]), obj1)
-                else:
-                    drop.append(r)
-        kept = [r for r in range(m) if r not in drop]
-        if drop:
-            tab.body = tab.body[kept]
-            tab.basis = [tab.basis[r] for r in kept]
-    else:
-        kept = []
-
-    phase2_costs = np.zeros(n_cols)
-    phase2_costs[:n] = lp.objective
-    obj2 = reduced_row(phase2_costs)
-    status = ref_run_simplex(tab, obj2, max_iter)
-    if status == "failed":
-        return fail()
-    if status == "unbounded":
-        return LpSolution("unbounded", None, float("-inf")), None
-
-    values_ext = np.zeros(n_cols)
-    for r, b in enumerate(tab.basis):
-        values_ext[b] = tab.body[r, -1]
-    x = np.clip(values_ext[:n], 0.0, None) + lb
-
-    resid_hi = lp.rows @ x - lp.rhs
-    for i, s in enumerate(lp.senses):
-        if (
-            (s == "<=" and resid_hi[i] > FEAS_TOL)
-            or (s == ">=" and resid_hi[i] < -FEAS_TOL)
-            or (s == "==" and abs(resid_hi[i]) > FEAS_TOL)
-        ):
-            return fail()
-    objective_value = float(lp.objective @ x)
-
-    if m > 0:
-        A_ext = np.zeros((m, n_ext))
-        A_ext[:, :n] = rows
-        for i in slack_cols:
-            A_ext[i, slack_col_of[i]] = 1.0
-        for i in surplus_cols:
-            A_ext[i, slack_col_of[i]] = -1.0
-        B = A_ext[kept][:, tab.basis]
-        try:
-            y_kept = np.linalg.solve(B.T, phase2_costs[tab.basis])
-        except np.linalg.LinAlgError:
-            return fail()
-        y = np.zeros(m)
-        y[kept] = y_kept
-        y *= flips
-        dual_value = float(y @ (lp.rhs - lp.rows @ lb)) + shift_const
-    else:
-        y = np.zeros(0)
-        dual_value = shift_const
-
-    if abs(dual_value - objective_value) > DUALITY_TOL * (1.0 + abs(objective_value)):
-        return fail()
-    return (
-        LpSolution("optimal", x, objective_value),
-        DualSolution(values=y, objective_value=dual_value),
-    )
 
 
 # Two sizes per kind from the relax benchmark ladder (80-350 rows).
@@ -780,11 +630,8 @@ def lean_tableau_corpus():
 
 
 # SHA-256 of solve_lp's output on golden_solve_corpus(). A change to it is an
-# output change: declare it in CHANGES.md and paste the new value. The duals
-# of an LP with a negative cost come from a basis solve whose last bits
-# depend on the BLAS thread count, so a child process pinned to one thread
-# takes the digest.
-GOLDEN_SOLVE_DIGEST = "9719ca7e0035f6f896b4dedfd0a50db8fe912b0a692347bf2df48be9c99faf41"
+# output change: declare it in CHANGES.md and paste the new value.
+GOLDEN_SOLVE_DIGEST = "840b4ff26715acd56aed758b2ca99fcacd02d823a0700432bc65766f21f49b74"
 
 
 def golden_solve_corpus():
@@ -793,9 +640,9 @@ def golden_solve_corpus():
 
     yield from golden_builder_corpus()
     yield from lean_tableau_corpus()
-    # Only these two cycle long enough to reach the Bland switch.
     yield beale_lp()
-    yield beale_with_artificials()
+    # Only this one cycles long enough to reach the Bland switch.
+    yield beale_dual_lp()
     # Half-integral odd-cycle relaxations: a reduced-cost fold in another
     # order changes their output bytes, and those of no LP above.
     rng = np.random.default_rng(7)
@@ -820,109 +667,25 @@ def solve_digest(lps) -> str:
     return h.hexdigest()
 
 
-def relax_corpus():
-    """Two seeds of each relax-ladder size: set cover seed 0 at 17 x 21 is one
-    whose basis-solve duals moved with the BLAS thread count."""
-    for kind, sizes in RELAX_SIZES:
-        for seed in range(2):
-            yield build_relaxation(generate_instance(kind, seed=seed, **sizes))
+def test_solve_lp_matches_the_golden_digest():
+    digest = solve_digest(golden_solve_corpus())
+    assert digest == GOLDEN_SOLVE_DIGEST, f'GOLDEN_SOLVE_DIGEST = "{digest}"'
 
 
-def child_digest(threads, *args):
-    """``solve_digest`` of the corpus this file's main block picks by
-    ``args``, in a child process at ``threads`` BLAS threads."""
+def child_digest(threads):
+    """``solve_digest`` of the golden corpus, in a child process at
+    ``threads`` BLAS threads."""
     src = str(Path(twostage.lp.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, __file__, *args], env=env, capture_output=True, text=True
-    )
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     return child.stdout.strip()
 
 
-def test_solve_lp_matches_the_golden_digest():
-    digest = child_digest(1)
-    assert digest == GOLDEN_SOLVE_DIGEST, f'GOLDEN_SOLVE_DIGEST = "{digest}"'
-
-
 def test_dual_route_bytes_do_not_depend_on_the_blas_thread_count():
-    assert child_digest(1, "relax") == child_digest(2, "relax")
-
-
-def with_a_negative_cost(lp):
-    """The same program plus a variable at cost -1 that only a new last row
-    caps at 1: still bounded, and the primal simplex solves it."""
-    rows = np.zeros((lp.n_rows + 1, lp.n_vars + 1))
-    rows[:-1, :-1] = lp.rows
-    rows[-1, -1] = 1.0
-    return LinearProgram(
-        np.append(lp.objective, -1.0),
-        rows,
-        lp.senses + ("<=",),
-        np.append(lp.rhs, 1.0),
-        lower_bounds=np.append(lp.lower_bounds, 0.0),
-    )
-
-
-def primal_route_corpus():
-    """The lean-tableau corpus as the primal simplex sees it: each program
-    with a negative cost or no rows as it is, each other one (the dual
-    route's) through ``with_a_negative_cost``."""
-    for lp in lean_tableau_corpus():
-        yield lp if lp.n_rows == 0 or (lp.objective < 0.0).any() else with_a_negative_cost(lp)
-
-
-def test_lean_tableau_is_bit_identical_to_the_artificial_column_reference():
-    corpus = list(primal_route_corpus())
-    lean = [solution_bytes(lp) for lp in corpus]
-    ref = [solution_bytes(lp, solve=ref_solve_lp) for lp in corpus]
-    statuses = [s[0] for s in lean]
-    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
-    assert statuses.count("optimal") == len(corpus) - 14
-    senses = {s for lp in corpus for s in lp.senses}
-    assert senses == {"<=", ">=", "=="}
-    assert lean == ref
-
-
-def beale_with_artificials():
-    """Beale's cycling LP plus x5 >= 1 and x6 == 1 at cost 1 each: phase 1
-    pivots both in, then phase 2 cycles exactly as in Beale's LP."""
-    rows = np.zeros((5, 6))
-    rows[:3, :4] = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
-    rows[3, 4] = rows[4, 5] = 1.0
-    return LinearProgram(
-        [-0.75, 20.0, -0.5, 6.0, 1.0, 1.0],
-        rows,
-        ("<=", "<=", "<=", ">=", "=="),
-        [0.0, 0.0, 1.0, 1.0, 1.0],
-    )
-
-
-def test_bland_switch_with_artificials_matches_the_reference(monkeypatch):
-    # 6 structural + 4 slack/surplus + 2 artificial columns: the switch
-    # fires once the degenerate streak exceeds 2 * (5 + 12 + 1) = 36.
-    # Counting only the columns the lean tableau stores would give 32.
-    lp = beale_with_artificials()
-    lean_pivots = record_pivots(monkeypatch)
-    sol, dual = solve_lp(lp)
-    ref_pivots = record_pivots(monkeypatch, RefTableau, "pivot")
-    ref_sol, ref_dual = ref_solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(0.75)
-    assert sol.values == pytest.approx([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
-    assert dual.objective_value == pytest.approx(0.75)
-    assert lean_pivots == ref_pivots
-    assert sol.values.tobytes() == ref_sol.values.tobytes()
-    assert dual.values.tobytes() == ref_dual.values.tobytes()
-    # Phase 1 pivots x5 and x6 in; phase 2 cycles until Bland's rule, on
-    # from pivot 37, first picks another column at pivot 40.
-    assert len(lean_pivots) == 44
-    phase2 = lean_pivots[2:]
-    cycle = phase2[:6]
-    assert phase2[:40] == (cycle * 7)[:40]
-    assert phase2[40] != cycle[40 % 6]
+    assert child_digest(1) == child_digest(2)
 
 
 if __name__ == "__main__":
-    print(solve_digest(relax_corpus() if sys.argv[1:] == ["relax"] else golden_solve_corpus()))
+    print(solve_digest(golden_solve_corpus()))

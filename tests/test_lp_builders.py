@@ -260,6 +260,13 @@ def golden_builder_corpus():
                         )
 
 
+def test_every_builder_names_each_row_and_column_once():
+    # The four relaxations, the recourse cover LP and the deterministic UFL LP.
+    for lp in golden_builder_corpus():
+        assert len(set(lp.names)) == len(lp.names) == lp.n_vars
+        assert len(set(lp.row_names)) == len(lp.row_names) == lp.n_rows
+
+
 def lp_digest(lps) -> str:
     h = hashlib.sha256()
     for lp in lps:
