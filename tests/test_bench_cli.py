@@ -869,3 +869,24 @@ def test_coins_match_the_golden_coin_digest():
         assert len(set(lines)) > 1  # the coins fire
         h.update(b"\n".join(lines) + b"\n")
     assert h.hexdigest() == GOLDEN_COIN_DIGEST, f'GOLDEN_COIN_DIGEST = "{h.hexdigest()}"'
+
+
+# ---------------------------------------------------------------------------
+# Golden CSV stream.  The plan digest hashes the JSON rows, so it does not see
+# the CSV formatting (``_fmt``, the column order, the summary rows).  This
+# digest hashes the stdout of ``twostage bench`` in its default CSV format for
+# every registered algorithm on generator seeds 0-3 of its kind, 3 trials
+# each, with the exit codes.  A change to it is an output change, declared in
+# CHANGES.md.
+GOLDEN_CSV_DIGEST = "ab78d7b30fdc1693c21bd757f3139687316e1cb8a90a19e63eb1cd398e050349"
+
+
+def test_bench_csv_matches_the_golden_digest(capsys):
+    h = hashlib.sha256()
+    for algorithm, (_, kinds) in sorted(bench.ALGORITHMS.items()):
+        for gen_seed in range(4):
+            argv = ["bench", "--instance", kinds[0].kind, "--algorithm", algorithm,
+                    "--gen-seed", str(gen_seed), "--trials", "3"]
+            code = main(argv)
+            h.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
+    assert h.hexdigest() == GOLDEN_CSV_DIGEST, f'GOLDEN_CSV_DIGEST = "{h.hexdigest()}"'
