@@ -51,7 +51,7 @@ class LinearProgram:
         obj = np.asarray(self.objective, dtype=float)
         rows = np.asarray(self.rows, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float)
-        if rows.size == 0:
+        if rows.ndim == 1 and rows.size == 0:
             rows = rows.reshape(0, obj.size)
         if rows.ndim != 2 or rows.shape != (rhs.size, obj.size):
             raise ValueError(
@@ -117,6 +117,8 @@ def _run_simplex(
     bland_after = 2 * (m + T.shape[0])
     reduced = T[:-1, m]
     rhs = T[-1, :m]
+    if not reduced.size:
+        return "optimal"  # no column can enter
     degenerate_streak = 0
     bland = False
     for _ in range(max_iter):

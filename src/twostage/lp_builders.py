@@ -271,8 +271,7 @@ def build_deterministic_ufl_lp(
 
     Columns: y[i] for every facility, then x[j,i] per served client in the
     order given.  Rows: serve[j] (sum over i of x[j,i] >= 1) per client, then
-    route[j,i]: x[j,i] <= y[i].  The duals of the serve rows are the
-    per-client budgets the clustered rounding sorts on.
+    route[j,i]: x[j,i] <= y[i].
     """
     f = np.asarray(open_cost, dtype=float)
     dist = np.asarray(distance, dtype=float)

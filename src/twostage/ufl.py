@@ -1,16 +1,14 @@
 """Facility-location roundings for the reserve/exercise/recourse model.
 
-All four roundings share one filter-and-cluster step, ``_greedy_balls``:
+All three roundings share one filter-and-cluster step, ``_greedy_balls``:
 items are visited cheapest first, and each joins the earliest founder
 whose ball meets its own, or founds its own ball.  ``round_5approx`` runs
-it on the demanded (scenario, client) pairs.  Both samplers are prepared
-once and sampled per seed, where they only draw.  The improved rounding
-(``prepare_improved``, ``sample_improved``) splits pairs into a first-stage
+it on the demanded (scenario, client) pairs.  The improved rounding
+(``prepare_improved``, ``sample_improved``) is prepared once and sampled
+per seed, where it only draws.  It splits pairs into a first-stage
 side (clustered over facility copies, then sampled) and a second-stage
 side (``deterministic_ufl_approx`` per scenario), trading determinism for
-a smaller factor.  Cluster sampling (``prepare_chudak_shmoys``,
-``sample_chudak_shmoys``; Chudak & Shmoys 2003) clusters one stage the
-same way.
+a smaller factor.
 
 The two-stage roundings produce a :class:`UflPlan`: reserved / exercised /
 recoursed facility sets plus a per-scenario client assignment.
@@ -235,16 +233,14 @@ def deterministic_ufl_approx(
     open_cost: np.ndarray,
     distance: np.ndarray,
     clients: tuple[int, ...],
-    open_mass: np.ndarray,
     serve: np.ndarray,
-    trace: dict | None = None,
 ) -> tuple[frozenset[int], dict[int, int]]:
     """Single-stage ball rounding: integral opening within 1/ALPHA of the
     fractional opening cost, assignments within 3/(1-ALPHA) of each client's
     fractional service cost.  With ALPHA = 2/5 the overall factor is 5.
 
     ``serve[t]`` is the service row of ``clients[t]``; each row must carry
-    mass >= ALPHA and satisfy serve <= open_mass facility-wise.
+    mass >= ALPHA and lie within the fractional opening facility-wise.
     """
     f = np.asarray(open_cost, dtype=float)
     d = np.asarray(distance, dtype=float)
@@ -256,8 +252,6 @@ def deterministic_ufl_approx(
         pool = [i for i in profiles[t].near if serve[t, i] > _TOL]
         opened[t] = min(pool, key=lambda i: (f[i], i))
     assignment = {clients[t]: opened[founder_of[t]] for t in order}
-    if trace is not None:
-        trace["profiles"] = dict(zip(clients, profiles))
     return frozenset(opened.values()), assignment
 
 
@@ -316,12 +310,10 @@ class CompleteUfl:
     source: np.ndarray
     open_mass: np.ndarray
     serve: np.ndarray
-    aux: np.ndarray | None
+    aux: np.ndarray
 
 
-def make_complete(
-    open_mass: np.ndarray, serve: np.ndarray, aux: np.ndarray | None = None
-) -> CompleteUfl:
+def make_complete(open_mass: np.ndarray, serve: np.ndarray, aux: np.ndarray) -> CompleteUfl:
     """Split each facility at its distinct service / layer values.
 
     An opening of 0.6 serving rows 0.6 and 0.2 becomes copies of mass 0.2
@@ -331,7 +323,7 @@ def make_complete(
     """
     y = np.asarray(open_mass, dtype=float)
     rows = np.asarray(serve, dtype=float)
-    layers = None if aux is None else np.asarray(aux, dtype=float)
+    layers = np.asarray(aux, dtype=float)
     src: list[int] = []
     mass: list[float] = []
     serve_cols: list[np.ndarray] = []
@@ -340,8 +332,7 @@ def make_complete(
         if y[i] <= _TOL:
             continue
         cuts = {float(v) for v in rows[:, i] if _TOL < v < y[i] - _TOL}
-        if layers is not None:
-            cuts |= {float(v) for v in layers[:, i] if _TOL < v < y[i] - _TOL}
+        cuts |= {float(v) for v in layers[:, i] if _TOL < v < y[i] - _TOL}
         breaks = [0.0] + sorted(cuts) + [float(y[i])]
         for lo, hi in zip(breaks, breaks[1:]):
             if hi - lo <= _TOL:
@@ -349,10 +340,9 @@ def make_complete(
             src.append(i)
             mass.append(hi - lo)
             serve_cols.append(np.where(rows[:, i] >= hi - _TOL, hi - lo, 0.0))
-            if layers is not None:
-                aux_cols.append(np.where(layers[:, i] >= hi - _TOL, hi - lo, 0.0))
+            aux_cols.append(np.where(layers[:, i] >= hi - _TOL, hi - lo, 0.0))
     serve_out = np.array(serve_cols).reshape(len(src), rows.shape[0]).T
-    aux_out = None if layers is None else np.array(aux_cols).reshape(len(src), layers.shape[0]).T
+    aux_out = np.array(aux_cols).reshape(len(src), layers.shape[0]).T
     return CompleteUfl(np.array(src, dtype=int), np.array(mass), serve_out, aux_out)
 
 
@@ -371,7 +361,7 @@ class PairBall:
 @dataclass(frozen=True)
 class FilteredUfl:
     open_hat: np.ndarray
-    aux_hat: np.ndarray | None
+    aux_hat: np.ndarray
     balls: tuple[PairBall, ...]
 
 
@@ -413,15 +403,15 @@ def swamy_filter(
         r_gamma = float(d[t, copies[-1]]) if copies else 0.0
         balls.append(PairBall(tuple(copies), w, c_gamma, r_gamma))
     open_hat = np.minimum(complete.open_mass / gamma, 1.0)
-    aux_hat = None if complete.aux is None else np.minimum(complete.aux / gamma, 1.0)
+    aux_hat = np.minimum(complete.aux / gamma, 1.0)
     return FilteredUfl(open_hat, aux_hat, tuple(balls))
 
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Disjoint clusters grown around the cheapest items (filtered pairs or
-    clients).  ``representative[t]`` points each item at the cluster that
-    serves as its fallback (its own if it founded one)."""
+    """Disjoint clusters grown around the cheapest filtered pairs.
+    ``representative[t]`` points each pair at the cluster that serves as
+    its fallback (its own if it founded one)."""
 
     centers: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
@@ -521,8 +511,7 @@ def prepare_improved(sol: FractionalUflSolution) -> PreparedImproved:
             second_opened.append(frozenset())
             continue
         rows = np.minimum(split.second[k, list(cl)] / (1.0 - THETA), 1.0)
-        open_mass = np.minimum(sol.zk[k] / (1.0 - THETA), 1.0)
-        opened, _ = deterministic_ufl_approx(inst.scenario_open_cost[k], c, cl, open_mass, rows)
+        opened, _ = deterministic_ufl_approx(inst.scenario_open_cost[k], c, cl, rows)
         second_opened.append(opened)
     return PreparedImproved(sol, comp, filtered, plan, needed, tuple(second_opened))
 
@@ -602,73 +591,19 @@ def clustered_approx_factor(det_factor: float = DET_FACTOR_CITED) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-stage cluster sampling (reference for the exercise-weights trick)
+# the single-stage reference relaxation
 
 
 def solve_deterministic_ufl_lp(
     open_cost: np.ndarray, distance: np.ndarray, clients: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Optimal (y, x) of the single-stage relaxation plus the serve-row
-    duals, which price each client's share of the opening budget."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Optimal (y, x) and value of the single-stage relaxation, the
+    reference ``deterministic_ufl_approx`` is checked against."""
     lp = build_deterministic_ufl_lp(open_cost, distance, clients)
-    sol, dual = solve_lp(lp)
-    if sol.status != "optimal" or dual is None:
+    sol, _ = solve_lp(lp)
+    if sol.status != "optimal":
         raise InstanceError(f"single-stage relaxation came back {sol.status}")
     n_i = len(open_cost)
     y = sol.values[:n_i].copy()
     x = sol.values[n_i:].reshape(len(clients), n_i).copy()
-    duals = dual.values[: len(clients)].copy()
-    return y, x, duals, sol.objective_value
-
-
-@dataclass(frozen=True)
-class PreparedChudakShmoys:
-    """Seed-independent part of cluster sampling on one complete solution:
-    each cluster's facilities and weights, the rest and their odds."""
-
-    distance: np.ndarray
-    clients: tuple[int, ...]
-    clusters: ClusterPlan
-    pools: tuple[tuple[np.ndarray, np.ndarray], ...]
-    loose: np.ndarray
-    loose_odds: np.ndarray
-
-
-def prepare_chudak_shmoys(
-    distance: np.ndarray, clients: tuple[int, ...], open_mass: np.ndarray, serve: np.ndarray,
-    duals: np.ndarray,
-) -> PreparedChudakShmoys:
-    """Check that the solution is complete and cluster it, once.
-
-    Clients are ordered by fractional service cost plus dual budget; each
-    either founds a cluster on its support or points at the earliest
-    overlapping one.
-    """
-    d = np.asarray(distance, dtype=float)
-    y = np.asarray(open_mass, dtype=float)
-    hot = serve > 1e-9
-    if np.any(hot & (np.abs(serve - y) > 1e-7)):
-        raise ValueError("cluster sampling needs a complete solution")
-    supports = [frozenset(np.flatnonzero(row).tolist()) for row in hot]
-    keys = [(float(serve[t] @ d[:, j]) + duals[t], j) for t, j in enumerate(clients)]
-    plan = _greedy_clusters(supports, keys)
-    pools = tuple((pool, y[pool] / float(y[pool].sum())) for pool in map(np.array, plan.members))
-    loose = np.setdiff1d(np.arange(y.size), sum(plan.members, ()))
-    return PreparedChudakShmoys(d, tuple(clients), plan, pools, loose, np.minimum(y[loose], 1.0))
-
-
-def sample_chudak_shmoys(
-    prep: PreparedChudakShmoys, seed: int = 0
-) -> tuple[frozenset[int], dict[int, int]]:
-    """Cluster sampling (Chudak & Shmoys 2003) on a prepared solution.
-
-    Exactly one facility opens per cluster (categorical over the center's
-    support, i.e. the opening masses), facilities outside clusters flip
-    independent coins, and everyone walks to the nearest open facility —
-    the cluster guarantees there always is one.  The per-client expected
-    distance is C_j + (2/e) * dual_j.
-    """
-    rng = np.random.default_rng(seed)
-    opened = {int(rng.choice(pool, p=w)) for pool, w in prep.pools}
-    opened.update(prep.loose[rng.random(prep.loose.size) < prep.loose_odds].tolist())
-    return frozenset(opened), _nearest_open(prep.distance, opened, prep.clients)
+    return y, x, sol.objective_value

@@ -643,6 +643,15 @@ def test_steiner_sample_prices_an_instance_without_scenarios_at_zero(capsys):
     assert [(r["cost"], r["feasible"]) for r in rows] == [("0.0", "1"), ("0.0", "1")]
 
 
+def test_a_one_vertex_steiner_instance_benches_within_its_bounds(capsys):
+    # no edge, so the relaxation has no variable and no row
+    argv = ["bench", "--instance", "steiner", "--algorithm", "steiner-sample",
+            "--param", "n_vertices=1", "--assert-bounds"]
+    assert main(argv) == EXIT_OK
+    rows = [r for r in csv.DictReader(io.StringIO(capsys.readouterr().out)) if r["algorithm"]]
+    assert [(r["lp_opt"], r["cost"], r["feasible"]) for r in rows] == [("0.0", "0.0", "1")]
+
+
 def test_saa_refuses_an_unknown_algorithm_at_parse_time(tmp_path, capsys):
     inst = gen_file(tmp_path, "set_cover", "sc")
     with pytest.raises(SystemExit) as exc:
@@ -666,10 +675,11 @@ def test_saa_refuses_a_wrong_kind_algorithm_before_sampling(tmp_path, capsys, mo
 # Golden plan stream.  One SHA-256 over the bench JSON rows minus runtime_ms
 # (all nine algorithms on generator seeds 0-11, 4 trials, plus the odd-cycle
 # cases), every per-seed plan, the UFL assignments in their insertion order
-# with the roundings' traces, the gen JSON bytes and both Python demos'
-# stdout.  A change to it is an output change: declare it in CHANGES.md and
-# paste the new value.
-GOLDEN_PLAN_DIGEST = "94f13ab692c5e095b0e3ae4271057a66c4be7373d1de42f82fe4036279dd30be"
+# with the 5-approximation's trace, the single-stage rounding's plans on the
+# generated instances, the gen JSON bytes and both Python demos' stdout.  A
+# change to it is an output change: declare it in CHANGES.md and paste the
+# new value.
+GOLDEN_PLAN_DIGEST = "7ae7ee265a6944fba659310c87172d5809afe70cf85d345c9f4dea8b36927f43"
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -720,18 +730,14 @@ def golden_ufl_records(inst):
 
 
 def golden_single_stage_records():
-    """Single-stage ball rounding and cluster sampling on complete solutions."""
+    """The single-stage ball rounding's opened set and assignment on each
+    generated instance's single-stage relaxation.  ``prepare_improved``
+    keeps only the opened set, so this record is what pins the assignment."""
     for seed in range(12):
         inst = generate_instance("ufl", seed=seed)
         f, d, clients = np.asarray(inst.open_cost), inst.dist, tuple(range(inst.n_clients))
-        y, x, duals, _ = ufl.solve_deterministic_ufl_lp(f, d, clients)
-        trace = {}
-        yield ufl.deterministic_ufl_approx(f, d, clients, y, x, trace=trace), trace["profiles"]
-        comp = ufl.make_complete(y, x)
-        prep = ufl.prepare_chudak_shmoys(d[comp.source], clients, comp.open_mass, comp.serve, duals)
-        centers = tuple(clients[t] for t in prep.clusters.centers)
-        for s in range(4):
-            yield ufl.sample_chudak_shmoys(prep, s), prep.clusters.members, centers
+        _, x, _ = ufl.solve_deterministic_ufl_lp(f, d, clients)
+        yield ufl.deterministic_ufl_approx(f, d, clients, x)
 
 
 def plan_digest(tmp_path) -> str:
@@ -774,11 +780,11 @@ def test_plans_match_the_golden_digest(tmp_path):
 # ---------------------------------------------------------------------------
 # Golden coin stream.  The plan digest's randomized roundings mostly saturate
 # on the generated corpora, so it cannot see a sampler draw the wrong coin.
-# This digest hashes the plans of seeds 0-499 of three samplers on hand-built
-# fractional solutions whose coins fire: the improved UFL rounding, cluster
-# sampling and srini-sc on the Fano plane.  It is not regenerated by a
-# refactor; a change to it is an output change, declared in CHANGES.md.
-GOLDEN_COIN_DIGEST = "e1ea82defaa22ff5991b8e2907af71065a2da0f9e5640c409dd79684ac36eebe"
+# This digest hashes the plans of seeds 0-499 of two samplers on hand-built
+# fractional solutions whose coins fire: the improved UFL rounding and
+# srini-sc on the Fano plane.  It is not regenerated by a refactor; a change
+# to it is an output change, declared in CHANGES.md.
+GOLDEN_COIN_DIGEST = "4029de33cf4ead4083562a6b272b69ee9ccad01d3f879fa296e5ae7aab9382f3"
 
 COIN_SEEDS = range(500)
 
@@ -818,23 +824,6 @@ def tilted_ufl_solution():
     )
 
 
-def cluster_sampling_case():
-    """(distance, clients, y, serve, duals) of a complete single-stage
-    solution: clients 0 and 1 share the cluster {0, 1} at y = 0.3 / 0.7,
-    client 2 founds {3, 4} at 0.4 / 0.6, and facility 2 (y = 0.3) is in
-    no cluster."""
-    d = np.array([
-        [1.0, 3.0, 3.0],
-        [1.0, 1.5, 3.0],
-        [2.0, 1.5, 3.0],
-        [3.0, 3.0, 2.0],
-        [3.0, 3.0, 2.0],
-    ])
-    y = np.array([0.3, 0.7, 0.3, 0.4, 0.6])
-    serve = np.array([[0.3, 0.7, 0.0, 0.0, 0.0], [0.0, 0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.4, 0.6]])
-    return d, (0, 1, 2), y, serve, np.zeros(3)
-
-
 def fano_solution():
     """x = 1/3 on the seven lines of the Fano plane, exercised at 1/4 and
     recoursed at 1/10, so every srini-sc coin lies strictly inside (0, 1)."""
@@ -854,12 +843,7 @@ def fano_solution():
 def coin_samplers():
     """Each sampler's draw as a function of the seed, prepared once."""
     prep = ufl.prepare_improved(tilted_ufl_solution())
-    chudak_shmoys = ufl.prepare_chudak_shmoys(*cluster_sampling_case())
-    return (
-        lambda seed: ufl.sample_improved(prep, seed),
-        lambda seed: ufl.sample_chudak_shmoys(chudak_shmoys, seed),
-        cover.srinivasan_sampler(fano_solution()),
-    )
+    return (lambda seed: ufl.sample_improved(prep, seed), cover.srinivasan_sampler(fano_solution()))
 
 
 def test_coins_match_the_golden_coin_digest():

@@ -74,6 +74,22 @@ def test_an_infeasible_primal_with_an_infeasible_dual_is_infeasible():
     assert highs(lp)[0] == "infeasible"
 
 
+@pytest.mark.parametrize("senses, rhs, status", [
+    ((), [], "optimal"),
+    ((">=",), [1.0], "infeasible"),
+    ((">=",), [0.0], "optimal"),
+    ((">=", "<="), [0.0, 1.0], "optimal"),
+])
+def test_an_lp_with_no_variable_is_feasible_exactly_when_zero_meets_its_rows(senses, rhs, status):
+    # scipy's linprog refuses an empty objective, so there is no HiGHS check
+    lp = LinearProgram([], np.zeros((len(rhs), 0)), senses, rhs)
+    assert lp.rows.shape == (len(rhs), 0)
+    sol, _ = solve_lp(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert (sol.values.size, sol.objective_value) == (0, 0.0)
+
+
 def test_equality_row():
     lp = LinearProgram([1.0, 3.0], [[1.0, 1.0]], ("==",), [2.0])
     sol, _ = solve_lp(lp)

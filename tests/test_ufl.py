@@ -5,6 +5,7 @@ fractional branches are exercised with an odd-cycle metric gadget (each
 client sits at distance 1 from two facilities arranged in a 3-cycle) whose
 relaxation genuinely splits mass half/half.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -27,10 +28,8 @@ from twostage.ufl import (
     deterministic_ufl_approx,
     evaluate_ufl_cost,
     make_complete,
-    prepare_chudak_shmoys,
     prepare_improved,
     round_5approx,
-    sample_chudak_shmoys,
     sample_improved,
     solve_deterministic_ufl_lp,
     split_assignment,
@@ -244,11 +243,12 @@ def test_classification_boundary_is_inclusive():
 def test_make_complete_frozen_split():
     y = np.array([0.6])
     serve = np.array([[0.6], [0.2]])
-    comp = make_complete(y, serve)
-    assert comp.open_mass == pytest.approx([0.2, 0.4])
+    comp = make_complete(y, serve, aux=np.zeros((0, 1)))
+    assert comp.open_mass.tolist() == [0.2, 0.6 - 0.2]
     assert comp.source.tolist() == [0, 0]
-    assert comp.serve[0] == pytest.approx([0.2, 0.4])  # 0.6-row uses both
-    assert comp.serve[1] == pytest.approx([0.2, 0.0])  # 0.2-row only the first
+    assert comp.serve[0].tolist() == [0.2, 0.6 - 0.2]  # 0.6-row uses both
+    assert comp.serve[1].tolist() == [0.2, 0.0]  # 0.2-row only the first
+    assert comp.aux.shape == (0, 2)
     # every positive entry equals its copy's opening mass
     hot = comp.serve > 1e-12
     assert np.allclose(comp.serve[hot], np.broadcast_to(comp.open_mass, comp.serve.shape)[hot])
@@ -257,20 +257,26 @@ def test_make_complete_frozen_split():
 def test_make_complete_identity_when_already_complete():
     y = np.array([0.5, 1.0])
     serve = np.array([[0.5, 1.0]])
-    comp = make_complete(y, serve)
-    assert comp.open_mass == pytest.approx([0.5, 1.0])
+    comp = make_complete(y, serve, aux=np.zeros((0, 2)))
+    assert comp.open_mass.tolist() == [0.5, 1.0]
     assert comp.source.tolist() == [0, 1]
+    assert comp.serve.tolist() == [[0.5, 1.0]]
 
 
 def test_make_complete_preserves_totals():
     rng = np.random.default_rng(8)
+    h = hashlib.sha256()
     for _ in range(20):
         y = rng.uniform(0.1, 1.0, size=4)
         serve = np.minimum(rng.uniform(0.0, 1.0, size=(3, 4)), y[None, :])
-        comp = make_complete(y, serve)
+        comp = make_complete(y, serve, aux=np.zeros((0, 4)))
         for i in range(4):
             assert comp.open_mass[comp.source == i].sum() == pytest.approx(y[i])
         assert comp.serve.sum(axis=1) == pytest.approx(serve.sum(axis=1))
+        for a in (comp.source, comp.open_mass, comp.serve):
+            h.update(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+    # with no layer rows the copies are cut at the service values alone
+    assert h.hexdigest() == "bf3dd180cbd449bc8ed35d082db3db339389e1720d3e2d635c33ed50a646663a"
 
 
 def test_swamy_filter_frozen_example():
@@ -278,7 +284,7 @@ def test_swamy_filter_frozen_example():
         source=np.arange(3),
         open_mass=np.array([0.3, 0.3, 0.4]),
         serve=np.array([[0.3, 0.3, 0.4]]),
-        aux=None,
+        aux=np.zeros((0, 3)),
     )
     d = np.array([[1.0, 2.0, 3.0]])
     filt = swamy_filter(comp, d, gamma=0.5)
@@ -295,7 +301,7 @@ def test_swamy_filter_wide_gamma_keeps_support():
         source=np.arange(3),
         open_mass=np.array([0.3, 0.3, 0.4]),
         serve=np.array([[0.3, 0.3, 0.4]]),
-        aux=None,
+        aux=np.zeros((0, 3)),
     )
     d = np.array([[1.0, 2.0, 3.0]])
     filt = swamy_filter(comp, d, gamma=0.999)
@@ -303,7 +309,7 @@ def test_swamy_filter_wide_gamma_keeps_support():
 
 
 def test_swamy_filter_rejects_bad_gamma():
-    comp = CompleteUfl(np.arange(1), np.array([1.0]), np.array([[1.0]]), None)
+    comp = CompleteUfl(np.arange(1), np.array([1.0]), np.array([[1.0]]), np.zeros((0, 1)))
     for g in (0.2, 1.0, 1.5):
         with pytest.raises(ValueError):
             swamy_filter(comp, np.array([[1.0]]), g)
@@ -392,8 +398,8 @@ def test_round_improved_equals_sampling_a_shared_prepared_state(inst):
 
 
 def test_an_empty_draw_leaves_the_stream_where_it_was():
-    # Both samplers draw rng.random(0) when no copy or facility is loose or
-    # stray; that keeps their plans equal to a sampler that skips the empty
+    # The improved sampler draws rng.random(0) when no copy is loose or
+    # stray; that keeps its plans equal to a sampler that skips the empty
     # draw only because the call consumes nothing.
     rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
     assert rng.random(0).size == 0
@@ -406,81 +412,31 @@ def test_an_empty_draw_leaves_the_stream_where_it_was():
 def test_deterministic_rounding_identity_on_integral():
     f = np.array([1.0, 2.0])
     d = np.array([[1.0, 3.0], [3.0, 1.0]])
-    opened, amap = deterministic_ufl_approx(
-        f, d, (0, 1), np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
-    )
+    opened, amap = deterministic_ufl_approx(f, d, (0, 1), np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert opened == frozenset({0, 1})
     assert amap == {0: 0, 1: 1}
 
 
+def single_stage_cases():
+    """(open cost, distance, clients): three odd-cycle metrics, whose
+    relaxations split mass, and two generated instances."""
+    def odd(scale=1.0, f=1.5):
+        return np.full(3, f), odd_cycle_metric() * scale, (0, 1, 2)
+
+    cases = [odd(), odd(scale=2.0), odd(f=0.8)]
+    for seed in (3, 4):
+        inst = generate_instance("ufl", seed=seed, n_facilities=4, n_clients=5)
+        cases.append((np.asarray(inst.open_cost), inst.dist, tuple(range(inst.n_clients))))
+    return cases
+
+
 def test_deterministic_rounding_within_five_of_relaxation():
-    f = np.full(3, 1.5)
-    d = odd_cycle_metric()
-    clients = (0, 1, 2)
-    y, x, duals, value = solve_deterministic_ufl_lp(f, d, clients)
-    opened, amap = deterministic_ufl_approx(f, d, clients, y, x)
-    cost = f[sorted(opened)].sum() + sum(d[i, j] for j, i in amap.items())
-    assert cost <= 5.0 * value + 1e-9
-    assert all(amap[j] in opened for j in clients)
-
-
-def test_cs_round_wants_complete_input():
-    f = np.full(3, 1.5)
-    d = odd_cycle_metric()
-    y, x, duals, _ = solve_deterministic_ufl_lp(f, d, (0, 1, 2))
-    bad = x.copy()
-    bad[0] = np.array([0.3, 0.7, 0.0])  # positive entry below its opening
-    with pytest.raises(ValueError, match="needs a complete solution"):
-        prepare_chudak_shmoys(d, (0, 1, 2), np.ones(3), bad, duals)
-
-
-def test_cs_round_single_pair():
-    prep = prepare_chudak_shmoys(
-        np.array([[1.5]]), (0,), np.array([1.0]), np.array([[1.0]]), np.array([0.0])
-    )
-    opened, amap = sample_chudak_shmoys(prep, seed=0)
-    assert opened == frozenset({0})
-    assert amap == {0: 0}
-
-
-def test_cs_round_opens_exactly_one_per_cluster():
-    f = np.full(3, 1.5)
-    d = odd_cycle_metric()
-    clients = (0, 1, 2)
-    y, x, duals, _ = solve_deterministic_ufl_lp(f, d, clients)
-    comp = make_complete(y, x)
-    prep = prepare_chudak_shmoys(d[comp.source], clients, comp.open_mass, comp.serve, duals)
-    for seed in range(300):
-        opened, amap = sample_chudak_shmoys(prep, seed=seed)
-        for members in prep.clusters.members:
-            assert len(opened & set(members)) == 1
+    for f, d, clients in single_stage_cases():
+        _, x, value = solve_deterministic_ufl_lp(f, d, clients)
+        opened, amap = deterministic_ufl_approx(f, d, clients, x)
+        cost = f[sorted(opened)].sum() + sum(d[i, j] for j, i in amap.items())
+        assert cost <= 5.0 * value + 1e-9
         assert all(amap[j] in opened for j in clients)
-
-
-def test_cs_round_mean_distance_within_lemma_budget():
-    f = np.full(3, 1.5)
-    d = odd_cycle_metric()
-    clients = (0, 1, 2)
-    y, x, duals, _ = solve_deterministic_ufl_lp(f, d, clients)
-    comp = make_complete(y, x)
-    dc = d[comp.source]
-    prep = prepare_chudak_shmoys(dc, clients, comp.open_mass, comp.serve, duals)
-    n_seeds = 1500
-    dist_sum = np.zeros(3)
-    dist_sq = np.zeros(3)
-    for seed in range(n_seeds):
-        _, amap = sample_chudak_shmoys(prep, seed=seed)
-        for t, j in enumerate(clients):
-            got = dc[amap[j], j]
-            dist_sum[t] += got
-            dist_sq[t] += got * got
-    c_frac = np.array([x[t] @ d[:, j] for t, j in enumerate(clients)])
-    mean = dist_sum / n_seeds
-    stderr = np.sqrt(
-        np.maximum(dist_sq / n_seeds - mean**2, 0.0) / n_seeds
-    )
-    bound = c_frac + (2.0 / math.e) * duals + 3.0 * stderr
-    assert np.all(mean <= bound + 1e-9)
 
 
 # -- the shared filter-and-cluster step ----------------------------------------
