@@ -418,7 +418,9 @@ def threshold_recourse_cover(inst: CoverInstance) -> RecoursePlan:
     buy {x >= U} now and {x + z_k >= U} late.  Coverage holds for any
     U <= 1/f (f = max element frequency), and averaging over U shows some
     candidate costs at most f times the relaxation, so the cheapest feasible
-    candidate is an f-approximation — factor 2 on vertex cover.
+    candidate is an f-approximation — factor 2 on vertex cover.  The scan
+    reads the relaxation's lexicographically least optimal vertex, the one
+    ``solve_lp`` returns, so the plan does not move with the pivot path.
     """
     lp = _recourse_cover_lp(inst)
     sol, _ = solve_lp(lp)

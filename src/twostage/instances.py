@@ -184,6 +184,11 @@ class UflInstance:
         n_i = len(self.open_cost)
         if len(self.distance) != n_i:
             raise InstanceError("one distance row per facility required")
+        for i, row in enumerate(self.distance):
+            if len(row) != self.n_clients:
+                raise InstanceError(
+                    f"distance[{i}] must have {self.n_clients} entries, got {list(row)!r}"
+                )
         if len(self.scenario_open_cost) != len(self.scenarios):
             raise InstanceError("one scenario cost row per scenario required")
         for k, row in enumerate(self.scenario_open_cost):

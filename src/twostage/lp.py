@@ -1,19 +1,20 @@
 """Dense column-major simplex tableau on an LP's dual, with duals.
 
-Small LPs only (hundreds of variables); everything the rounding algorithms
-need fits comfortably.  Row j of the array ``T`` is tableau column j of a
-structural or slack variable, with that column's reduced cost as its last
-entry; the last row is the rhs, ending in minus the objective value.  A
-pivot is one block update of the columns where the pivot row is nonzero;
-the relaxations are sparse, and a skipped column could only lose the sign
-of a zero.  Minimization form with row senses '<=', '>=', '==' and
-per-variable lower bounds (default 0, shifted out internally).
+Small LPs only (hundreds of variables).  Row j of the array ``T`` is
+tableau column j of a structural or slack variable, with that column's
+reduced cost as its last entry; the last row is the rhs, ending in minus
+the objective value.  A pivot is one block update of the columns where the
+pivot row is nonzero; the relaxations are sparse, and a skipped column
+could only lose the sign of a zero.  Minimization form with row senses
+'<=', '>=', '==' and per-variable lower bounds (default 0, shifted out).
 
 Every LP is solved through its dual.  With no negative cost (every LP the
 package builds) the dual's slack basis is feasible: one simplex run.  A
-negative cost adds one artificial column and a phase 1 before it.  x is
-read off the reduced costs and y off the basic values, with no basis
-solve, so the bytes do not depend on the BLAS thread count.
+negative cost adds one artificial column and a phase 1 before it.  The
+lexicographic ratio test perturbs the dual's rhs, the costs, to c + (eps,
+eps^2, ...): no basis repeats, and x, read off the reduced costs, is the
+lexicographically least optimal x.  y is read off the basic values; with
+no basis solve the bytes do not depend on the BLAS thread count.
 
 Dual sign convention for a minimization problem: '>=' rows get duals >= 0,
 '<=' rows get duals <= 0, equality rows are free.  At optimal status the
@@ -110,46 +111,37 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray, basis: np.ndarray, max_iter: int
+    T: np.ndarray, basis: np.ndarray, inv: np.ndarray, max_iter: int
 ) -> Literal["optimal", "unbounded", "failed"]:
+    """Dantzig's entering rule and the lexicographic ratio test (Dantzig,
+    Orden & Wolfe 1955): a tie leaves on the least row of B^-1 (column i of
+    ``inv``, the slack rows of ``T``) over its pivot entry.  Every row of
+    [rhs | B^-1] stays lexicographically positive, so no basis repeats; the
+    last is optimal for rhs c + (eps, eps^2, ...): x is lexicographically least."""
     m = T.shape[1] - 1
-    # 2 * (rows + columns + 1): T holds one row per column, then the rhs.
-    bland_after = 2 * (m + T.shape[0])
     reduced = T[:-1, m]
     rhs = T[-1, :m]
     if not reduced.size:
         return "optimal"  # no column can enter
-    degenerate_streak = 0
-    bland = False
     for _ in range(max_iter):
-        if bland:
-            candidates = (reduced < -PIVOT_TOL).nonzero()[0]
-            if candidates.size == 0:
-                return "optimal"
-            col = int(candidates[0])
-        else:
-            col = int(reduced.argmin())
-            if reduced[col] >= -PIVOT_TOL:
-                return "optimal"
+        col = int(reduced.argmin())
+        if reduced[col] >= -PIVOT_TOL:
+            return "optimal"
         column = T[col, :m]
         eligible = (column > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded"
-        if eligible.size == 1:
-            row = int(eligible[0])
-            best = rhs[row] / column[row]
-        else:
-            ratios = rhs[eligible] / column[eligible]
-            best = np.minimum.reduce(ratios)
-            ties = eligible[ratios <= best + PIVOT_TOL]
-            # Smallest basis index among ties keeps Bland's guarantee intact.
-            row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
-        if best <= PIVOT_TOL:
-            degenerate_streak += 1
-            if degenerate_streak > bland_after:
-                bland = True
-        else:
-            degenerate_streak = 0
+        ratios = rhs[eligible] / column[eligible]
+        ties = eligible[ratios <= ratios.min() + PIVOT_TOL]
+        row = int(ties[0])
+        if ties.size > 1:
+            lex = inv[:, ties] / column[ties]
+            least = lex[:, 0]
+            for k in range(1, ties.size):
+                # The first entry that differs beyond PIVOT_TOL decides.
+                diff = lex[:, k] - least
+                if diff[(np.abs(diff) > PIVOT_TOL).argmax()] < -PIVOT_TOL:
+                    row, least = int(ties[k]), lex[:, k]
         _pivot(T, row, col)
         basis[row] = col
     return "failed"
@@ -182,8 +174,7 @@ def solve_lp(lp: LinearProgram) -> tuple[LpSolution, DualSolution | None]:
     if status != "optimal":
         value = float("-inf") if status == "unbounded" else float("nan")
         return LpSolution(status, None, value), None
-    primal = LpSolution("optimal", x, objective_value)
-    return primal, DualSolution(values=y, objective_value=dual_value)
+    return LpSolution("optimal", x, objective_value), DualSolution(y, dual_value)
 
 
 def _solve_dual(
@@ -197,12 +188,13 @@ def _solve_dual(
     split free variable).  Its rows are the primal variables, each with a
     slack; with c >= 0 the slack basis is feasible and one run solves it.
     Otherwise phase 1 minimizes one artificial column, -1 in each row with
-    c_j < 0 and pivoted in where c is least, and phase 2 starts from the
-    basis it leaves.  At the optimum y is the basic values, mapped back,
-    and x - lb is the slacks' reduced costs.  An unbounded dual means an
-    infeasible primal.  An infeasible dual means an unbounded or infeasible
-    primal; the dual of the zero-cost LP tells which, as it is bounded
-    exactly when the primal is feasible.
+    c_j < 0 and pivoted in at the last least c_j: a row i tied with it starts
+    as e_i - e_row with i < row, so every row starts lexicographically
+    positive.  At the optimum y is the basic values, mapped back, and x - lb
+    is the slacks' reduced costs.  An unbounded dual means an infeasible
+    primal.  An infeasible dual means an unbounded or infeasible primal; the
+    dual of the zero-cost LP tells which, as it is bounded exactly when the
+    primal is feasible.
     """
     m, n = rows.shape
     sign = np.where(sense == "<=", -1.0, 1.0)
@@ -225,20 +217,16 @@ def _solve_dual(
         T[:n_cols, n] = 0.0
         T[n_cols, neg] = -1.0
         T[n_cols, n] = 1.0
-        row = int(c.argmin())
+        row = int((c == c.min()).nonzero()[0][-1])
         _pivot(T, row, n_cols)
         basis[row] = n_cols
-        if _run_simplex(T, basis, max_iter) != "optimal":
-            return "failed", None, None
-        if -T[-1, n] > FEAS_TOL:
+        status = _run_simplex(T, basis, T[m_d:n_cols], max_iter)
+        if status == "optimal" and -T[-1, n] > FEAS_TOL:
             status = _solve_dual(rows, np.zeros(n), rhs, sense)[0]
             return ("unbounded" if status == "optimal" else status), None, None
-        # [rows^T | I] has full row rank, so an artificial left basic at 0
-        # has a nonzero entry to leave on, and no row is dropped.
-        for row in (basis == n_cols).nonzero()[0]:
-            col = int(np.abs(T[:n_cols, row]).argmax())
-            _pivot(T, row, col)
-            basis[row] = col
+        # On the perturbed rhs phase 1 ends at 0: the artificial has left.
+        if status != "optimal" or (basis == n_cols).any():
+            return "failed", None, None
         T = np.delete(T, n_cols, axis=0)
         # Phase-2 reduced costs: costs minus c_b times basic row b, folded
         # left to right in row order.
@@ -248,7 +236,7 @@ def _solve_dual(
         terms[0, :n_cols] = costs
         terms[1:] = c_basic[at, None] * T[:, at].T
         T[:, n] = np.subtract.reduce(terms)
-    status = _run_simplex(T, basis, max_iter)
+    status = _run_simplex(T, basis, T[m_d:n_cols], max_iter)
     if status != "optimal":
         return ("infeasible" if status == "unbounded" else "failed"), None, None
     u = np.zeros(n_cols)

@@ -26,7 +26,7 @@ from twostage.cover import (
 )
 from twostage.generators import generate_instance
 from twostage.instances import UflInstance
-from twostage.lp import LinearProgram, solve_lp
+from twostage.lp import solve_lp
 from twostage.lp_builders import solve_cover_lp, solve_ufl_lp
 from twostage.model import ScenarioSet, check_feasible, evaluate_objective
 from twostage.oracle import best_completion, brute_force_optimal
@@ -65,26 +65,6 @@ def odd_cycle_ufl(sigma=0.5, f0=2.0, fk=4.0, extra_scenario=False, scale=1.0):
     )
 
 
-def random_feasible_lp(rng, max_vars=20, max_rows=30):
-    n = int(rng.integers(2, max_vars + 1))
-    m = int(rng.integers(1, max_rows + 1))
-    rows = rng.uniform(-1.0, 1.0, size=(m, n))
-    x0 = rng.uniform(0.0, 2.0, size=n)  # planted feasible point
-    senses = []
-    rhs = np.empty(m)
-    slack = rng.uniform(0.0, 1.0, size=m)
-    for r in range(m):
-        lhs = float(rows[r] @ x0)
-        if rng.random() < 0.5:
-            senses.append("<=")
-            rhs[r] = lhs + slack[r]
-        else:
-            senses.append(">=")
-            rhs[r] = lhs - slack[r]
-    obj = rng.uniform(0.0, 1.0, size=n)  # nonnegative, so bounded below
-    return LinearProgram(obj, rows, tuple(senses), rhs)
-
-
 # Shared across criteria 2 and 11: one row per oracle-sized instance, each
 # run through the algorithm whose certificate is per-run.
 @pytest.fixture(scope="module")
@@ -106,6 +86,8 @@ def oracle_chain_rows():
 
 
 def test_criterion_01_lp_duality():
+    from test_lp import random_feasible_lp
+
     rng = np.random.default_rng(2024)
     worst_gap = worst_cs = 0.0
     for _ in range(100):

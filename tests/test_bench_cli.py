@@ -316,6 +316,7 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
      ("steiner", ("scenarios", 0, "p"), lambda x: None, "scenarios[0].p must be a number"),
      ("ufl", ("open_cost", 0), lambda x: None, "open_cost[0] must be a number"),
      ("ufl", ("distance", 0, 0), lambda x: None, "distance[0][0] must be a number"),
+     ("ufl", ("distance", 1), lambda x: x[:1], "distance[1] must have 6 entries"),
      ("ufl", ("scenario_open_cost", 0, 0), lambda x: None,
       "scenario_open_cost[0][0] must be a number"),
      ("set_cover", ("weights", 0), lambda x: 10**400, "weights[0] must fit in a float"),
@@ -335,7 +336,7 @@ def with_leaf(raw: dict, path: tuple, value) -> dict:
     ids=["inf-count", "inf-edge", "inf-root", "inf-client", "half-member", "fraction-count",
          "fraction-root", "fraction-client", "bool-count", "null-weight", "string-weight",
          "bool-weight", "null-sigma", "null-lambda", "list-lambda", "null-p", "null-open-cost",
-         "null-distance", "null-scenario-price", "huge-int-weight", "huge-int-price",
+         "null-distance", "ragged-distance", "null-scenario-price", "huge-int-weight", "huge-int-price",
          "number-scenario", "list-file", "number-set", "null-clients", "three-id-edge",
          "one-id-edge", "huge-float-count", "huge-int-root", "huge-float-client"],
 )
@@ -679,7 +680,7 @@ def test_saa_refuses_a_wrong_kind_algorithm_before_sampling(tmp_path, capsys, mo
 # generated instances, the gen JSON bytes and both Python demos' stdout.  A
 # change to it is an output change: declare it in CHANGES.md and paste the
 # new value.
-GOLDEN_PLAN_DIGEST = "7ae7ee265a6944fba659310c87172d5809afe70cf85d345c9f4dea8b36927f43"
+GOLDEN_PLAN_DIGEST = "e46955ce00cc352d7e24579904ed83f2cb08c0a3df1c5945017dc05f2f5ade20"
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 

@@ -3,15 +3,18 @@
 The scipy comparison is the independent route: both solvers see the same
 programs (random feasible bounded ones, and hypothesis-drawn degenerate,
 redundant, infeasible and unbounded ones, with and without negative costs)
-and must agree on the status and the optimum.  A golden digest pins the
-solver's output bytes on a fixed corpus, and they must not move with the
-BLAS thread count.  The full rank-one update of every tableau entry is kept
-as a reference pivot, and the output must be byte-equal to it.
+and must agree on the status and the optimum.  Sequential HiGHS solves give
+the lexicographically least optimal x, which must be the x returned.  A
+golden digest pins the solver's output bytes on a fixed corpus, and they
+must not move with the BLAS thread count.  The full rank-one update of
+every tableau entry is kept as a reference pivot, and the output must be
+byte-equal to it.
 """
 import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -221,15 +224,36 @@ def test_an_unbounded_dual_means_an_infeasible_primal(monkeypatch):
         ),
     ],
 )
-def test_an_artificial_left_basic_at_zero_is_pivoted_out(lp):
-    # Phase 1 ends on a ratio tie that the artificial, the highest basis id,
-    # loses: it stays basic at 0 and must be pivoted out before phase 2.
+def test_an_artificial_left_basic_at_zero_is_pivoted_out(monkeypatch, lp):
+    # Phase 1 ends on a ratio tie with the artificial's row among the tied
+    # rows; the lexicographic test must pivot it out inside phase 1.
+    log = record_phases(monkeypatch)
     sol, dual = solve_lp(lp)
     status, objective = highs(lp)
     assert sol.status == status == "optimal"
     assert sol.objective_value == pytest.approx(objective, abs=1e-9)
     assert np.all(lp.objective - lp.rows.T @ dual.values >= -1e-9)
     assert dual.objective_value == pytest.approx(objective, abs=1e-9)
+    # The artificial enters before phase 1 (run 1), leaves its row inside
+    # it, and never enters again.
+    (run, row, artificial), *rest = log
+    assert run is None
+    assert [r for r, at, _ in rest if at == row][0] == 1
+    assert all(col != artificial for _, _, col in rest)
+
+
+@pytest.mark.parametrize(
+    "objective, x",
+    [([-1.0, -1.0, 2.0], [0.0, 1.0, 0.0]), ([-1.0, -1.0, -1.0], [0.0, 0.0, 1.0])],
+    ids=["two-tied", "three-tied"],
+)
+def test_tied_least_costs_give_the_lexicographically_least_x(objective, x):
+    # The artificial enters on the last least cost, so every start row is
+    # lexicographically positive and x is the least optimum, not [1, 0, 0].
+    sol, _ = solve_lp(LinearProgram(objective, [[1.0, 1.0, 1.0]], ("<=",), [1.0]))
+    assert sol.status == "optimal"
+    assert list(sol.values) == x
+    assert sol.objective_value == -1.0
 
 
 def random_feasible_lp(rng, max_vars=20, max_rows=30):
@@ -253,29 +277,13 @@ def random_feasible_lp(rng, max_vars=20, max_rows=30):
     return LinearProgram(obj, rows, tuple(senses), rhs)
 
 
-def scipy_optimum(lp):
-    a_ub, b_ub = [], []
-    for row, sense, b in zip(lp.rows, lp.senses, lp.rhs):
-        if sense == "<=":
-            a_ub.append(row)
-            b_ub.append(b)
-        else:
-            a_ub.append(-row)
-            b_ub.append(-b)
-    res = linprog(
-        lp.objective, A_ub=np.array(a_ub), b_ub=np.array(b_ub), method="highs"
-    )
-    assert res.status == 0
-    return res.fun
-
-
 def test_agrees_with_scipy_on_random_programs():
     rng = np.random.default_rng(2026)
     for _ in range(40):
         lp = random_feasible_lp(rng, max_vars=12, max_rows=16)
         sol, dual = solve_lp(lp)
-        assert sol.status == "optimal"
-        ref = scipy_optimum(lp)
+        status, ref = highs(lp)
+        assert sol.status == status == "optimal"
         assert sol.objective_value == pytest.approx(ref, rel=1e-6, abs=1e-7)
         assert dual.objective_value == pytest.approx(
             sol.objective_value, rel=DUALITY_TOL, abs=DUALITY_TOL
@@ -296,21 +304,71 @@ def test_complementary_slackness_on_random_programs():
         assert np.all(np.abs(reduced * sol.values) <= 1e-6 * (1.0 + np.abs(lp.objective)))
 
 
-def highs(lp):
-    """scipy's HiGHS on the same program: (status, objective)."""
+def highs_form(lp):
+    """linprog's arguments for the program: rows as A_ub x <= b_ub and
+    A_eq x == b_eq, and the lower bounds."""
     le = np.array([s == "<=" for s in lp.senses], dtype=bool)
     ge = np.array([s == ">=" for s in lp.senses], dtype=bool)
     eq = ~(le | ge)
-    res = linprog(
-        lp.objective,
+    return dict(
         A_ub=np.vstack([lp.rows[le], -lp.rows[ge]]),
         b_ub=np.concatenate([lp.rhs[le], -lp.rhs[ge]]),
         A_eq=lp.rows[eq] if eq.any() else None,
         b_eq=lp.rhs[eq] if eq.any() else None,
-        bounds=[(lo, None) for lo in lp.lower_bounds],
-        method="highs",
+        bounds=[[lo, None] for lo in lp.lower_bounds],
     )
+
+
+def highs(lp):
+    """scipy's HiGHS on the same program: (status, objective)."""
+    res = linprog(lp.objective, **highs_form(lp), method="highs")
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message), res.fun
+
+
+def lexmin_reference(lp):
+    """The lexicographically least optimal x by sequential HiGHS solves:
+    min c.x, then with c.x held at its optimum each coordinate in turn is
+    minimised and fixed at its value snapped to a denominator of at most 64.
+    A coordinate the last solve left at its lower bound needs no solve."""
+    form = highs_form(lp)
+
+    def solve(cost):
+        res = linprog(cost, **form, method="highs")
+        assert res.status == 0, res.message
+        return res
+
+    res = solve(lp.objective)
+    form["A_ub"] = np.vstack([form["A_ub"], lp.objective])
+    form["b_ub"] = np.append(form["b_ub"], res.fun + 1e-9 * (1.0 + abs(res.fun)))
+    x = res.x
+    for j in range(lp.n_vars):
+        if x[j] > lp.lower_bounds[j] + 1e-9:
+            x = solve(np.eye(lp.n_vars)[j]).x
+        form["bounds"][j] = [float(Fraction(x[j]).limit_denominator(64))] * 2
+    return np.array([lo for lo, _ in form["bounds"]])
+
+
+def lexmin_corpus():
+    from test_oracle import odd_cycle_ufl
+
+    from twostage.cover import _recourse_cover_lp
+
+    yield "zero-cost", LinearProgram([0.0, 0.0], [[1.0, 1.0]], (">=",), [1.0])
+    yield "beale-dual", beale_dual_lp()
+    yield "odd-cycle-ufl", build_relaxation(odd_cycle_ufl(0.5, 2.0, 5))
+    for kind in ("set_cover", "vertex_cover", "ufl", "steiner"):
+        yield kind, build_relaxation(generate_instance(kind, seed=1))
+    yield "set-cover-recourse", _recourse_cover_lp(generate_instance("set_cover", seed=11))
+
+
+def test_x_is_the_lexicographically_least_optimum():
+    # The zero-cost LP (least x [0, 1]) and the odd-cycle UFL relaxation
+    # have several optimal vertices.
+    for name, lp in lexmin_corpus():
+        sol, _ = solve_lp(lp)
+        ref = lexmin_reference(lp)
+        assert sol.status == "optimal", name
+        assert np.abs(sol.values - ref).max() <= 1e-9, (name, sol.values, ref)
 
 
 @st.composite
@@ -462,17 +520,28 @@ def test_a_name_list_of_the_wrong_length_is_refused_by_name():
         LinearProgram([1, 2], [[1, 1]], (">=",), [1], names=("x", "y", "z"))
 
 
-def record_pivots(monkeypatch):
-    """Log (row, col) of every ``_pivot(T, row, col)`` the solver makes."""
-    pivots = []
-    pivot = twostage.lp._pivot
+def record_phases(monkeypatch):
+    """Log (run, row, col) of every ``_pivot(T, row, col)``, where run
+    numbers the ``_run_simplex`` call it is made in from 1, or is None
+    outside one."""
+    log, calls, current = [], [0], [None]
+    real_run, real_pivot = twostage.lp._run_simplex, twostage.lp._pivot
 
-    def logged(T, row, col):
-        pivots.append((row, col))
-        pivot(T, row, col)
+    def run(*args):
+        calls[0] += 1
+        current[0] = calls[0]
+        try:
+            return real_run(*args)
+        finally:
+            current[0] = None
 
-    monkeypatch.setattr(twostage.lp, "_pivot", logged)
-    return pivots
+    def pivot(T, row, col):
+        log.append((current[0], row, col))
+        real_pivot(T, row, col)
+
+    monkeypatch.setattr(twostage.lp, "_run_simplex", run)
+    monkeypatch.setattr(twostage.lp, "_pivot", pivot)
+    return log
 
 
 BEALE_ROWS = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
@@ -489,24 +558,21 @@ def beale_dual_lp():
                          [0.75, -20.0, 0.5, -6.0])
 
 
-def test_bland_switch_breaks_beales_cycle(monkeypatch):
-    # The dual tableau is Beale's, which cycles with period 6 under the
-    # Dantzig rule; the optimum is reached only once the degenerate streak
-    # exceeds 2 * (rows + columns + 1) = 2 * (3 + 7 + 1) = 22 and the
-    # entering rule switches to Bland's.
+def test_lexicographic_ratio_test_solves_beales_lp_without_a_cycle(monkeypatch):
+    # The dual tableau is Beale's.  Dantzig's rule with ties broken by the
+    # smallest basis id cycles on it with period 6; broken lexicographically,
+    # the first tie leaves on the other row and the optimum takes 2 pivots.
     lp = beale_dual_lp()
-    pivots = record_pivots(monkeypatch)
+    log = record_phases(monkeypatch)
     sol, dual = solve_lp(lp)
     status, objective = highs(lp)
     assert sol.status == status == "optimal"
     assert sol.objective_value == pytest.approx(objective) == 1.25
+    assert list(sol.values) == [0.0, 1.5, 1.25]
     # The duals are Beale's optimum.
     assert dual.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
     assert dual.objective_value == pytest.approx(1.25)
-    assert len(pivots) == 25
-    cycle = pivots[:6]
-    assert pivots[:23] == (cycle * 4)[:23]
-    assert pivots[23] != cycle[23 % 6]
+    assert [run for run, _, _ in log] == [1, 1]
 
 
 def test_redundant_equality_rows_are_dropped_with_zero_dual():
@@ -647,7 +713,7 @@ def lean_tableau_corpus():
 
 # SHA-256 of solve_lp's output on golden_solve_corpus(). A change to it is an
 # output change: declare it in CHANGES.md and paste the new value.
-GOLDEN_SOLVE_DIGEST = "840b4ff26715acd56aed758b2ca99fcacd02d823a0700432bc65766f21f49b74"
+GOLDEN_SOLVE_DIGEST = "e07134a0aeb7b8e4c081fdfa67263a5cd69a6f07112e61203723dd3d0215adfd"
 
 
 def golden_solve_corpus():
@@ -657,7 +723,8 @@ def golden_solve_corpus():
     yield from golden_builder_corpus()
     yield from lean_tableau_corpus()
     yield beale_lp()
-    # Only this one cycles long enough to reach the Bland switch.
+    # Beale's tableau, on which Dantzig's rule cycles when ties go to the
+    # smallest basis id.
     yield beale_dual_lp()
     # Half-integral odd-cycle relaxations: a reduced-cost fold in another
     # order changes their output bytes, and those of no LP above.
